@@ -25,6 +25,11 @@ m_sets, per-row counts) decompose these cell sets and exist so that the
 decomposition identities can be tested term by term against the word
 statistics of the projected inverse word.
 
+Two scans visit the cells (i, j) with sigma(i) < j: block_grid_counts counts
+them (it is the den kernel of the statistic registry in zeta), and grid_rows
+collects their columns row by row (n_plus_set, n_minus_set, n_plus_split,
+n_minus_row and n_plus_high_row are views on it).
+
 Everything here is a pure function of (eta, sigma); cell sets are returned
 as frozensets of (row, column) pairs.
 """
@@ -144,32 +149,42 @@ def iexc(eta: Composition, perm: Sequence[int]) -> int:
     return sum(1 for i, v in enumerate(perm, start=1) if blocks[i] > blocks[v])
 
 
-def n_plus_set(eta: Composition, perm: Sequence[int]) -> frozenset[Cell]:
-    """Cells (i, j) with sigma(i) < j, sigma^{-1}(j) < i, block(i) <= block(j)."""
-    blocks = block_lookup(eta)
-    inv = inverse(perm)
+def grid_rows(
+    blocks: Sequence[int], perm: Sequence[int]
+) -> list[tuple[list[int], list[int]]]:
+    """For each row i = 1..n, the columns of its n_plus_set cells and of its
+    n_minus_set cells (rows[i - 1] = (plus columns, minus columns)).
+
+    blocks is block_lookup(eta).  This is the one collecting scan of the
+    cells (i, j) with sigma(i) < j; the cell-set functions are views on it.
+    """
     n = len(perm)
-    cells = set()
+    inv = inverse(perm)
+    rows = []
     for i in range(1, n + 1):
         bi = blocks[i]
+        plus = []
+        minus = []
         for j in range(perm[i - 1] + 1, n + 1):
-            if inv[j - 1] < i and bi <= blocks[j]:
-                cells.add((i, j))
-    return frozenset(cells)
+            if inv[j - 1] < i:
+                if bi <= blocks[j]:
+                    plus.append(j)
+            elif bi > blocks[j]:
+                minus.append(j)
+        rows.append((plus, minus))
+    return rows
+
+
+def n_plus_set(eta: Composition, perm: Sequence[int]) -> frozenset[Cell]:
+    """Cells (i, j) with sigma(i) < j, sigma^{-1}(j) < i, block(i) <= block(j)."""
+    rows = grid_rows(block_lookup(eta), perm)
+    return frozenset((i, j) for i, (plus, _) in enumerate(rows, start=1) for j in plus)
 
 
 def n_minus_set(eta: Composition, perm: Sequence[int]) -> frozenset[Cell]:
     """Cells (i, j) with sigma(i) < j, sigma^{-1}(j) > i, block(i) > block(j)."""
-    blocks = block_lookup(eta)
-    inv = inverse(perm)
-    n = len(perm)
-    cells = set()
-    for i in range(1, n + 1):
-        bi = blocks[i]
-        for j in range(perm[i - 1] + 1, n + 1):
-            if inv[j - 1] > i and bi > blocks[j]:
-                cells.add((i, j))
-    return frozenset(cells)
+    rows = grid_rows(block_lookup(eta), perm)
+    return frozenset((i, j) for i, (_, minus) in enumerate(rows, start=1) for j in minus)
 
 
 def n_plus_split(
@@ -182,16 +197,12 @@ def n_plus_split(
     block(i) > block(sigma(i))); the disjoint union is n_plus_set.
     """
     blocks = block_lookup(eta)
-    inv = inverse(perm)
-    n = len(perm)
+    rows = grid_rows(blocks, perm)
     low: set[Cell] = set()
     high: set[Cell] = set()
-    for i in range(1, n + 1):
-        bi = blocks[i]
-        target = low if bi <= blocks[perm[i - 1]] else high
-        for j in range(perm[i - 1] + 1, n + 1):
-            if inv[j - 1] < i and bi <= blocks[j]:
-                target.add((i, j))
+    for i, (plus, _) in enumerate(rows, start=1):
+        target = low if blocks[i] <= blocks[perm[i - 1]] else high
+        target.update((i, j) for j in plus)
     return frozenset(low), frozenset(high)
 
 
@@ -272,34 +283,27 @@ def n_minus_row(eta: Composition, perm: Sequence[int], j0: int) -> frozenset[Cel
     """The cells of n_minus_set lying in row j0 (requires the same row
     precondition as m_sets)."""
     blocks = _check_row_in_high_region(eta, perm, j0)
-    inv = inverse(perm)
-    n = len(perm)
-    bj0 = blocks[j0]
-    return frozenset(
-        (j0, j)
-        for j in range(perm[j0 - 1] + 1, n + 1)
-        if inv[j - 1] > j0 and bj0 > blocks[j]
-    )
+    return frozenset((j0, j) for j in grid_rows(blocks, perm)[j0 - 1][1])
 
 
 def n_plus_high_row(eta: Composition, perm: Sequence[int], j0: int) -> frozenset[Cell]:
     """The cells of the second component of n_plus_split lying in row j0."""
     blocks = _check_row_in_high_region(eta, perm, j0)
-    inv = inverse(perm)
-    n = len(perm)
-    bj0 = blocks[j0]
-    return frozenset(
-        (j0, j)
-        for j in range(perm[j0 - 1] + 1, n + 1)
-        if inv[j - 1] < j0 and bj0 <= blocks[j]
-    )
+    return frozenset((j0, j) for j in grid_rows(blocks, perm)[j0 - 1][0])
 
 
-def _den_iexc(
-    blocks: tuple[int, ...], perm: Sequence[int]
-) -> tuple[int, int]:
-    """(den, iexc) from the raw block lookup; assumes perm is admissible."""
+def block_grid_counts(
+    perm: Sequence[int], blocks: Sequence[int]
+) -> tuple[int, int, int, int, int]:
+    """(den, sum of i_set columns, |i_set|, |n_plus_set|, |n_minus_set|).
+
+    blocks is block_lookup(eta), taken as the second argument so that a
+    distribution over many permutations looks it up once.  The first entry is
+    the Denert statistic when perm is admissible.  This is the one counting
+    scan of the grid; grid_rows is the collecting one.
+    """
     n = len(perm)
+    # The inverse is built in place: this loop is the den route's kernel.
     inv = [0] * n
     for i, v in enumerate(perm, start=1):
         inv[v - 1] = i
@@ -319,31 +323,12 @@ def _den_iexc(
                     plus += 1
             elif bi > blocks[j]:
                 minus += 1
-    return col_sum + plus - minus - exceed, exceed
+    return col_sum + plus - minus - exceed, col_sum, exceed, plus, minus
 
 
 def grid_counts(eta: Composition, perm: Sequence[int]) -> tuple[int, int, int, int]:
     """(sum of i_set columns, |i_set|, |n_plus_set|, |n_minus_set|) for any perm."""
-    blocks = block_lookup(eta)
-    inv = inverse(perm)
-    n = len(perm)
-    col_sum = 0
-    exceed = 0
-    for j in range(1, n + 1):
-        if blocks[inv[j - 1]] > blocks[j]:
-            col_sum += j
-            exceed += 1
-    plus = 0
-    minus = 0
-    for i in range(1, n + 1):
-        bi = blocks[i]
-        for j in range(perm[i - 1] + 1, n + 1):
-            if inv[j - 1] < i:
-                if bi <= blocks[j]:
-                    plus += 1
-            elif bi > blocks[j]:
-                minus += 1
-    return col_sum, exceed, plus, minus
+    return block_grid_counts(perm, block_lookup(eta))[1:]
 
 
 def den(eta: Composition, perm: Sequence[int]) -> int:
@@ -354,5 +339,4 @@ def den(eta: Composition, perm: Sequence[int]) -> int:
     its meaning only on admissible permutations.
     """
     perm = check_admissible(eta, perm)
-    value, _ = _den_iexc(block_lookup(eta), perm)
-    return value
+    return block_grid_counts(perm, block_lookup(eta))[0]

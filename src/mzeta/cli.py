@@ -6,7 +6,8 @@ window), dist (joint distribution polynomials), verify (exhaustive identity
 sweeps), zeta (evaluate or expand the rational form), and conjecture (the
 unitary-factor report).  Results go to stdout (or --out), diagnostics to
 stderr.  Exit codes: 0 success, 1 a verified identity or conjecture check
-failed, 2 usage or input error, 3 enumeration budget exceeded.
+failed, 2 usage, input or output error (such as an unwritable --out file),
+3 enumeration budget exceeded.
 """
 from __future__ import annotations
 
@@ -139,6 +140,7 @@ def _stats_for_signed(window: tuple[int, ...], kind: str, verbose: bool) -> dict
     window = signed.check_window(window)
     d, m = signed.type_a_stats(window)
     b = signed.b_stats(window)
+    excabs, nden = signed.abs_excedance_stats(window)
     out: dict = {
         "des": d,
         "maj": m,
@@ -147,8 +149,8 @@ def _stats_for_signed(window: tuple[int, ...], kind: str, verbose: bool) -> dict
         "nmaj": b.nmaj,
         "fdes": b.fdes,
         "fmaj": b.fmaj,
-        "excabs": signed.excabs(window),
-        "nden": signed.nden(window),
+        "excabs": excabs,
+        "nden": nden,
     }
     if kind == "D":
         ds = signed.d_stats(window)
@@ -462,7 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except zeta.BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,10 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
+        for p in self.parts:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError(f"composition parts must be ints, got {p!r}")
         if not self.parts:
             raise ValueError("a composition needs at least one part")
         if any(p < 1 for p in self.parts):
@@ -113,9 +116,32 @@ def descent_set(w: Sequence[int]) -> set[int]:
     return {i for i in range(1, len(w)) if w[i - 1] > w[i]}
 
 
+def descent_stats(w: Sequence[int]) -> tuple[int, int]:
+    """(des, maj): the number of descents and the sum of their positions.
+
+    The one descent scan, for words and signed windows alike.
+
+    >>> descent_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1))
+    (5, 25)
+    >>> descent_stats((-1, -2))
+    (1, 1)
+    """
+    d = 0
+    m = 0
+    i = 0  # the index of a; a descent w[i - 1] > w[i] sits at position i
+    prev = w[0] if w else 0
+    for a in w:
+        if prev > a:
+            d += 1
+            m += i
+        prev = a
+        i += 1
+    return d, m
+
+
 def des(w: Sequence[int]) -> int:
     """Number of descents."""
-    return sum(1 for i in range(1, len(w)) if w[i - 1] > w[i])
+    return descent_stats(w)[0]
 
 
 def maj(w: Sequence[int]) -> int:
@@ -124,7 +150,7 @@ def maj(w: Sequence[int]) -> int:
     >>> maj((1, 2, 1))
     2
     """
-    return sum(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    return descent_stats(w)[1]
 
 
 def inv(seq: Sequence[int]) -> int:
@@ -173,8 +199,7 @@ def exc_set(w: Sequence[int], eta: Composition) -> set[int]:
 
 def exc(w: Sequence[int], eta: Composition) -> int:
     """Number of excedances."""
-    triv = eta.trivial_word
-    return sum(1 for a, b in zip(w, triv) if a > b)
+    return excedance_stats(w, eta.trivial_word)[0]
 
 
 def exceeding_subword(w: Sequence[int], eta: Composition) -> tuple[int, ...]:
@@ -197,6 +222,32 @@ def nonexceeding_subword(w: Sequence[int], eta: Composition) -> tuple[int, ...]:
     return tuple(a for a, b in zip(w, triv) if a <= b)
 
 
+def excedance_stats(w: Sequence[int], triv: Sequence[int]) -> tuple[int, int]:
+    """(exc, denh) of w against the letterwise bound triv.
+
+    An excedance is a position where w strictly exceeds triv.  With triv the
+    trivial word of eta these are exc(w, eta) and denh(w, eta); signed
+    windows pass their absolute values with triv = 1..n.
+
+    >>> excedance_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1), (1, 1, 1, 2, 2, 3, 3, 4, 4, 4))
+    (5, 27)
+    >>> excedance_stats((3, 1, 2), range(1, 4))
+    (1, 1)
+    """
+    pos_sum = 0
+    exceeding: list[int] = []
+    rest: list[int] = []
+    i = 0
+    for a in w:
+        i += 1
+        if a > triv[i - 1]:
+            pos_sum += i
+            exceeding.append(a)
+        else:
+            rest.append(a)
+    return len(exceeding), pos_sum + imv(exceeding) + inv(rest)
+
+
 def denh(w: Sequence[int], eta: Composition) -> int:
     """Denert statistic of a multiset word.
 
@@ -208,17 +259,7 @@ def denh(w: Sequence[int], eta: Composition) -> int:
     >>> denh((1, 1, 2), Composition((2, 1)))
     0
     """
-    triv = eta.trivial_word
-    pos_sum = 0
-    exceeding: list[int] = []
-    rest: list[int] = []
-    for i, (a, b) in enumerate(zip(w, triv), start=1):
-        if a > b:
-            pos_sum += i
-            exceeding.append(a)
-        else:
-            rest.append(a)
-    return pos_sum + imv(exceeding) + inv(rest)
+    return excedance_stats(w, eta.trivial_word)[1]
 
 
 def standardize(w: Sequence[int], eta: Composition) -> tuple[int, ...]:

@@ -17,16 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .multiset import Composition, denh, des, exc, maj
-
-_ONES_CACHE: dict[int, Composition] = {}
-
-
-def _ones(n: int) -> Composition:
-    comp = _ONES_CACHE.get(n)
-    if comp is None:
-        comp = _ONES_CACHE.setdefault(n, Composition((1,) * n))
-    return comp
+from .multiset import descent_stats, excedance_stats
 
 
 def is_signed_window(window: Sequence[int]) -> bool:
@@ -57,7 +48,7 @@ def neg(window: Sequence[int]) -> int:
 
 def type_a_stats(window: Sequence[int]) -> tuple[int, int]:
     """(des, maj) of the window as an integer sequence."""
-    return des(window), maj(window)
+    return descent_stats(window)
 
 
 class BStats(NamedTuple):
@@ -74,8 +65,7 @@ def b_stats(window: Sequence[int]) -> BStats:
     ndes = des + neg, nmaj = maj - (sum of negative entries),
     fdes = 2*des + [first entry negative], fmaj = 2*maj + neg.
     """
-    d = des(window)
-    m = maj(window)
+    d, m = descent_stats(window)
     negatives = [v for v in window if v < 0]
     k = len(negatives)
     return BStats(
@@ -87,16 +77,23 @@ def b_stats(window: Sequence[int]) -> BStats:
     )
 
 
+def abs_excedance_stats(window: Sequence[int]) -> tuple[int, int]:
+    """(excabs, nden): the excedance and Denert statistics of |sigma|, the
+    first plus the negative count, the second minus the sum of the negative
+    entries."""
+    exc_abs, denh_abs = excedance_stats(abs_window(window), range(1, len(window) + 1))
+    negatives = [v for v in window if v < 0]
+    return exc_abs + len(negatives), denh_abs - sum(negatives)
+
+
 def excabs(window: Sequence[int]) -> int:
     """Absolute excedance number: excedances of |sigma| plus the negative count."""
-    aw = abs_window(window)
-    return exc(aw, _ones(len(aw))) + neg(window)
+    return abs_excedance_stats(window)[0]
 
 
 def nden(window: Sequence[int]) -> int:
     """Negative Denert statistic: denh of |sigma| minus the sum of negative entries."""
-    aw = abs_window(window)
-    return denh(aw, _ones(len(aw))) - sum(v for v in window if v < 0)
+    return abs_excedance_stats(window)[1]
 
 
 def nsp(window: Sequence[int]) -> int:
@@ -133,13 +130,11 @@ def d_stats(window: Sequence[int]) -> DStats:
     """
     if not is_even_signed(window):
         raise ValueError(f"{tuple(window)} has an odd number of negative entries")
-    d = des(window)
-    m = maj(window)
+    d, m = descent_stats(window)
     low = [v for v in window if v < -1]
     dneg = len(low)
     low_sum = sum(low)
-    aw = abs_window(window)
-    base = denh(aw, _ones(len(aw)))
+    exc_abs, base = excedance_stats(abs_window(window), range(1, len(window) + 1))
     pairs = nsp(window)
     via_pairs = base + pairs
     via_descents = base - low_sum - dneg
@@ -152,7 +147,7 @@ def d_stats(window: Sequence[int]) -> DStats:
         dneg=dneg,
         ddes=d + dneg,
         dmaj=m - low_sum - dneg,
-        dexc=exc(aw, _ones(len(aw))) + dneg,
+        dexc=exc_abs + dneg,
         nsp=pairs,
         dden=via_pairs,
     )

@@ -66,6 +66,13 @@ def first_coefficient_difference(lhs: BiPoly, rhs: BiPoly) -> str:
     return "polynomials agree"
 
 
+def _by_eta(
+    check: str, eta: Composition, passed: bool, detail: str, expected_failure: bool = False
+) -> CheckResult:
+    """The result of a check that covers the words of eta."""
+    return CheckResult(check, f"eta={eta}", passed, expected_failure, eta.word_count(), detail)
+
+
 def _poly_equality(
     check: str, target: str, size: int, polys: list[tuple[str, BiPoly]]
 ) -> CheckResult:
@@ -106,80 +113,69 @@ def check_nonexceeding_inversions(eta: Composition, budget: int = zeta.DEFAULT_B
     """Per admissible permutation: the low part of n_plus_split has exactly as
     many cells as the non-exceeding subword of the projected inverse has
     inversions."""
-    size = eta.word_count()
-    if size > budget:
-        raise zeta.BudgetError(f"domain of size {size} exceeds the budget of {budget}")
+    zeta._check_budget(eta.word_count(), budget)
+    blocks = adm.block_lookup(eta)
     for perm in adm.admissible_perms(eta):
-        low, _ = adm.n_plus_split(eta, perm)
+        rows = adm.grid_rows(blocks, perm)
+        low = sum(
+            len(plus)
+            for i, (plus, _) in enumerate(rows, start=1)
+            if blocks[i] <= blocks[perm[i - 1]]
+        )
         word = adm.project_perm(eta, wd.inverse(perm))
         expected = wd.inv(wd.nonexceeding_subword(word, eta))
-        if len(low) != expected:
-            return CheckResult(
-                "lemma42",
-                f"eta={eta}",
-                passed=False,
-                checked=size,
-                detail=f"sigma={perm}: |low cells|={len(low)}, inversions={expected}",
+        if low != expected:
+            return _by_eta(
+                "lemma42", eta, False, f"sigma={perm}: |low cells|={low}, inversions={expected}"
             )
-    return CheckResult("lemma42", f"eta={eta}", passed=True, checked=size, detail=f"domain size {size}")
+    return _by_eta("lemma42", eta, True, f"domain size {eta.word_count()}")
 
 
 def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """Per admissible permutation: the high part of n_plus_split is accounted
     for by weak inversions of the exceeding subword plus n_minus plus iexc,
     and the same identity holds row by row through the u-set counts."""
-    size = eta.word_count()
-    if size > budget:
-        raise zeta.BudgetError(f"domain of size {size} exceeds the budget of {budget}")
+    zeta._check_budget(eta.word_count(), budget)
     blocks = adm.block_lookup(eta)
     for perm in adm.admissible_perms(eta):
-        _, high = adm.n_plus_split(eta, perm)
+        rows = adm.grid_rows(blocks, perm)
+        # The rows of i_set, in order.
+        high_rows = [i for i, v in enumerate(perm, start=1) if blocks[i] > blocks[v]]
+        high = sum(len(rows[i - 1][0]) for i in high_rows)
         word = adm.project_perm(eta, wd.inverse(perm))
         target = wd.imv(wd.exceeding_subword(word, eta))
-        minus = len(adm.n_minus_set(eta, perm))
-        exceed = adm.iexc(eta, perm)
-        if len(high) != target + minus + exceed:
-            return CheckResult(
+        minus = sum(len(row_minus) for _, row_minus in rows)
+        exceed = len(high_rows)
+        if high != target + minus + exceed:
+            return _by_eta(
                 "lemma43",
-                f"eta={eta}",
-                passed=False,
-                checked=size,
-                detail=(
-                    f"sigma={perm}: |high cells|={len(high)}, "
-                    f"imv+minus+iexc={target}+{minus}+{exceed}"
-                ),
+                eta,
+                False,
+                f"sigma={perm}: |high cells|={high}, imv+minus+iexc={target}+{minus}+{exceed}",
             )
         row_total = 0
-        for j0, _col in sorted(adm.i_set(eta, perm)):
+        for j0 in high_rows:
             meq, mgt = adm.m_sets(eta, perm, j0)
-            row_minus = adm.n_minus_row(eta, perm, j0)
-            row_high = adm.n_plus_high_row(eta, perm, j0)
+            row_high, row_minus = rows[j0 - 1]
             cut = blocks[j0]
             u = adm.u_set(eta, perm, cut)
             u_inv = adm.u_inv_set(eta, perm, cut)
             lhs = len(meq) + len(mgt) + len(row_minus) + 1
             if not lhs == len(u) == len(u_inv) == len(row_high):
-                return CheckResult(
+                return _by_eta(
                     "lemma43",
-                    f"eta={eta}",
-                    passed=False,
-                    checked=size,
-                    detail=(
-                        f"sigma={perm}, row {j0}: "
-                        f"m+m+minus+1={lhs}, |u|={len(u)}, |u_inv|={len(u_inv)}, "
-                        f"|row high|={len(row_high)}"
-                    ),
+                    eta,
+                    False,
+                    f"sigma={perm}, row {j0}: "
+                    f"m+m+minus+1={lhs}, |u|={len(u)}, |u_inv|={len(u_inv)}, "
+                    f"|row high|={len(row_high)}",
                 )
             row_total += len(meq) + len(mgt)
         if row_total != target:
-            return CheckResult(
-                "lemma43",
-                f"eta={eta}",
-                passed=False,
-                checked=size,
-                detail=f"sigma={perm}: row m-cells total {row_total}, imv={target}",
+            return _by_eta(
+                "lemma43", eta, False, f"sigma={perm}: row m-cells total {row_total}, imv={target}"
             )
-    return CheckResult("lemma43", f"eta={eta}", passed=True, checked=size, detail=f"domain size {size}")
+    return _by_eta("lemma43", eta, True, f"domain size {eta.word_count()}")
 
 
 def check_b_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
@@ -207,22 +203,13 @@ def check_d_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> Check
 def check_hadamard(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     result = zeta.hadamard_check(eta, budget=budget)
     if result.ok:
-        return CheckResult(
-            "hadamard",
-            f"eta={eta}",
-            passed=True,
-            checked=eta.word_count(),
-            detail=f"series agrees through y^{result.truncation}",
-        )
-    return CheckResult(
+        return _by_eta("hadamard", eta, True, f"series agrees through y^{result.truncation}")
+    return _by_eta(
         "hadamard",
-        f"eta={eta}",
-        passed=False,
-        checked=eta.word_count(),
-        detail=(
-            f"first mismatch at y^{result.mismatch_degree}: "
-            f"numerator side {result.numerator_side}, product side {result.product_side}"
-        ),
+        eta,
+        False,
+        f"first mismatch at y^{result.mismatch_degree}: "
+        f"numerator side {result.numerator_side}, product side {result.product_side}",
     )
 
 
@@ -231,42 +218,23 @@ def check_reciprocity(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> Ch
     else must satisfy none."""
     observed = zeta.reciprocity_check(eta, budget=budget)
     predicted = zeta.expected_reciprocity(eta)
-    size = eta.word_count()
     if predicted is None:
         if not observed.holds:
-            return CheckResult(
-                "reciprocity",
-                f"eta={eta}",
-                passed=True,
-                expected_failure=True,
-                checked=size,
-                detail="fails (expected: non-rectangle)",
+            return _by_eta(
+                "reciprocity", eta, True, "fails (expected: non-rectangle)", expected_failure=True
             )
-        return CheckResult(
+        return _by_eta(
             "reciprocity",
-            f"eta={eta}",
-            passed=False,
-            checked=size,
-            detail=(
-                "unexpected functional equation: "
-                f"sign={observed.sign}, a={observed.x_exponent}, b={observed.y_exponent}"
-            ),
+            eta,
+            False,
+            "unexpected functional equation: "
+            f"sign={observed.sign}, a={observed.x_exponent}, b={observed.y_exponent}",
         )
     if observed == predicted:
-        return CheckResult(
+        return _by_eta(
             "reciprocity",
-            f"eta={eta}",
-            passed=True,
-            checked=size,
-            detail=(
-                f"holds with sign={observed.sign}, "
-                f"a={observed.x_exponent}, b={observed.y_exponent}"
-            ),
+            eta,
+            True,
+            f"holds with sign={observed.sign}, a={observed.x_exponent}, b={observed.y_exponent}",
         )
-    return CheckResult(
-        "reciprocity",
-        f"eta={eta}",
-        passed=False,
-        checked=size,
-        detail=f"observed {observed}, predicted {predicted}",
-    )
+    return _by_eta("reciprocity", eta, False, f"observed {observed}, predicted {predicted}")

@@ -9,6 +9,12 @@ into the ideal-counting Dirichlet series of the associated local hereditary
 order, which is why everything here is exact: numerators are integer
 polynomials and evaluations are Fractions.
 
+Joint distributions come from one registry, STATS, which names each
+statistic of each domain as an entry of a kernel's value: descent_stats and
+excedance_stats on words, block_grid_counts on admissible permutations, and
+b_stats, abs_excedance_stats and d_stats on signed windows.
+joint_distribution runs each distinct kernel of a pair once per object.
+
 The checks in this module certify, at desk scale, that the numerator is also
 the joint distribution of (maj, des) over the multiset words (w_numerator
 computes both and insists they agree), that the y-series of the numerator over
@@ -21,9 +27,12 @@ monomial direction appear exactly where the rectangle factorisation predicts
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from . import admissible as adm
 from . import signed
@@ -58,118 +67,58 @@ def _check_budget(size: int, budget: int) -> None:
         raise BudgetError(f"domain of size {size} exceeds the budget of {budget}")
 
 
-WORD_STATS: dict[str, Callable[[Sequence[int], Composition], int]] = {
-    "des": lambda w, eta: wd.des(w),
-    "maj": lambda w, eta: wd.maj(w),
-    "inv": lambda w, eta: wd.inv(w),
-    "imv": lambda w, eta: wd.imv(w),
-    "exc": wd.exc,
-    "denh": wd.denh,
+# STATS[domain][name] = (kernel, field): the statistic is entry `field` of the
+# kernel's value on an object, or the value itself when field is None.  A
+# kernel is (module, attribute, contextual).  joint_distribution looks it up
+# on its module once per call, so a replaced attribute takes effect, and
+# passes a contextual kernel the domain's context as second argument: the
+# trivial word for words, the block lookup for admissible permutations.
+_DESCENT = (wd, "descent_stats", False)
+_EXCEDANCE = (wd, "excedance_stats", True)
+_GRID = (adm, "block_grid_counts", True)
+_B = (signed, "b_stats", False)
+_ABS = (signed, "abs_excedance_stats", False)
+_D = (signed, "d_stats", False)
+
+
+def _entries(kernel: tuple, *names: str | None) -> dict[str, tuple[tuple, int]]:
+    """The statistics that are the entries of one kernel's value, in order; a
+    None name skips an entry."""
+    return {name: (kernel, field) for field, name in enumerate(names) if name}
+
+
+_SIGNED_STATS = {
+    **_entries(_DESCENT, "des", "maj"),
+    **_entries(_B, *signed.BStats._fields),
+    **_entries(_ABS, "excabs", "nden"),
 }
 
-ADMISSIBLE_STATS: dict[str, Callable[[Composition, Sequence[int]], int]] = {
-    "den": adm.den,
-    "iexc": adm.iexc,
+STATS: dict[str, dict[str, tuple[tuple, int | None]]] = {
+    "words": {
+        **_entries(_DESCENT, "des", "maj"),
+        "inv": ((wd, "inv", False), None),
+        "imv": ((wd, "imv", False), None),
+        **_entries(_EXCEDANCE, "exc", "denh"),
+    },
+    "admissible": _entries(_GRID, "den", None, "iexc"),
+    "B": _SIGNED_STATS,
+    "D": {**_SIGNED_STATS, **_entries(_D, *signed.DStats._fields)},
 }
-
-B_STATS: dict[str, Callable[[Sequence[int]], int]] = {
-    "des": wd.des,
-    "maj": wd.maj,
-    "neg": signed.neg,
-    "ndes": lambda w: signed.b_stats(w).ndes,
-    "nmaj": lambda w: signed.b_stats(w).nmaj,
-    "fdes": lambda w: signed.b_stats(w).fdes,
-    "fmaj": lambda w: signed.b_stats(w).fmaj,
-    "excabs": signed.excabs,
-    "nden": signed.nden,
-}
-
-D_STATS: dict[str, Callable[[Sequence[int]], int]] = dict(
-    B_STATS,
-    dneg=lambda w: signed.d_stats(w).dneg,
-    ddes=lambda w: signed.d_stats(w).ddes,
-    dmaj=lambda w: signed.d_stats(w).dmaj,
-    dexc=lambda w: signed.d_stats(w).dexc,
-    nsp=signed.nsp,
-    dden=lambda w: signed.d_stats(w).dden,
-)
 
 
 def domain_stats(domain: str) -> tuple[str, ...]:
     """The statistic names joint_distribution accepts for a domain."""
-    registry = {
-        "words": WORD_STATS,
-        "admissible": ADMISSIBLE_STATS,
-        "B": B_STATS,
-        "D": D_STATS,
-    }[domain]
-    return tuple(registry)
+    return tuple(STATS[domain])
 
 
-def _dist_words(eta: Composition, pair: tuple[str, str]) -> BiPoly:
-    counts: dict[tuple[int, int], int] = {}
-    if pair == ("maj", "des"):
-        for w in wd.words(eta):
-            m = 0
-            d = 0
-            for i in range(1, len(w)):
-                if w[i - 1] > w[i]:
-                    m += i
-                    d += 1
-            key = (m, d)
-            counts[key] = counts.get(key, 0) + 1
-    elif pair == ("denh", "exc"):
-        triv = eta.trivial_word
-        imv = wd.imv
-        inv = wd.inv
-        for w in wd.words(eta):
-            pos_sum = 0
-            exceeding = []
-            rest = []
-            for i, (a, b) in enumerate(zip(w, triv), start=1):
-                if a > b:
-                    pos_sum += i
-                    exceeding.append(a)
-                else:
-                    rest.append(a)
-            key = (pos_sum + imv(exceeding) + inv(rest), len(exceeding))
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        f1 = WORD_STATS[pair[0]]
-        f2 = WORD_STATS[pair[1]]
-        for w in wd.words(eta):
-            key = (f1(w, eta), f2(w, eta))
-            counts[key] = counts.get(key, 0) + 1
-    return BiPoly(counts)
+def _kernel_values(kernel: tuple, objects: Iterable, context) -> Iterator:
+    module, name, contextual = kernel
+    fn = getattr(module, name)
+    return map(fn, objects, itertools.repeat(context)) if contextual else map(fn, objects)
 
 
-def _dist_admissible(eta: Composition, pair: tuple[str, str]) -> BiPoly:
-    counts: dict[tuple[int, int], int] = {}
-    if pair == ("den", "iexc"):
-        blocks = adm.block_lookup(eta)
-        den_iexc = adm._den_iexc
-        for perm in adm.admissible_perms(eta):
-            key = den_iexc(blocks, perm)
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        f1 = ADMISSIBLE_STATS[pair[0]]
-        f2 = ADMISSIBLE_STATS[pair[1]]
-        for perm in adm.admissible_perms(eta):
-            key = (f1(eta, perm), f2(eta, perm))
-            counts[key] = counts.get(key, 0) + 1
-    return BiPoly(counts)
-
-
-def _dist_signed(domain: str, n: int, pair: tuple[str, str]) -> BiPoly:
-    registry = B_STATS if domain == "B" else D_STATS
-    f1 = registry[pair[0]]
-    f2 = registry[pair[1]]
-    stream = signed.signed_perms(n) if domain == "B" else signed.even_signed_perms(n)
-    counts: dict[tuple[int, int], int] = {}
-    for window in stream:
-        key = (f1(window), f2(window))
-        counts[key] = counts.get(key, 0) + 1
-    return BiPoly(counts)
+def _field(values: Iterator, field: int | None) -> Iterator:
+    return values if field is None else map(itemgetter(field), values)
 
 
 def joint_distribution(
@@ -184,25 +133,33 @@ def joint_distribution(
 
     Evaluating the result at (1, 1) recovers the domain cardinality.  Raises
     BudgetError when the domain is larger than the budget, KeyError-free
-    ValueError on unknown statistic names.
+    ValueError on unknown statistic names.  Each distinct kernel of the pair
+    runs once per object.
     """
     _check_budget(domain_size(domain, eta=eta, n=n), budget)
-    names = domain_stats(domain)
+    table = STATS[domain]
     for stat in pair:
-        if stat not in names:
+        if stat not in table:
             raise ValueError(
                 f"statistic {stat!r} is not defined on domain {domain!r}; "
-                f"choose from {', '.join(names)}"
+                f"choose from {', '.join(table)}"
             )
-    pair = (pair[0], pair[1])
     if domain == "words":
-        assert eta is not None
-        return _dist_words(eta, pair)
-    if domain == "admissible":
-        assert eta is not None
-        return _dist_admissible(eta, pair)
-    assert n is not None
-    return _dist_signed(domain, n, pair)
+        objects, context = wd.words(eta), eta.trivial_word
+    elif domain == "admissible":
+        objects, context = adm.admissible_perms(eta), adm.block_lookup(eta)
+    elif domain == "B":
+        objects, context = signed.signed_perms(n), None
+    else:
+        objects, context = signed.even_signed_perms(n), None
+    (k1, f1), (k2, f2) = table[pair[0]], table[pair[1]]
+    if k1 == k2:
+        first, second = itertools.tee(_kernel_values(k1, objects, context))
+    else:
+        objects1, objects2 = itertools.tee(objects)
+        first = _kernel_values(k1, objects1, context)
+        second = _kernel_values(k2, objects2, context)
+    return BiPoly(Counter(zip(_field(first, f1), _field(second, f2))))
 
 
 def w_numerator(

@@ -164,6 +164,25 @@ class TestISet:
             assert {j for _, j in i_set(eta, sigma)} == exc_set(word, eta)
 
 
+def brute_force_cells(eta, sigma):
+    """N+, N-, the low/high split of N+, straight from the definitions over
+    the full n x n grid."""
+    n = eta.n
+    block = dict(enumerate((k for k, p in enumerate(eta.parts, 1) for _ in range(p)), 1))
+    where = {v: i for i, v in enumerate(sigma, 1)}
+    grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    plus = {
+        (i, j) for i, j in grid
+        if sigma[i - 1] < j and where[j] < i and block[i] <= block[j]
+    }
+    minus = {
+        (i, j) for i, j in grid
+        if sigma[i - 1] < j and where[j] > i and block[i] > block[j]
+    }
+    low = {(i, j) for i, j in plus if block[i] <= block[sigma[i - 1]]}
+    return plus, minus, low, plus - low, block
+
+
 class TestCellSets:
     def test_worked_example_cells(self):
         assert n_plus_set(ETA, SIGMA) == SIGMA_N_PLUS
@@ -195,6 +214,19 @@ class TestCellSets:
             cells = i_set(eta, sigma)
             assert exceed == len(cells)
             assert col_sum == sum(j for _, j in cells)
+
+    @pytest.mark.parametrize("eta", small_compositions(5))
+    def test_match_brute_force_definitions(self, eta):
+        for sigma in itertools.permutations(range(1, eta.n + 1)):
+            plus, minus, low, high, block = brute_force_cells(eta, sigma)
+            assert n_plus_set(eta, sigma) == plus
+            assert n_minus_set(eta, sigma) == minus
+            assert n_plus_split(eta, sigma) == (low, high)
+            for j0 in range(1, eta.n + 1):
+                if block[j0] <= block[sigma[j0 - 1]]:
+                    continue
+                assert n_minus_row(eta, sigma, j0) == {c for c in minus if c[0] == j0}
+                assert n_plus_high_row(eta, sigma, j0) == {c for c in high if c[0] == j0}
 
 
 class TestUSets:

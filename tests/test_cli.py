@@ -377,6 +377,16 @@ class TestOutput:
         assert out == ""
         assert_poly_schema(json.loads(target.read_text()))
 
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(
+            capsys, "stats", "--eta", "2,1", "--word", "211", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.exists()
+
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(capsys, "dist", "--domain", "words", "--eta", "2,2", "--pair", "denh,exc")
         _, out2, _ = run(capsys, "dist", "--domain", "words", "--eta", "2,2", "--pair", "denh,exc")

@@ -1,0 +1,114 @@
+"""The CLI's stdout, stderr and exit code on a fixed corpus of commands, byte
+for byte against tests/data/cli_golden.json.
+
+The corpus covers every subcommand in text and JSON, one dist pair per
+statistic kernel family in each domain, stats --verbose on every kind of
+input, each verify check on one small target, and the error messages for
+unknown statistics and wrong domains.  Regenerate the golden file only when
+an output is meant to change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from mzeta.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+WORD = ["--eta", "3,2,2,3", "--word", "4232314141"]
+PERM = ["--eta", "3,2,2,3", "--perm", "6,8,10,2,4,3,5,1,7,9"]
+
+
+def _both_formats(*argv):
+    return [list(argv), list(argv) + ["--format", "json"]]
+
+
+CORPUS = [
+    *_both_formats("stats", *WORD),
+    *_both_formats("stats", *WORD, "--verbose"),
+    ["stats", *WORD, "--stat", "denh,exc"],
+    *_both_formats("stats", *PERM),
+    *_both_formats("stats", *PERM, "--verbose"),
+    ["stats", "--eta", "2,1", "--perm", "3,2,1", "--verbose"],
+    *_both_formats("stats", "--signed=-2,1"),
+    ["stats", "--signed", "3,-1,-2,4", "--verbose"],
+    *_both_formats("stats", "--signed", "3,-1,-2,4", "--type", "D", "--verbose"),
+    ["stats", "--signed=-3,1,-2", "--type", "D", "--stat", "dden,nsp,nden,excabs"],
+    # words: descent, excedance and the two inversion counts, plus mixed pairs.
+    *_both_formats("dist", "--domain", "words", "--eta", "2,1,2", "--pair", "maj,des"),
+    ["dist", "--domain", "words", "--eta", "2,1,2", "--pair", "denh,exc"],
+    ["dist", "--domain", "words", "--eta", "2,1,2", "--pair", "inv,imv"],
+    ["dist", "--domain", "words", "--eta", "2,1,2", "--pair", "imv,imv"],
+    ["dist", "--domain", "words", "--eta", "2,1,2", "--pair", "exc,maj"],
+    # admissible: the grid kernel, both orders and with itself.
+    *_both_formats("dist", "--domain", "admissible", "--eta", "2,1,2", "--pair", "den,iexc"),
+    ["dist", "--domain", "admissible", "--eta", "1,3,1", "--pair", "iexc,den"],
+    ["dist", "--domain", "admissible", "--eta", "1,3,1", "--pair", "den,den"],
+    # B: descent, negative/flag and absolute excedance families.
+    *_both_formats("dist", "--domain", "B", "--n", "3", "--pair", "nmaj,ndes"),
+    ["dist", "--domain", "B", "--n", "3", "--pair", "fmaj,fdes"],
+    ["dist", "--domain", "B", "--n", "3", "--pair", "nden,excabs"],
+    ["dist", "--domain", "B", "--n", "3", "--pair", "maj,des"],
+    ["dist", "--domain", "B", "--n", "3", "--pair", "neg,nden"],
+    # D: the even-signed family, and B families on even-signed windows.
+    *_both_formats("dist", "--domain", "D", "--n", "4", "--pair", "dden,dexc"),
+    ["dist", "--domain", "D", "--n", "4", "--pair", "dmaj,ddes"],
+    ["dist", "--domain", "D", "--n", "4", "--pair", "nsp,dneg"],
+    ["dist", "--domain", "D", "--n", "4", "--pair", "nden,excabs"],
+    ["dist", "--domain", "D", "--n", "4", "--pair", "des,dden"],
+    *_both_formats("verify", "--check", "euler-mahonian-a", "--eta", "2,1,2"),
+    ["verify", "--check", "euler-mahonian-den", "--eta", "2,1,2"],
+    *_both_formats("verify", "--check", "lemma42", "--eta", "2,1,2"),
+    ["verify", "--check", "lemma43", "--eta", "2,1,2"],
+    ["verify", "--check", "lemma43", "--all-eta-up-to", "3"],
+    ["verify", "--check", "hadamard", "--eta", "2,1,2"],
+    *_both_formats("verify", "--check", "reciprocity", "--eta", "2,1,2"),
+    ["verify", "--check", "reciprocity", "--eta", "2,2"],
+    ["verify", "--check", "b-equidistribution", "--n", "3"],
+    *_both_formats("verify", "--check", "d-equidistribution", "--n", "3"),
+    *_both_formats("zeta", "--eta", "2,1", "--q", "2", "--t", "1/8"),
+    *_both_formats("zeta", "--eta", "2,1", "--series-terms", "4"),
+    *_both_formats("conjecture", "--eta", "2,1"),
+    *_both_formats("conjecture", "--rect", "2,1"),
+    # Errors: unknown statistic, statistic of another domain, wrong target.
+    ["dist", "--domain", "words", "--eta", "2,1", "--pair", "denh,dden"],
+    ["dist", "--domain", "admissible", "--eta", "2,1", "--pair", "den,maj"],
+    ["dist", "--domain", "B", "--n", "2", "--pair", "dden,dexc"],
+    ["dist", "--domain", "words", "--n", "3", "--pair", "maj,des"],
+    ["dist", "--domain", "D", "--eta", "2,1", "--pair", "dden,dexc"],
+    ["dist", "--domain", "E", "--n", "2", "--pair", "maj,des"],
+    ["verify", "--check", "lemma42", "--n", "3"],
+    ["verify", "--check", "d-equidistribution", "--eta", "2,1"],
+    ["dist", "--domain", "B", "--n", "4", "--pair", "maj,des", "--budget", "10"],
+]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _golden():
+    return {" ".join(e["argv"]): e for e in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+
+
+def test_golden_file_covers_corpus():
+    assert list(_golden()) == [" ".join(argv) for argv in CORPUS]
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_output_matches_golden(argv):
+    assert run(argv) == _golden()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    entries = [run(argv) for argv in CORPUS]
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {GOLDEN}")

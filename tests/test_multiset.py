@@ -58,6 +58,12 @@ class TestComposition:
         with pytest.raises(ValueError):
             Composition((-1, 3))
 
+    @pytest.mark.parametrize("parts", [(1.5, 2), (2.0,), (True, 2), (2, False), ("2",)])
+    def test_rejects_non_int_parts(self, parts):
+        # No part is silently truncated or converted.
+        with pytest.raises(ValueError):
+            Composition(parts)
+
     def test_descent_set(self):
         assert sorted(ETA.descent_set) == [3, 5, 7]
         assert Composition((5,)).descent_set == frozenset()

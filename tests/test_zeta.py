@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from mzeta.admissible import admissible_perms, den, i_set, iexc, n_minus_set, n_plus_set
-from mzeta.multiset import Composition, denh, des, exc, maj, words
+from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
+from mzeta.signed import b_stats, d_stats, even_signed_perms, excabs, nden, neg, nsp, signed_perms
 from mzeta.poly import BiPoly, UniPoly
 from mzeta.zeta import (
     BudgetError,
@@ -26,6 +27,40 @@ from mzeta.zeta import (
     zeta_eval,
 )
 from test_multiset import small_compositions
+
+
+# Every statistic of every domain through its public function.
+WORD_FUNCS = {
+    "des": lambda w, eta: des(w),
+    "maj": lambda w, eta: maj(w),
+    "inv": lambda w, eta: inv(w),
+    "imv": lambda w, eta: imv(w),
+    "exc": exc,
+    "denh": denh,
+}
+ADMISSIBLE_FUNCS = {"den": den, "iexc": iexc}
+B_FUNCS = {
+    "des": des,
+    "maj": maj,
+    "neg": neg,
+    **{f: (lambda f: lambda w: getattr(b_stats(w), f))(f) for f in ("ndes", "nmaj", "fdes", "fmaj")},
+    "excabs": excabs,
+    "nden": nden,
+}
+D_FUNCS = {
+    **B_FUNCS,
+    **{f: (lambda f: lambda w: getattr(d_stats(w), f))(f) for f in ("dneg", "ddes", "dmaj", "dexc")},
+    "nsp": nsp,
+    "dden": lambda w: d_stats(w).dden,
+}
+
+
+def assert_every_pair_matches(domain, funcs, objects, **kw):
+    assert tuple(funcs) == domain_stats(domain)
+    for s1, f1 in funcs.items():
+        for s2, f2 in funcs.items():
+            expected = BiPoly(Counter((f1(o), f2(o)) for o in objects))
+            assert joint_distribution(domain, (s1, s2), **kw) == expected, (s1, s2)
 
 
 def series_oracle(rational, terms):
@@ -123,6 +158,16 @@ class TestJointDistribution:
             assert value == den(eta, sigma)
             by_sets[(value, iexc(eta, sigma))] += 1
         assert by_loop == BiPoly(by_sets)
+        if eta.n <= 4:
+            funcs = {s: (lambda f: lambda w: f(w, eta))(f) for s, f in WORD_FUNCS.items()}
+            assert_every_pair_matches("words", funcs, list(words(eta)), eta=eta)
+            funcs = {s: (lambda f: lambda p: f(eta, p))(f) for s, f in ADMISSIBLE_FUNCS.items()}
+            assert_every_pair_matches("admissible", funcs, list(admissible_perms(eta)), eta=eta)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_signed_pairs_match_public_functions(self, n):
+        assert_every_pair_matches("B", B_FUNCS, list(signed_perms(n)), n=n)
+        assert_every_pair_matches("D", D_FUNCS, list(even_signed_perms(n)), n=n)
 
 
 class TestNumerator:
