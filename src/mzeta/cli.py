@@ -7,7 +7,8 @@ sweeps), zeta (evaluate or expand the rational form), and conjecture (the
 unitary-factor report).  Results go to stdout (or --out), diagnostics to
 stderr.  Exit codes: 0 success, 1 a verified identity or conjecture check
 failed, 2 usage, input or output error (such as an unwritable --out file),
-3 enumeration budget exceeded.
+3 enumeration budget exceeded, 4 an internal invariant failed (two
+independent computations disagreed, which means a bug).
 """
 from __future__ import annotations
 
@@ -464,6 +465,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except zeta.BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except zeta.InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,8 @@ UniPoly((1, 1, 2, 1, 1))
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Mapping
 
 
@@ -187,28 +189,38 @@ def cyclotomic(d: int) -> UniPoly:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _qbinom(a: int, b: int) -> UniPoly:
-    if b < 0 or b > a:
-        return UniPoly()
-    if b == 0 or b == a:
-        return UniPoly.one()
-    return _qbinom(a - 1, b - 1) + _qbinom(a - 1, b).shift(b)
-
-
+@lru_cache(maxsize=1024)
 def gaussian_binomial(m: int, k: int) -> UniPoly:
     """The Gaussian binomial (m+k choose k)_x.
 
-    Built from the q-Pascal recurrence.  Its value at x=1 is binomial(m+k, k),
-    its coefficient list is palindromic, and it is the coefficient of y^k in
-    the geometric product over (1 - x^j y)^{-1} for j = 0..m.
+    Its value at x=1 is binomial(m+k, k), its coefficient list is palindromic,
+    and it is the coefficient of y^k in the geometric product over
+    (1 - x^j y)^{-1} for j = 0..m.
+
+    Built iteratively as the product over i = 1..min(m, k) of
+    (1 - x^(max(m, k)+i)) / (1 - x^i), each factor one pass over the
+    coefficients with exact division.  Each coefficient depends only on lower
+    ones, so only the lower half is built and the palindrome gives the rest.
 
     >>> gaussian_binomial(1, 1)
     UniPoly((1, 1))
     """
     if m < 0 or k < 0:
         raise ValueError("gaussian_binomial needs nonnegative arguments")
-    return _qbinom(m + k, k)
+    m, k = max(m, k), min(m, k)
+    top = m * k
+    half = top // 2
+    c = [1]
+    for i in range(1, k + 1):
+        # c holds (m+i-1 choose i-1)_x up to x^half; the new one has degree m*i.
+        size = min(m * i, half) + 1
+        c.extend([0] * (size - len(c)))
+        a = m + i
+        if a < size:
+            c[a:] = map(sub, c[a:], c[:size - a])
+        for r in range(i):
+            c[r::i] = accumulate(c[r::i])
+    return UniPoly(c + c[:top - half][::-1])
 
 
 def format_terms(terms: Iterable[tuple[int, int, int]]) -> str:
@@ -242,10 +254,15 @@ class BiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()) -> None:
-        data = {k: int(v) for k, v in dict(terms).items() if v}
-        for a, b in data:
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent pair ({a}, {b})")
+        data = {}
+        for key, v in dict(terms).items():
+            if type(v) is not int:
+                raise ValueError(f"coefficients must be ints, got {v!r}")
+            if v:
+                a, b = key
+                if a < 0 or b < 0:
+                    raise ValueError(f"negative exponent pair ({a}, {b})")
+                data[key] = v
         self.terms = data
 
     @classmethod

@@ -124,7 +124,8 @@ def d_stats(window: Sequence[int]) -> DStats:
     those entries) - dneg; dexc = excedances of |sigma| plus dneg; and
     dden = denh(|sigma|) + nsp.  The last has a second defining expression,
     denh(|sigma|) - (sum over entries below -1) - dneg; both are computed and
-    must agree, otherwise something is deeply wrong and we fail loudly.
+    must agree, otherwise something is deeply wrong and InvariantError is
+    raised.
 
     Raises ValueError when the window has an odd number of negative entries.
     """
@@ -139,7 +140,9 @@ def d_stats(window: Sequence[int]) -> DStats:
     via_pairs = base + pairs
     via_descents = base - low_sum - dneg
     if via_pairs != via_descents:
-        raise RuntimeError(
+        from .zeta import InvariantError  # zeta imports this module
+
+        raise InvariantError(
             f"dden mismatch on {tuple(window)}: "
             f"{via_pairs} (pair form) != {via_descents} (descent form)"
         )

@@ -15,14 +15,23 @@ excedance_stats on words, block_grid_counts on admissible permutations, and
 b_stats, abs_excedance_stats and d_stats on signed windows.
 joint_distribution runs each distinct kernel of a pair once per object.
 
-The checks in this module certify, at desk scale, that the numerator is also
-the joint distribution of (maj, des) over the multiset words (w_numerator
-computes both and insists they agree), that the y-series of the numerator over
-the extended denominator is the termwise product of Gaussian binomials
-(hadamard_check), that the numerator is self-reciprocal exactly for rectangle
-compositions (reciprocity_check), and that cyclotomic factors in a single
-monomial direction appear exactly where the rectangle factorisation predicts
-(unitary_factor_scan, conjecture_report).
+w_numerator enumerates nothing.  By the paper's main theorem the numerator
+is also the (maj, des) and the (denh, exc) distribution over the multiset
+words.  Route A computes (maj, des) from MacMahon's product formula with one
+Kronecker-substituted big-integer product; route B computes (denh, exc) by a
+transfer-matrix DP over the positions of the trivial word.  w_numerator
+returns route A and, by default, insists that route B agrees.  The (den,
+iexc) enumeration in joint_distribution stays the reference they are tested
+against: tests/test_zeta.py compares each route with it for every
+composition of n <= 6, and the acceptance suite compares w_numerator with it
+for every composition of n <= 8.
+
+The checks in this module certify, at desk scale, that the y-series of the
+numerator over the extended denominator is the termwise product of Gaussian
+binomials (hadamard_check), that the numerator is self-reciprocal exactly for
+rectangle compositions (reciprocity_check), and that cyclotomic factors in a
+single monomial direction appear exactly where the rectangle factorisation
+predicts (unitary_factor_scan, conjecture_report).
 """
 from __future__ import annotations
 
@@ -47,6 +56,11 @@ DOMAINS = ("words", "admissible", "B", "D")
 
 class BudgetError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
+
+
+class InvariantError(RuntimeError):
+    """Two independent computations of the same quantity disagree: a bug in
+    one of them, never a property of the input."""
 
 
 def domain_size(domain: str, *, eta: Composition | None = None, n: int | None = None) -> int:
@@ -162,23 +176,142 @@ def joint_distribution(
     return BiPoly(Counter(zip(_field(first, f1), _field(second, f2))))
 
 
+def _pack(coeffs: Iterable[int], width: int) -> int:
+    """The integer sum of c * 2^(width*i): coefficients in slots of width bits
+    (a multiple of 8), each in [0, 2^width)."""
+    size = width // 8
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The lowest count slots of a packed value, each read as a balanced digit
+    in [-2^(width-1), 2^(width-1)).
+
+    Exact whenever every one of those coefficients lies in that range: adding
+    2^(width-1) to every slot makes each a plain byte string.
+    """
+    size = width // 8
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = ((value + offset) & ((1 << (width * count)) - 1)).to_bytes(size * count, "little")
+    half = 1 << (width - 1)
+    return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, size * count, size)]
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per slot, a multiple of 8, for balanced digits of absolute value at
+    most bound."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _maj_des_numerator(eta: Composition) -> BiPoly:
+    """Route A: the (maj, des) distribution over the words, by MacMahon.
+
+    sum_k G_k y^k = N(x, y) / prod_{j=0..n} (1 - x^j y) with
+    G_k = prod over the parts p of (p+k choose k)_x, so N is that product of
+    (1 - x^j y) times sum_{k<=n} G_k y^k, truncated to y-degree n; its y^k
+    coefficient is
+    N_k = sum_{j<=k} (-1)^j x^(j(j-1)/2) (n+1 choose j)_x G_(k-j).
+    Both factors are packed into one integer each (Kronecker substitution,
+    x = 2^w and y = x^span) and multiplied once by the built-in big-integer
+    product.
+
+    Every term of N_k has x-degree at most k*n < span, so no term spills into
+    the next power of y.  The products in N_k have nonnegative coefficients,
+    so the sum of their values at x = 1 bounds |every coefficient| of N_k;
+    the width w holds that bound as a balanced digit, so unpacking is exact.
+    """
+    n = eta.n
+    mult = Counter(eta.parts)
+    bound = sum(
+        math.comb(n + 1, j) * math.prod(math.comb(p + n - j, p) ** e for p, e in mult.items())
+        for j in range(n + 1)
+    )
+    w = _slot_width(bound)
+    span = n * n + 1
+    g = 0
+    for k in range(n + 1):
+        gk = 1
+        for p, e in mult.items():
+            gk *= _pack(gaussian_binomial(p, k).coeffs, w) ** e
+        g += gk << (w * span * k)
+    d = 1
+    for j in range(n + 1):
+        d -= d << (w * (span + j))
+    digits = _unpack(d * g, w, span * (n + 1))
+    return BiPoly({(s % span, s // span): c for s, c in enumerate(digits) if c})
+
+
+def _denh_exc_numerator(eta: Composition) -> BiPoly:
+    """Route B: the (denh, exc) distribution over the words, by a
+    transfer-matrix DP over the positions of the trivial word.
+
+    denh is the sum of the excedance positions plus imv of the exceeding
+    subword E plus inv of the non-exceeding subword N.  Reading a word left to
+    right, letter a at position i with trivial letter t is an excedance when
+    a > t and adds i + #(earlier E letters >= a) to denh; otherwise it adds
+    #(earlier N letters > a).  So the state is, for each letter, how many
+    copies sit in E and how many in N: (e_1..e_r, n_1..n_r).
+
+    Each state carries its polynomial packed into one integer, x^denh y^exc in
+    slot denh*(n+1) + exc.  A coefficient counts prefixes of distinct words,
+    so it is at most word_count(), which sets the slot width; every increment
+    is below 2i, so denh <= n^2 sets the slot count.
+    """
+    n = eta.n
+    r = eta.r
+    parts = eta.parts
+    w = _slot_width(eta.word_count())
+    stride = n + 1
+    layer = {(0,) * (2 * r): 1}
+    for i, t in enumerate(eta.trivial_word, start=1):
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, poly in layer.items():
+            e_ge = 0  # E letters >= a
+            n_gt = 0  # N letters > a
+            for a in range(r, 0, -1):
+                in_e = state[a - 1]
+                in_n = state[r + a - 1]
+                e_ge += in_e
+                if in_e + in_n < parts[a - 1]:
+                    if a > t:
+                        slot, shift = a - 1, (i + e_ge) * stride + 1
+                    else:
+                        slot, shift = r + a - 1, n_gt * stride
+                    key = state[:slot] + (state[slot] + 1,) + state[slot + 1:]
+                    nxt[key] = nxt.get(key, 0) + (poly << (w * shift))
+                n_gt += in_n
+        layer = nxt
+    digits = _unpack(sum(layer.values()), w, (n * n + 1) * stride)
+    return BiPoly({(s // stride, s % stride): c for s, c in enumerate(digits) if c})
+
+
 def w_numerator(
     eta: Composition, *, budget: int = DEFAULT_BUDGET, cross_check: bool = True
 ) -> BiPoly:
     """The numerator of W_eta: the (den, iexc) distribution over admissible
     permutations.
 
-    With cross_check (the default) the (maj, des) distribution over the words
-    is computed independently and must coincide; a mismatch would mean one of
-    the two statistic implementations is broken, and raises RuntimeError.
+    The paper's theorem makes it equal to the (maj, des) and to the
+    (denh, exc) distribution over the words, and neither of those needs
+    enumeration: route A computes (maj, des) from MacMahon's product formula
+    and is returned; with cross_check (the default) route B computes
+    (denh, exc) by a DP over positions and must coincide, otherwise one of the
+    two routes is broken and InvariantError is raised.  tests/test_zeta.py
+    compares both routes with the (den, iexc) enumeration for every
+    composition of n <= 6, and the acceptance suite compares w_numerator with
+    it for every composition of n <= 8.
+
+    The budget still bounds the number of words, as for enumeration, and
+    raises BudgetError beyond it.
     """
-    num = joint_distribution("admissible", ("den", "iexc"), eta=eta, budget=budget)
+    _check_budget(eta.word_count(), budget)
+    num = _maj_des_numerator(eta)
     if cross_check:
-        alt = joint_distribution("words", ("maj", "des"), eta=eta, budget=budget)
+        alt = _denh_exc_numerator(eta)
         if num != alt:
-            raise RuntimeError(
-                f"numerator mismatch for eta={eta}: (den, iexc) over admissible "
-                f"permutations gives {num} but (maj, des) over words gives {alt}"
+            raise InvariantError(
+                f"numerator mismatch for eta={eta}: (maj, des) by MacMahon's formula "
+                f"gives {num} but (denh, exc) by the position DP gives {alt}"
             )
     return num
 
@@ -399,12 +532,15 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
     candidate within the bounds divides f, nothing stronger.
 
     Candidates are pruned by degree and by exact integer divisibility of
-    f(2, 3), so the expensive polynomial divisions are rare.
+    f(2, 3), so the expensive polynomial divisions are rare.  The degree test
+    needs totient(d) <= max(deg_x, deg_y), and totient(d) >= sqrt(d/2), so no
+    d above 2*max(deg_x, deg_y)^2 can divide and the loop stops there.
     """
     if not f:
         raise ValueError("scan needs a nonzero polynomial")
     dx = f.degree_x()
     dy = f.degree_y()
+    max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
     f23 = f.evaluate(2, 3)
     directions = [(1, 0)] + [(a, b) for b in range(1, bounds.max_b + 1) for a in range(bounds.max_a + 1)]
     found: list[UnitaryFactor] = []
@@ -412,7 +548,7 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
         # base >= 2 whenever (a, b) != (0, 0), so the integer test is exact:
         # a polynomial divisor evaluated at (2, 3) divides f(2, 3).
         base = 2**a * 3**b
-        for d in range(1, bounds.max_d + 1):
+        for d in range(1, max_d + 1):
             ph = totient(d)
             if a * ph > dx or b * ph > dy:
                 continue

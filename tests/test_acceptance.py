@@ -224,6 +224,34 @@ def test_10_numerator_routes_agree(numerators):
     )
 
 
+def test_11_numerator_is_den_iexc_distribution(numerators):
+    # w_numerator enumerates nothing; the theorem is what makes it the
+    # (den, iexc) distribution, and this pins it.
+    table, _ = numerators
+    t0 = time.perf_counter()
+    for eta, (den_route, _) in table.items():
+        assert w_numerator(eta) == den_route, f"numerator differs at eta={eta}"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30
+    report(f"11 numerator without enumeration equals (den, iexc) enumeration, n<={N_WORDS}", elapsed)
+
+
+def test_12_unitary_factor_evidence_rm12():
+    t0 = time.perf_counter()
+    rectangles = [eta for eta in _qualifying_rectangles(12) if eta.n == 12]
+    assert [e.parts for e in rectangles] == [(3, 3, 3, 3), (1,) * 12]
+    for eta in rectangles:
+        num = w_numerator(eta, budget=eta.word_count())  # 12! words for 1^12
+        m, r = eta.is_rectangle()
+        factor = BiPoly({(0, 0): 1, (r * m // 2, 1): 1})
+        assert num.divide_exact(factor) is not None, f"factor fails on eta={eta}"
+        rep = conjecture_report(eta, numerator=num)
+        assert rep.consistent, f"inconsistent report on eta={eta}"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30
+    report("12 unitary factors on the qualifying rectangles with rm=12", elapsed)
+
+
 def test_cli_worked_examples(capsys):
     # The command-line surface reproduces the worked values end to end.
     from mzeta.cli import main

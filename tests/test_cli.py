@@ -322,6 +322,13 @@ class TestConjecture:
         assert obj["bounds"] == {"max_a": 3, "max_b": 2, "max_d": 12}
         assert_poly_schema(obj["numerator"])
 
+    def test_huge_max_d_is_bounded(self, capsys):
+        # The scan stops at the degree bound; the report keeps the bound given.
+        code, out, _ = run(capsys, "conjecture", "--eta", "2,1", "--max-d", "3000000")
+        assert code == 0
+        assert "max_d=3000000" in out
+        assert "verdict: CONSISTENT" in out
+
     def test_requires_one_target(self, capsys):
         code, _, _ = run(capsys, "conjecture")
         assert code == 2
@@ -363,6 +370,27 @@ class TestFailureExitCodes:
         code, out, _ = run(capsys, "conjecture", "--rect", "2,1")
         assert code == 1
         assert "INCONSISTENT" in out
+
+    def test_numerator_route_mismatch_exit_four(self, capsys, monkeypatch):
+        import mzeta.zeta as zeta
+        from mzeta.poly import BiPoly
+
+        monkeypatch.setattr(zeta, "_denh_exc_numerator", lambda eta: BiPoly.one())
+        code, out, err = run(capsys, "zeta", "--eta", "2,1", "--q", "2", "--t", "1/8")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: numerator mismatch")
+        assert "Traceback" not in err
+
+    def test_dden_forms_mismatch_exit_four(self, capsys, monkeypatch):
+        import mzeta.signed as signed
+
+        monkeypatch.setattr(signed, "nsp", lambda window: -1)
+        code, out, err = run(capsys, "stats", "--signed=-2,-1", "--type", "D")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: dden mismatch")
+        assert "Traceback" not in err
 
 
 class TestOutput:

@@ -131,6 +131,16 @@ class TestGaussianBinomial:
     def test_against_series_oracle(self, m, k):
         assert gaussian_binomial(m, k) == series_binomial_oracle(m, k)
 
+    def test_large_arguments(self):
+        # m + k far beyond the recursion limit; built without recursion.
+        try:
+            g = gaussian_binomial(600, 600)
+            assert g.degree() == 600 * 600
+            assert g.is_palindromic()
+            assert g.evaluate(1) == math.comb(1200, 600)
+        finally:
+            gaussian_binomial.cache_clear()
+
 
 class TestBiPoly:
     def test_canonical(self):
@@ -138,6 +148,11 @@ class TestBiPoly:
         assert not BiPoly()
         with pytest.raises(ValueError):
             BiPoly({(-1, 0): 1})
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, 0.0, True, False, Fraction(1), "1"], ids=repr)
+    def test_rejects_non_int_coefficients(self, bad):
+        with pytest.raises(ValueError):
+            BiPoly({(0, 0): bad})
 
     def test_arithmetic(self):
         p = BiPoly.one() + BiPoly.monomial(1, 1)

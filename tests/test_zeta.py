@@ -1,5 +1,6 @@
 """Distributions, the rational form, and the identity checks, each against an
 independently computed oracle where one exists."""
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from mzeta.admissible import admissible_perms, den, i_set, iexc, n_minus_set, n_
 from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
 from mzeta.signed import b_stats, d_stats, even_signed_perms, excabs, nden, neg, nsp, signed_perms
 from mzeta.poly import BiPoly, UniPoly
+from mzeta import zeta
 from mzeta.zeta import (
     BudgetError,
+    InvariantError,
     RationalW,
     ScanBounds,
     conjecture_report,
@@ -186,6 +189,28 @@ class TestNumerator:
     def test_counts(self, eta):
         assert w_numerator(eta).evaluate(1, 1) == eta.word_count()
 
+    def test_budget_counts_words(self):
+        with pytest.raises(BudgetError):
+            w_numerator(Composition((1, 1, 1, 1)), budget=23)
+        assert w_numerator(Composition((1, 1, 1, 1)), budget=24).evaluate(1, 1) == 24
+
+    def test_route_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(zeta, "_denh_exc_numerator", lambda eta: BiPoly.one())
+        with pytest.raises(InvariantError, match="numerator mismatch"):
+            w_numerator(Composition((2, 1)))
+        assert w_numerator(Composition((2, 1)), cross_check=False).evaluate(1, 1) == 3
+
+
+# Neither route enumerates; each must reproduce the (den, iexc) enumeration,
+# which is the numerator's definition.
+ROUTES = {"maj_des": zeta._maj_des_numerator, "denh_exc": zeta._denh_exc_numerator}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+def test_route_matches_den_iexc_enumeration(route):
+    for eta in small_compositions(6):
+        assert route(eta) == joint_distribution("admissible", ("den", "iexc"), eta=eta), eta
+
 
 class TestRationalW:
     def test_evaluate_example(self):
@@ -272,6 +297,15 @@ class TestUnitaryScan:
 
     def test_scan_of_constant_is_empty(self):
         assert unitary_factor_scan(BiPoly.one(), default_bounds(3)) == ()
+
+    def test_large_max_d_stops_at_degree_bound(self):
+        # Every hit has totient(d) <= max(deg_x, deg_y) = 6, so d <= 2 * 6^2.
+        num = w_numerator(Composition((1, 1, 1, 1)))
+        t0 = time.perf_counter()
+        wide = unitary_factor_scan(num, ScanBounds(4, 4, 3_000_000))
+        assert time.perf_counter() - t0 < 2
+        assert wide == unitary_factor_scan(num, ScanBounds(4, 4, 72))
+        assert [(u.order, u.x_power, u.y_power) for u in wide] == [(2, 2, 1)]
 
 
 class TestConjecture:
