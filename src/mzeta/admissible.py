@@ -51,7 +51,7 @@ from .multiset import (
 Cell = tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def block_lookup(eta: Composition) -> tuple[int, ...]:
     """blocks[i] = block index of position i, for i in 1..n (blocks[0] unused)."""
     out = [0]

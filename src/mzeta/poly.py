@@ -150,7 +150,7 @@ class UniPoly:
         return f"UniPoly({self.coeffs!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def totient(d: int) -> int:
     """Euler's totient by trial factorisation."""
     if d < 1:
@@ -169,7 +169,7 @@ def totient(d: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def cyclotomic(d: int) -> UniPoly:
     """The d-th cyclotomic polynomial.
 

@@ -17,14 +17,17 @@ joint_distribution runs each distinct kernel of a pair once per object.
 
 w_numerator enumerates nothing.  By the paper's main theorem the numerator
 is also the (maj, des) and the (denh, exc) distribution over the multiset
-words.  Route A computes (maj, des) from MacMahon's product formula with one
-Kronecker-substituted big-integer product; route B computes (denh, exc) by a
-transfer-matrix DP over the positions of the trivial word.  w_numerator
-returns route A and, by default, insists that route B agrees.  The (den,
-iexc) enumeration in joint_distribution stays the reference they are tested
-against: tests/test_zeta.py compares each route with it for every
-composition of n <= 6, and the acceptance suite compares w_numerator with it
-for every composition of n <= 8.
+words.  Route A computes (maj, des) from MacMahon's product formula; route B
+computes (denh, exc) by a transfer-matrix DP over the positions of the
+trivial word.  w_numerator returns route A and always insists that route B
+agrees.  The (den, iexc) enumeration in joint_distribution stays the
+reference they are tested against: tests/test_zeta.py compares each route
+with it for every composition of n <= 6, and the acceptance suite compares
+w_numerator with it for every composition of n <= 8.
+
+All y-series arithmetic is Kronecker-packed (x = 2^w, y = x^span, balanced
+digits in slots of w bits): route A and hadamard_check share one MacMahon
+product, and RationalW.series divides a packed numerator by shift-adds.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -183,18 +186,20 @@ def _pack(coeffs: Iterable[int], width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
 
 
-def _unpack(value: int, width: int, count: int) -> list[int]:
-    """The lowest count slots of a packed value, each read as a balanced digit
-    in [-2^(width-1), 2^(width-1)).
-
-    Exact whenever every one of those coefficients lies in that range: adding
-    2^(width-1) to every slot makes each a plain byte string.
-    """
+def _unpack(value: int, width: int, count: int) -> Iterator[int]:
+    """The lowest count slots of a packed value as balanced digits in
+    [-2^(width-1), 2^(width-1)); exact when every one lies in that range, since
+    adding 2^(width-1) to every slot makes each a plain byte string."""
     size = width // 8
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    data = ((value + offset) & ((1 << (width * count)) - 1)).to_bytes(size * count, "little")
+    raised = value + int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = (raised & ((1 << (width * count)) - 1)).to_bytes(size * count, "little")
     half = 1 << (width - 1)
-    return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, size * count, size)]
+    return (int.from_bytes(data[i:i + size], "little") - half for i in range(0, size * count, size))
+
+
+def _unpack_series(digits: Iterator[int], span: int, count: int) -> list[UniPoly]:
+    """The y^0..y^(count-1) coefficients, span slot digits each (y = x^span)."""
+    return [UniPoly(itertools.islice(digits, span)) for _ in range(count)]
 
 
 def _slot_width(bound: int) -> int:
@@ -203,33 +208,27 @@ def _slot_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
-def _maj_des_numerator(eta: Composition) -> BiPoly:
-    """Route A: the (maj, des) distribution over the words, by MacMahon.
+def _macmahon_series(eta: Composition, top: int) -> list[UniPoly]:
+    """The y^0..y^top coefficients of prod_{j=0..n} (1 - x^j y) times
+    sum_{k<=top} G_k y^k, G_k = prod over the parts p of (p+k choose k)_x:
+    by MacMahon, those of the numerator of W_eta, and zero above y^n.
 
-    sum_k G_k y^k = N(x, y) / prod_{j=0..n} (1 - x^j y) with
-    G_k = prod over the parts p of (p+k choose k)_x, so N is that product of
-    (1 - x^j y) times sum_{k<=n} G_k y^k, truncated to y-degree n; its y^k
-    coefficient is
-    N_k = sum_{j<=k} (-1)^j x^(j(j-1)/2) (n+1 choose j)_x G_(k-j).
-    Both factors are packed into one integer each (Kronecker substitution,
-    x = 2^w and y = x^span) and multiplied once by the built-in big-integer
-    product.
-
-    Every term of N_k has x-degree at most k*n < span, so no term spills into
-    the next power of y.  The products in N_k have nonnegative coefficients,
-    so the sum of their values at x = 1 bounds |every coefficient| of N_k;
-    the width w holds that bound as a balanced digit, so unpacking is exact.
+    Both factors are packed (x = 2^w, y = x^span) and multiplied once.  The
+    y^k coefficient, sum_{j<=min(k,n+1)} (-1)^j x^(j(j-1)/2) (n+1 choose j)_x
+    G_(k-j), has x-degree at most k*n < span.  Its products have nonnegative
+    coefficients, so the sum of their values at x = 1, largest at k = top,
+    bounds |every coefficient|; w holds it as a balanced digit.
     """
     n = eta.n
     mult = Counter(eta.parts)
     bound = sum(
-        math.comb(n + 1, j) * math.prod(math.comb(p + n - j, p) ** e for p, e in mult.items())
-        for j in range(n + 1)
+        math.comb(n + 1, j) * math.prod(math.comb(p + top - j, p) ** e for p, e in mult.items())
+        for j in range(min(top, n + 1) + 1)
     )
     w = _slot_width(bound)
-    span = n * n + 1
+    span = top * n + 1
     g = 0
-    for k in range(n + 1):
+    for k in range(top + 1):
         gk = 1
         for p, e in mult.items():
             gk *= _pack(gaussian_binomial(p, k).coeffs, w) ** e
@@ -237,8 +236,12 @@ def _maj_des_numerator(eta: Composition) -> BiPoly:
     d = 1
     for j in range(n + 1):
         d -= d << (w * (span + j))
-    digits = _unpack(d * g, w, span * (n + 1))
-    return BiPoly({(s % span, s // span): c for s, c in enumerate(digits) if c})
+    return _unpack_series(_unpack(d * g, w, span * (top + 1)), span, top + 1)
+
+
+def _maj_des_numerator(eta: Composition) -> BiPoly:
+    """Route A: the (maj, des) distribution over the words, by MacMahon."""
+    return BiPoly.from_y_coefficients(dict(enumerate(_macmahon_series(eta, eta.n))))
 
 
 def _denh_exc_numerator(eta: Composition) -> BiPoly:
@@ -285,48 +288,29 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
     return BiPoly({(s // stride, s % stride): c for s, c in enumerate(digits) if c})
 
 
-def w_numerator(
-    eta: Composition, *, budget: int = DEFAULT_BUDGET, cross_check: bool = True
-) -> BiPoly:
+def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
     """The numerator of W_eta: the (den, iexc) distribution over admissible
     permutations.
 
     The paper's theorem makes it equal to the (maj, des) and to the
     (denh, exc) distribution over the words, and neither of those needs
     enumeration: route A computes (maj, des) from MacMahon's product formula
-    and is returned; with cross_check (the default) route B computes
-    (denh, exc) by a DP over positions and must coincide, otherwise one of the
-    two routes is broken and InvariantError is raised.  tests/test_zeta.py
-    compares both routes with the (den, iexc) enumeration for every
-    composition of n <= 6, and the acceptance suite compares w_numerator with
-    it for every composition of n <= 8.
+    and is returned; route B computes (denh, exc) by a DP over positions and
+    must coincide, otherwise one of the two routes is broken and
+    InvariantError is raised.
 
     The budget still bounds the number of words, as for enumeration, and
     raises BudgetError beyond it.
     """
     _check_budget(eta.word_count(), budget)
     num = _maj_des_numerator(eta)
-    if cross_check:
-        alt = _denh_exc_numerator(eta)
-        if num != alt:
-            raise InvariantError(
-                f"numerator mismatch for eta={eta}: (maj, des) by MacMahon's formula "
-                f"gives {num} but (denh, exc) by the position DP gives {alt}"
-            )
+    alt = _denh_exc_numerator(eta)
+    if num != alt:
+        raise InvariantError(
+            f"numerator mismatch for eta={eta}: (maj, des) by MacMahon's formula "
+            f"gives {num} but (denh, exc) by the position DP gives {alt}"
+        )
     return num
-
-
-def _one_minus_xy_product(exponents: Iterable[int]) -> list[UniPoly]:
-    """y-coefficients of the product of (1 - x^j y) over the given j."""
-    out = [UniPoly.one()]
-    for j in exponents:
-        xj = UniPoly.monomial(j)
-        nxt = [UniPoly() for _ in range(len(out) + 1)]
-        for k, c in enumerate(out):
-            nxt[k] = nxt[k] + c
-            nxt[k + 1] = nxt[k + 1] - c * xj
-        out = nxt
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -337,11 +321,8 @@ class RationalW:
     denom_exponents: tuple[int, ...]
 
     @classmethod
-    def for_composition(
-        cls, eta: Composition, *, budget: int = DEFAULT_BUDGET, cross_check: bool = True
-    ) -> RationalW:
-        num = w_numerator(eta, budget=budget, cross_check=cross_check)
-        return cls(num, tuple(range(eta.n)))
+    def for_composition(cls, eta: Composition, *, budget: int = DEFAULT_BUDGET) -> RationalW:
+        return cls(w_numerator(eta, budget=budget), tuple(range(eta.n)))
 
     def evaluate(self, q: Fraction | int, t: Fraction | int) -> Fraction:
         """Exact value at (q, t); raises ZeroDivisionError on a denominator pole."""
@@ -356,16 +337,35 @@ class RationalW:
         return Fraction(self.numerator.evaluate(Fraction(q), Fraction(t))) / denom
 
     def series(self, terms: int) -> list[UniPoly]:
-        """The first y-series coefficients, each an integer polynomial in x."""
-        dcoeffs = _one_minus_xy_product(self.denom_exponents)
-        numc = self.numerator.y_coefficients()
-        out: list[UniPoly] = []
-        for k in range(terms):
-            acc = numc.get(k, UniPoly())
-            for j in range(1, min(k, len(dcoeffs) - 1) + 1):
-                acc = acc - dcoeffs[j] * out[k - j]
-            out.append(acc)
-        return out
+        """The first y-series coefficients, each an integer polynomial in x.
+
+        >>> RationalW(BiPoly.one(), (0, 1)).series(3)
+        [UniPoly((1,)), UniPoly((1, 1)), UniPoly((1, 1, 1))]
+
+        The numerator is packed once (x = 2^w, y = x^span); dividing by each
+        1 - z, z = x^j y, multiplies by 1 + z + ... + z^top, as shift-adds by
+        z, z^2, z^4, ...  Each adds only the bits that land below y^terms, and
+        nothing above y^top reaches a kept slot.  A kept coefficient has
+        x-degree below span and size at most ||N||_1 * C(top + d, d),
+        d = len(exponents).
+        """
+        if terms <= 0:
+            return []
+        top = terms - 1
+        num, exps = self.numerator, self.denom_exponents
+        w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
+        span = max(num.degree_x(), 0) + top * max(exps, default=0) + 1
+        bits = w * span * terms
+        rows = num.y_coefficients().items()
+        value = sum(p.evaluate(1 << w) << (w * span * b) for b, p in rows if b <= top)
+        for j in exps:
+            shift = w * (span + j)
+            for _ in range(top.bit_length()):
+                value += (value & ((1 << (bits - shift)) - 1)) << shift
+                shift *= 2
+        digits = _unpack(value, w, span * terms)
+        del value  # as large as the result: free it before the rows are built
+        return _unpack_series(digits, span, terms)
 
 
 def zeta_eval(
@@ -409,23 +409,17 @@ def hadamard_check(
 
     Both sides, cleared to the common denominator, are polynomials of y-degree
     at most n + 1, so agreement through y^(n+1) proves the identity of
-    rational functions.  On failure the first mismatching y-degree and both
-    coefficient polynomials are reported.
+    rational functions; the product side is route A's packed product.  On
+    failure the first mismatching y-degree and both sides are reported.
     """
-    n = eta.n
-    trunc = n + 1
+    trunc = eta.n + 1
     if numerator is None:
         numerator = w_numerator(eta, budget=budget)
     lhs = numerator.y_coefficients()
-    dplus = _one_minus_xy_product(range(n + 1))
-    gauss = [hadamard_series_coefficient(eta, k) for k in range(trunc + 1)]
-    for k in range(trunc + 1):
-        acc = UniPoly()
-        for j in range(0, min(k, len(dplus) - 1) + 1):
-            acc = acc + dplus[j] * gauss[k - j]
+    for k, product in enumerate(_macmahon_series(eta, trunc)):
         expected = lhs.get(k, UniPoly())
-        if acc != expected:
-            return HadamardResult(False, eta, trunc, k, expected, acc)
+        if product != expected:
+            return HadamardResult(False, eta, trunc, k, expected, product)
     return HadamardResult(True, eta, trunc)
 
 
@@ -543,15 +537,19 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
     max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
     f23 = f.evaluate(2, 3)
     directions = [(1, 0)] + [(a, b) for b in range(1, bounds.max_b + 1) for a in range(bounds.max_a + 1)]
+    phis = [(d, totient(d)) for d in range(1, max_d + 1)]
+    passing: dict[int, list[int]] = {}
     found: list[UnitaryFactor] = []
     for a, b in directions:
+        # The degree test, a*totient(d) <= dx and b*totient(d) <= dy, as one
+        # cap on totient(d); directions that share a cap share its list of d.
+        cap = min(deg // power for deg, power in ((dx, a), (dy, b)) if power)
+        if cap not in passing:
+            passing[cap] = [d for d, ph in phis if ph <= cap]
         # base >= 2 whenever (a, b) != (0, 0), so the integer test is exact:
         # a polynomial divisor evaluated at (2, 3) divides f(2, 3).
         base = 2**a * 3**b
-        for d in range(1, max_d + 1):
-            ph = totient(d)
-            if a * ph > dx or b * ph > dy:
-                continue
+        for d in passing[cap]:
             probe = _cyclotomic_at(d, base)
             if probe and f23 % probe:
                 continue

@@ -70,6 +70,9 @@ class TestBlockMap:
         assert list(blocks[1:]) == sorted(blocks[1:])
         assert blocks[1] == 1 and blocks[ETA.n] == ETA.r
 
+    def test_lookup_cache_is_bounded(self):
+        assert block_lookup.cache_info().maxsize is not None
+
     def test_project(self):
         assert project_perm(ETA, SIGMA) == (3, 4, 4, 1, 2, 1, 2, 1, 3, 4)
         assert project_perm(ETA, inverse(SIGMA)) == W

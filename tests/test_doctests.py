@@ -1,9 +1,9 @@
 """The docstring examples are real: run them."""
 import doctest
 
-import mzeta.admissible
 import mzeta.multiset
 import mzeta.poly
+import mzeta.zeta
 
 
 def test_multiset_doctests():
@@ -13,4 +13,9 @@ def test_multiset_doctests():
 
 def test_poly_doctests():
     failures, tried = doctest.testmod(mzeta.poly)
+    assert tried and not failures
+
+
+def test_zeta_doctests():
+    failures, tried = doctest.testmod(mzeta.zeta)
     assert tried and not failures

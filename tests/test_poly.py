@@ -248,6 +248,12 @@ class TestCyclotomicMonomial:
             cyclotomic_in_monomial(2, 0, 0)
 
 
+@pytest.mark.parametrize("cached", [totient, cyclotomic, gaussian_binomial], ids=lambda f: f.__name__)
+def test_caches_are_bounded(cached):
+    # Process-wide caches must not grow for the life of the process.
+    assert cached.cache_info().maxsize is not None
+
+
 class TestTotient:
     def test_values(self):
         assert [totient(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]

@@ -1,5 +1,6 @@
 """Distributions, the rational form, and the identity checks, each against an
 independently computed oracle where one exists."""
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from mzeta.admissible import admissible_perms, den, i_set, iexc, n_minus_set, n_plus_set
 from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
 from mzeta.signed import b_stats, d_stats, even_signed_perms, excabs, nden, neg, nsp, signed_perms
-from mzeta.poly import BiPoly, UniPoly
+from mzeta.poly import BiPoly, UniPoly, cyclotomic_in_monomial, totient
 from mzeta import zeta
 from mzeta.zeta import (
     BudgetError,
@@ -87,6 +88,42 @@ def series_oracle(rational, terms):
             acc = acc + numc.get(s, UniPoly()) * series[t - s]
         out.append(acc)
     return out
+
+
+def macmahon_oracle(eta, top):
+    """Schoolbook y^0..y^top coefficients of the product of (1 - x^j y) over
+    j = 0..n with the termwise Gaussian-binomial series: UniPoly products of
+    hadamard_series_coefficient, no packing."""
+    dplus = [UniPoly.one()]
+    for j in range(eta.n + 1):
+        dplus = [a - b.shift(j) for a, b in zip(dplus + [UniPoly()], [UniPoly()] + dplus)]
+    gauss = [hadamard_series_coefficient(eta, k) for k in range(top + 1)]
+    return [
+        sum((dplus[j] * gauss[k - j] for j in range(min(k, eta.n + 1) + 1)), UniPoly())
+        for k in range(top + 1)
+    ]
+
+
+def reference_unitary_scan(f, bounds):
+    """The scan as one double loop that tests the degree bound for every
+    (direction, d) pair."""
+    dx = f.degree_x()
+    dy = f.degree_y()
+    max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
+    f23 = f.evaluate(2, 3)
+    found = []
+    for a, b in [(1, 0)] + [(a, b) for b in range(1, bounds.max_b + 1) for a in range(bounds.max_a + 1)]:
+        for d in range(1, max_d + 1):
+            ph = totient(d)
+            if a * ph > dx or b * ph > dy:
+                continue
+            probe = zeta._cyclotomic_at(d, 2**a * 3**b)
+            if probe and f23 % probe:
+                continue
+            candidate = cyclotomic_in_monomial(d, a, b)
+            if f.divide_exact(candidate) is not None:
+                found.append((d, a, b, candidate))
+    return found
 
 
 class TestDomains:
@@ -181,7 +218,7 @@ class TestNumerator:
 
     def test_cross_check_runs_both_routes(self):
         eta = Composition((2, 2))
-        num = w_numerator(eta, cross_check=True)
+        num = w_numerator(eta)
         assert num == joint_distribution("words", ("maj", "des"), eta=eta)
         assert num == joint_distribution("admissible", ("den", "iexc"), eta=eta)
 
@@ -198,7 +235,6 @@ class TestNumerator:
         monkeypatch.setattr(zeta, "_denh_exc_numerator", lambda eta: BiPoly.one())
         with pytest.raises(InvariantError, match="numerator mismatch"):
             w_numerator(Composition((2, 1)))
-        assert w_numerator(Composition((2, 1)), cross_check=False).evaluate(1, 1) == 3
 
 
 # Neither route enumerates; each must reproduce the (den, iexc) enumeration,
@@ -210,6 +246,14 @@ ROUTES = {"maj_des": zeta._maj_des_numerator, "denh_exc": zeta._denh_exc_numerat
 def test_route_matches_den_iexc_enumeration(route):
     for eta in small_compositions(6):
         assert route(eta) == joint_distribution("admissible", ("den", "iexc"), eta=eta), eta
+
+
+def test_macmahon_series_matches_schoolbook():
+    # The packed product that route A and hadamard_check share, through
+    # y^(n+1), where the coefficients must vanish.
+    for eta in small_compositions(6):
+        for top in range(eta.n + 2):
+            assert zeta._macmahon_series(eta, top) == macmahon_oracle(eta, top), (eta, top)
 
 
 class TestRationalW:
@@ -230,6 +274,27 @@ class TestRationalW:
     def test_series_against_oracle(self, parts):
         rational = RationalW.for_composition(Composition(parts))
         assert rational.series(6) == series_oracle(rational, 6)
+
+    def test_series_against_oracle_on_arbitrary_input(self):
+        # Signed and wide coefficients; empty, zero and repeated exponents; a
+        # zero numerator; every length from 0 to 12.
+        cases = [
+            (BiPoly(), (0, 1)),
+            (BiPoly(), ()),
+            (BiPoly.one(), ()),
+            (BiPoly.one(), (0, 0, 0)),
+            (BiPoly({(0, 0): 1, (1, 1): -1}), (2, 2, 0)),
+            (BiPoly({(0, 0): 10**30, (3, 1): -(10**30), (0, 5): 7}), (1, 3)),
+        ]
+        rng = random.Random(4)
+        for _ in range(40):
+            terms = {(rng.randrange(6), rng.randrange(4)): rng.randint(-30, 30) for _ in range(rng.randrange(1, 10))}
+            exponents = tuple(rng.randrange(4) for _ in range(rng.randrange(5)))
+            cases.append((BiPoly({k: v for k, v in terms.items() if v}), exponents))
+        for num, exponents in cases:
+            rational = RationalW(num, exponents)
+            for terms in range(13):
+                assert rational.series(terms) == series_oracle(rational, terms), (num, exponents, terms)
 
     def test_evaluate_matches_series_truncation(self):
         # At t with |t| small the truncated series approaches the value; check
@@ -260,6 +325,15 @@ class TestHadamard:
         assert not result.ok
         assert result.mismatch_degree == 1
         assert result.product_side != result.numerator_side
+
+    def test_detects_extra_top_degree_term(self):
+        # Both sides must vanish at y^(n+1); a numerator with a term there fails.
+        eta = Composition((2, 1))
+        result = hadamard_check(eta, numerator=w_numerator(eta) + BiPoly.monomial(0, eta.n + 1))
+        assert not result.ok
+        assert result.mismatch_degree == eta.n + 1
+        assert result.numerator_side == UniPoly.one()
+        assert result.product_side == UniPoly()
 
 
 class TestReciprocity:
@@ -306,6 +380,26 @@ class TestUnitaryScan:
         assert time.perf_counter() - t0 < 2
         assert wide == unitary_factor_scan(num, ScanBounds(4, 4, 72))
         assert [(u.order, u.x_power, u.y_power) for u in wide] == [(2, 2, 1)]
+
+    def test_matches_reference_double_loop(self):
+        cases = []
+        for eta in small_compositions(5):
+            num = w_numerator(eta)
+            n = eta.n
+            cases += [(num, default_bounds(n)), (num, ScanBounds(n, n, 10 * n * n))]
+            report = conjecture_report(eta, numerator=num)
+            if report.residual is not None:
+                cases.append((report.residual, default_bounds(n)))
+        base = w_numerator(Composition((2, 1, 1)))
+        for d, a, b in [(1, 0, 1), (3, 1, 1), (4, 2, 1), (6, 0, 2), (5, 1, 0), (12, 1, 1)]:
+            product = base * cyclotomic_in_monomial(d, a, b) * cyclotomic_in_monomial(2, 1, 1)
+            cases.append((product, ScanBounds(4, 4, 300)))
+        hits = 0
+        for f, bounds in cases:
+            found = [(u.order, u.x_power, u.y_power, u.poly) for u in unitary_factor_scan(f, bounds)]
+            assert found == reference_unitary_scan(f, bounds), (f, bounds)
+            hits += len(found)
+        assert hits > 10  # the comparison covers hits, not only clean scans
 
 
 class TestConjecture:
