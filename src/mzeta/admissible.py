@@ -25,10 +25,13 @@ m_sets, per-row counts) decompose these cell sets and exist so that the
 decomposition identities can be tested term by term against the word
 statistics of the projected inverse word.
 
-Two scans visit the cells (i, j) with sigma(i) < j: block_grid_counts counts
-them (it is the den kernel of the statistic registry in zeta), and grid_rows
-collects their columns row by row (n_plus_set, n_minus_set, n_plus_split,
-n_minus_row and n_plus_high_row are views on it).
+Three scans visit the cells (i, j) with sigma(i) < j: block_grid_counts
+counts them (it is the den kernel of the statistic registry in zeta),
+grid_rows collects their columns row by row (n_plus_set, n_minus_set,
+n_plus_split, n_minus_row and n_plus_high_row are views on it), and
+grid_row_counts counts them row by row.  grid_row_counts, cut_counts and
+m_counts give the sizes of the per-row and per-cut cell sets without
+building them; the lemma checks of verify run on these counts.
 
 Everything here is a pure function of (eta, sigma); cell sets are returned
 as frozensets of (row, column) pairs.
@@ -175,6 +178,33 @@ def grid_rows(
     return rows
 
 
+def grid_row_counts(
+    blocks: Sequence[int], perm: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The counting twin of grid_rows: (plus, minus) with plus[i - 1] and
+    minus[i - 1] the numbers of n_plus_set and n_minus_set cells in row i.
+
+    blocks is block_lookup(eta).  The lemma checks of verify read their
+    per-row counts here, so they build no cell lists.
+    """
+    n = len(perm)
+    inv = inverse(perm)
+    plus = [0] * n
+    minus = [0] * n
+    for i in range(1, n + 1):
+        bi = blocks[i]
+        row_plus = row_minus = 0
+        for j in range(perm[i - 1] + 1, n + 1):
+            if inv[j - 1] < i:
+                if bi <= blocks[j]:
+                    row_plus += 1
+            elif bi > blocks[j]:
+                row_minus += 1
+        plus[i - 1] = row_plus
+        minus[i - 1] = row_minus
+    return plus, minus
+
+
 def n_plus_set(eta: Composition, perm: Sequence[int]) -> frozenset[Cell]:
     """Cells (i, j) with sigma(i) < j, sigma^{-1}(j) < i, block(i) <= block(j)."""
     rows = grid_rows(block_lookup(eta), perm)
@@ -237,6 +267,33 @@ def u_inv_set(eta: Composition, perm: Sequence[int], l: int) -> frozenset[Cell]:
     )
 
 
+def cut_counts(
+    blocks: Sequence[int], perm: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """(u, u_inv) with u[l] = |u_set(eta, perm, l)| and
+    u_inv[l] = |u_inv_set(eta, perm, l)| for every cut l = 2..r.
+
+    blocks is block_lookup(eta); both lists have r + 1 entries, and entries
+    0 and 1 are 0.  The cell (i, sigma(i)) lies in u_set for the cuts
+    block(sigma(i)) < l <= block(i) and in u_inv_set for
+    block(i) < l <= block(sigma(i)), so one difference-array pass over the
+    ones of the grid counts every cut.
+    """
+    r = blocks[-1]
+    du = [0] * (r + 2)
+    du_inv = [0] * (r + 2)
+    for i, v in enumerate(perm, start=1):
+        bi = blocks[i]
+        bv = blocks[v]
+        if bv < bi:
+            du[bv + 1] += 1
+            du[bi + 1] -= 1
+        elif bi < bv:
+            du_inv[bi + 1] += 1
+            du_inv[bv + 1] -= 1
+    return list(itertools.accumulate(du[: r + 1])), list(itertools.accumulate(du_inv[: r + 1]))
+
+
 def _check_row_in_high_region(
     eta: Composition, perm: Sequence[int], j0: int
 ) -> tuple[int, ...]:
@@ -277,6 +334,28 @@ def m_sets(
         elif i > j0 and blocks[i] > bj0:
             higher_block.add((j0, si))
     return frozenset(equal_block), frozenset(higher_block)
+
+
+def m_counts(blocks: Sequence[int], perm: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(j0, |meq|, |mgt|) for every row j0 of i_set, in order, where
+    (meq, mgt) = m_sets(eta, perm, j0).
+
+    blocks is block_lookup(eta).  Only rows of i_set can contribute a cell to
+    either set, so the count runs over pairs of those rows.
+    """
+    high = [(i, v) for i, v in enumerate(perm, start=1) if blocks[i] > blocks[v]]
+    out = []
+    for j0, sj0 in high:
+        bj0 = blocks[j0]
+        equal_block = higher_block = 0
+        for i, si in high:
+            if si < sj0:
+                if blocks[i] > bj0:
+                    higher_block += 1
+                elif i < j0 and blocks[i] == bj0:
+                    equal_block += 1
+        out.append((j0, equal_block, higher_block))
+    return out
 
 
 def n_minus_row(eta: Composition, perm: Sequence[int], j0: int) -> frozenset[Cell]:

@@ -7,15 +7,20 @@ sweeps), zeta (evaluate or expand the rational form), and conjecture (the
 unitary-factor report).  Results go to stdout (or --out), diagnostics to
 stderr.  Exit codes: 0 success, 1 a verified identity or conjecture check
 failed, 2 usage, input or output error (such as an unwritable --out file),
-3 enumeration budget exceeded, 4 an internal invariant failed (two
-independent computations disagreed, which means a bug).
+3 enumeration budget exceeded (for a verify sweep, the summed domain size of
+all its targets), 4 an internal invariant failed (two independent
+computations disagreed, which means a bug).  --out is written atomically: a
+temporary file in the same directory replaces FILE only once it is complete.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from typing import Sequence
 
@@ -71,10 +76,36 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational {text!r}; expected e.g. 2 or 1/8")
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory and
+    os.replace, so a failed write leaves an existing file untouched.
+
+    The new file gets the mode a plain open(path, "w") gives a new file.
+    Errors are reported against path, not the temporary name.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+        )
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_atomic(args.out, text + "\n")
     else:
         print(text)
 
@@ -230,9 +261,25 @@ def _verify_targets(args: argparse.Namespace):
     raise ValueError("choose a target: --eta, --n, or --all-eta-up-to")
 
 
+def _domain_size(check: str, target) -> int:
+    """The number of objects the check enumerates for one target."""
+    if check in CHECKS_BY_ETA:
+        return target.word_count()
+    return zeta.domain_size("D" if check == "d-equidistribution" else "B", n=target)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     fn = CHECKS_BY_ETA.get(args.check) or CHECKS_BY_N[args.check]
-    results = [fn(target, args.budget) for target in _verify_targets(args)]
+    targets = _verify_targets(args)
+    if len(targets) > 1:
+        # A sweep is bounded as a whole, before any target runs.
+        total = sum(_domain_size(args.check, target) for target in targets)
+        if total > args.budget:
+            raise zeta.BudgetError(
+                f"sweep of {len(targets)} targets has total domain size {total}, "
+                f"which exceeds the budget of {args.budget}"
+            )
+    results = [fn(target, args.budget) for target in targets]
     all_passed = all(r.passed for r in results)
     if args.format == "json":
         _emit_json(
@@ -448,8 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parse_args leaves the parser as it
+    found it, and building one costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -320,6 +320,11 @@ class RationalW:
     numerator: BiPoly
     denom_exponents: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        for j in self.denom_exponents:
+            if isinstance(j, bool) or not isinstance(j, int) or j < 0:
+                raise ValueError(f"denominator exponents must be non-negative ints, got {j!r}")
+
     @classmethod
     def for_composition(cls, eta: Composition, *, budget: int = DEFAULT_BUDGET) -> RationalW:
         return cls(w_numerator(eta, budget=budget), tuple(range(eta.n)))

@@ -9,11 +9,15 @@ from mzeta.admissible import (
     admissible_to_word,
     block_index,
     block_lookup,
+    cut_counts,
     den,
     grid_counts,
+    grid_row_counts,
+    grid_rows,
     i_set,
     iexc,
     is_admissible,
+    m_counts,
     m_sets,
     n_minus_row,
     n_minus_set,
@@ -35,6 +39,7 @@ from mzeta.multiset import (
     standardize,
     words,
 )
+from mzeta.verify import compositions_of
 from test_multiset import small_compositions
 
 ETA = Composition((3, 2, 2, 3))
@@ -295,6 +300,39 @@ class TestRowSets:
             for j0, _ in i_set(eta, sigma):
                 assert n_minus_row(eta, sigma, j0) == {c for c in minus if c[0] == j0}
                 assert n_plus_high_row(eta, sigma, j0) == {c for c in high if c[0] == j0}
+
+
+class TestCountingKernels:
+    """The counting kernels of the lemma checks against the cell sets."""
+
+    def test_worked_example(self):
+        blocks = block_lookup(ETA)
+        plus, minus = grid_row_counts(blocks, SIGMA)
+        assert sum(plus) == len(SIGMA_N_PLUS) and sum(minus) == len(SIGMA_N_MINUS)
+        u, u_inv = cut_counts(blocks, SIGMA)
+        assert u[2] == u_inv[2] == 3
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counts_match_cell_sets(self, n):
+        for eta in compositions_of(n):
+            blocks = block_lookup(eta)
+            for sigma in admissible_perms(eta):
+                rows = grid_rows(blocks, sigma)
+                assert grid_row_counts(blocks, sigma) == (
+                    [len(plus) for plus, _ in rows],
+                    [len(minus) for _, minus in rows],
+                )
+                u, u_inv = cut_counts(blocks, sigma)
+                assert len(u) == len(u_inv) == eta.r + 1
+                assert u[:2] == u_inv[:2] == [0, 0]
+                for l in range(2, eta.r + 1):
+                    assert u[l] == len(u_set(eta, sigma, l))
+                    assert u_inv[l] == len(u_inv_set(eta, sigma, l))
+                expected = []
+                for j0, _ in sorted(i_set(eta, sigma)):
+                    meq, mgt = m_sets(eta, sigma, j0)
+                    expected.append((j0, len(meq), len(mgt)))
+                assert m_counts(blocks, sigma) == expected
 
 
 class TestDen:

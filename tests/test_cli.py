@@ -1,5 +1,9 @@
 """End-to-end CLI behaviour: output text, JSON schema, and exit codes."""
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -245,6 +249,35 @@ class TestVerify:
         assert obj["passed"] is True
         assert len(obj["results"]) == 3
 
+    @pytest.mark.parametrize(
+        "check,targets,total",
+        [("lemma43", 1 + 2 + 4, 1 + 3 + 13), ("b-equidistribution", 3, 2 + 8 + 48)],
+    )
+    def test_sweep_budget_is_summed_before_any_target(
+        self, capsys, monkeypatch, check, targets, total
+    ):
+        # Every target fits the budget on its own; the sweep as a whole does not.
+        import mzeta.cli as cli
+
+        table = cli.CHECKS_BY_ETA if check in cli.CHECKS_BY_ETA else cli.CHECKS_BY_N
+        real = table[check]
+        calls = []
+
+        def counted(target, budget):
+            calls.append(target)
+            return real(target, budget)
+
+        monkeypatch.setitem(table, check, counted)
+        argv = ["verify", "--check", check, "--all-eta-up-to", "3"]
+        code, out, err = run(capsys, *argv, "--budget", str(total - 1))
+        assert (code, out, calls) == (3, "", [])
+        assert err == (
+            f"error: sweep of {targets} targets has total domain size {total}, "
+            f"which exceeds the budget of {total - 1}\n"
+        )
+        code, _, _ = run(capsys, *argv, "--budget", str(total))
+        assert code == 0 and len(calls) == targets
+
     def test_wrong_target_kind(self, capsys):
         code, _, _ = run(capsys, "verify", "--check", "lemma42", "--n", "3")
         assert code == 2
@@ -393,6 +426,74 @@ class TestFailureExitCodes:
         assert "Traceback" not in err
 
 
+class TestPlantedLemmaFaults:
+    """An off-by-one word statistic or grid count makes the lemma checks fail
+    with exit 1 and the first counterexample, in a fixed detail format."""
+
+    @pytest.mark.parametrize(
+        "stat,check,detail",
+        [
+            ("inv", "lemma42", "sigma=(1, 2, 3, 4): |low cells|=0, inversions=1"),
+            ("imv", "lemma43", "sigma=(1, 2, 3, 4): |high cells|=0, imv+minus+iexc=1+0+0"),
+        ],
+    )
+    def test_word_side_off_by_one(self, capsys, monkeypatch, stat, check, detail):
+        import mzeta.multiset as wd
+
+        real = getattr(wd, stat)
+        monkeypatch.setattr(wd, stat, lambda seq: real(seq) + 1)
+        code, out, err = run(capsys, "verify", "--check", check, "--eta", "2,1,1")
+        assert (code, err) == (1, "")
+        assert out == f"{check} eta=2,1,1: FAIL ({detail})\n{check}: FAILED (1 target(s))\n"
+
+    def test_row_count_off_by_one(self, capsys, monkeypatch):
+        import mzeta.admissible as adm
+
+        real = adm.cut_counts
+
+        def shifted(blocks, perm):
+            u, u_inv = real(blocks, perm)
+            return [c + 1 for c in u], u_inv
+
+        monkeypatch.setattr(adm, "cut_counts", shifted)
+        code, out, _ = run(capsys, "verify", "--check", "lemma43", "--eta", "1,1")
+        assert code == 1
+        assert out.startswith(
+            "lemma43 eta=1,1: FAIL (sigma=(2, 1), row 2: "
+            "m+m+minus+1=1, |u|=2, |u_inv|=1, |row high|=1)\n"
+        )
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call must still behave
+    as it does in a fresh process."""
+
+    def test_budget_from_environment_on_every_call(self, capsys, monkeypatch):
+        argv = ("dist", "--domain", "words", "--eta", "2,1", "--pair", "denh,exc")
+        for budget, expected in (("2", 3), ("3", 0), ("2", 3)):
+            monkeypatch.setenv("MZETA_BUDGET", budget)
+            code, _, _ = run(capsys, *argv)
+            assert code == expected, budget
+        monkeypatch.delenv("MZETA_BUDGET")
+        assert run(capsys, *argv)[0] == 0
+
+    def test_help_and_usage_error_then_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            ["verify", "--help"],
+            ["stats", "--eta", "2,1"],
+            ["stats", "--eta", "2,1", "--word", "211", "--format", "json"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for argv in sequence:
+            code, out, err = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "mzeta.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 class TestOutput:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "poly.json"
@@ -414,6 +515,43 @@ class TestOutput:
         assert out == ""
         assert err.startswith("error: ") and str(target) in err
         assert not target.exists()
+
+    def test_out_replaces_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        code, out, _ = run(capsys, "stats", "--eta", "2,1", "--word", "211", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text().startswith("des: 1\n")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_write_leaves_existing_file(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        real_fdopen = os.fdopen
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:3])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **k: FullDisk(real_fdopen(*a, **k)))
+        code, out, err = run(capsys, "stats", "--eta", "2,1", "--word", "211", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno {errno.ENOSPC}] No space left on device: {str(target)!r}\n"
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(capsys, "dist", "--domain", "words", "--eta", "2,2", "--pair", "denh,exc")

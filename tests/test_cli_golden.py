@@ -108,6 +108,14 @@ def test_output_matches_golden(argv):
     assert run(argv) == _golden()[" ".join(argv)]
 
 
+def test_corpus_replayed_in_one_process():
+    # main keeps one parser per process: a second pass over the whole corpus
+    # must not see anything the first pass left behind.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for _ in range(2):
+        assert [run(argv) for argv in CORPUS] == golden
+
+
 if __name__ == "__main__":
     entries = [run(argv) for argv in CORPUS]
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")

@@ -266,6 +266,11 @@ class TestRationalW:
         with pytest.raises(ZeroDivisionError):
             zeta_eval(Composition((2, 1)), 2, Fraction(1, 2))
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "2", None])
+    def test_rejects_bad_exponents(self, bad):
+        with pytest.raises(ValueError, match="denominator exponents must be non-negative ints"):
+            RationalW(BiPoly.one(), (0, bad))
+
     def test_series_frozen(self):
         series = RationalW.for_composition(Composition((1, 1))).series(3)
         assert series == [UniPoly((1,)), UniPoly((1, 2)), UniPoly((1, 2, 2))]
