@@ -25,13 +25,13 @@ m_sets, per-row counts) decompose these cell sets and exist so that the
 decomposition identities can be tested term by term against the word
 statistics of the projected inverse word.
 
-Three scans visit the cells (i, j) with sigma(i) < j: block_grid_counts
-counts them (it is the den kernel of the statistic registry in zeta),
+Two scans visit the cells (i, j) with sigma(i) < j: block_grid_counts
+counts them (it is the den kernel of the statistic registry in zeta), and
 grid_rows collects their columns row by row (n_plus_set, n_minus_set,
-n_plus_split, n_minus_row and n_plus_high_row are views on it), and
-grid_row_counts counts them row by row.  grid_row_counts, cut_counts and
-m_counts give the sizes of the per-row and per-cut cell sets without
-building them; the lemma checks of verify run on these counts.
+n_plus_split, n_minus_row and n_plus_high_row are views on it).  cut_counts
+and m_counts give the sizes of the per-cut and per-high-row cell sets
+without building them; the lemma checks of verify run on these counts and
+on the row lengths of grid_rows.
 
 Everything here is a pure function of (eta, sigma); cell sets are returned
 as frozensets of (row, column) pairs.
@@ -176,33 +176,6 @@ def grid_rows(
                 minus.append(j)
         rows.append((plus, minus))
     return rows
-
-
-def grid_row_counts(
-    blocks: Sequence[int], perm: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """The counting twin of grid_rows: (plus, minus) with plus[i - 1] and
-    minus[i - 1] the numbers of n_plus_set and n_minus_set cells in row i.
-
-    blocks is block_lookup(eta).  The lemma checks of verify read their
-    per-row counts here, so they build no cell lists.
-    """
-    n = len(perm)
-    inv = inverse(perm)
-    plus = [0] * n
-    minus = [0] * n
-    for i in range(1, n + 1):
-        bi = blocks[i]
-        row_plus = row_minus = 0
-        for j in range(perm[i - 1] + 1, n + 1):
-            if inv[j - 1] < i:
-                if bi <= blocks[j]:
-                    row_plus += 1
-            elif bi > blocks[j]:
-                row_minus += 1
-        plus[i - 1] = row_plus
-        minus[i - 1] = row_minus
-    return plus, minus
 
 
 def n_plus_set(eta: Composition, perm: Sequence[int]) -> frozenset[Cell]:

@@ -80,22 +80,30 @@ def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temporary file in the same directory and
     os.replace, so a failed write leaves an existing file untouched.
 
-    The new file gets the mode a plain open(path, "w") gives a new file.
-    Errors are reported against path, not the temporary name.
+    A symlink at path is followed: the file it points to is replaced and the
+    link stays.  A replaced file keeps its permission bits; a new file gets
+    the mode a plain open(path, "w") gives it.  Other hard links to a
+    replaced file keep its old contents.  Errors are reported against path,
+    not the temporary name.
     """
-    umask = os.umask(0)
-    os.umask(umask)
+    target = os.path.realpath(path)
     tmp = None
     try:
+        try:
+            mode = os.stat(target).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+            dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, 0o666 & ~umask)
+            os.fchmod(fd, mode)
             fh.write(text)
             fh.flush()
             os.fsync(fd)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         if tmp is not None:
             with contextlib.suppress(OSError):
@@ -261,19 +269,12 @@ def _verify_targets(args: argparse.Namespace):
     raise ValueError("choose a target: --eta, --n, or --all-eta-up-to")
 
 
-def _domain_size(check: str, target) -> int:
-    """The number of objects the check enumerates for one target."""
-    if check in CHECKS_BY_ETA:
-        return target.word_count()
-    return zeta.domain_size("D" if check == "d-equidistribution" else "B", n=target)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     fn = CHECKS_BY_ETA.get(args.check) or CHECKS_BY_N[args.check]
     targets = _verify_targets(args)
     if len(targets) > 1:
         # A sweep is bounded as a whole, before any target runs.
-        total = sum(_domain_size(args.check, target) for target in targets)
+        total = sum(verify.domain_size(args.check, target) for target in targets)
         if total > args.budget:
             raise zeta.BudgetError(
                 f"sweep of {len(targets)} targets has total domain size {total}, "

@@ -9,10 +9,11 @@ compares the observed functional equation against the rectangle prediction.
 On failure the first counterexample is captured in the detail string.
 
 The cell-count checks (Lemmas 4.2 and 4.3) take the cell side of each
-identity from the counting kernels of admissible (grid_row_counts,
-cut_counts, m_counts), one counting pass per permutation that builds no cell
-set, and the word side from inv and imv on the projected inverse word.  The
-cell-set functions stay the reference for those kernels in the tests.
+identity from one grid_rows scan per permutation (the n_plus and n_minus
+row lengths) and the counting kernels cut_counts and m_counts of admissible,
+which build no cell set, and the word side from inv and imv on the projected
+inverse word.  The cell-set functions stay the reference for those kernels
+in the tests.
 """
 from __future__ import annotations
 
@@ -95,6 +96,19 @@ def _poly_equality(
     return CheckResult(check, target, passed=True, checked=size, detail=f"domain size {size}")
 
 
+# The domain each check by n enumerates; the checks by composition enumerate
+# the words of eta (or the admissible permutations, which are as many).
+_SIGNED_DOMAINS = {"b-equidistribution": "B", "d-equidistribution": "D"}
+
+
+def domain_size(check: str, target: Composition | int) -> int:
+    """The number of objects `check` enumerates for one target, a composition
+    or an n."""
+    if isinstance(target, Composition):
+        return target.word_count()
+    return zeta.domain_size(_SIGNED_DOMAINS[check], n=target)
+
+
 def check_euler_mahonian_words(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(denh, exc) and (maj, des) have the same joint distribution over the words."""
     size = eta.word_count()
@@ -120,18 +134,18 @@ def check_nonexceeding_inversions(eta: Composition, budget: int = zeta.DEFAULT_B
     has exactly as many cells as the non-exceeding subword of the projected
     inverse has inversions.
 
-    The cell side is the sum of the n_plus row counts of grid_row_counts over
-    the rows with block(i) <= block(sigma(i)); the word side is inv on the
-    word, computed independently of the grid.
+    The cell side is the sum of the n_plus row lengths of grid_rows over the
+    rows with block(i) <= block(sigma(i)); the word side is inv on the word,
+    computed independently of the grid.
     """
     zeta._check_budget(eta.word_count(), budget)
     blocks = adm.block_lookup(eta)
     for perm in adm.admissible_perms(eta):
-        plus, _ = adm.grid_row_counts(blocks, perm)
+        rows = adm.grid_rows(blocks, perm)
         low = sum(
-            row_plus
-            for i, (row_plus, v) in enumerate(zip(plus, perm), start=1)
-            if blocks[i] <= blocks[v]
+            len(plus)
+            for i, (plus, _) in enumerate(rows, start=1)
+            if blocks[i] <= blocks[perm[i - 1]]
         )
         word = adm.project_perm(eta, wd.inverse(perm))
         expected = wd.inv(wd.nonexceeding_subword(word, eta))
@@ -148,44 +162,43 @@ def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT
     n_minus plus iexc, and the same identity holds row by row through the
     u-set counts.
 
-    The cell side comes from one counting pass per permutation: the n_plus
-    and n_minus row counts of grid_row_counts, the u_set and u_inv_set sizes
-    of every cut from cut_counts, and the m_sets sizes of every high row from
-    m_counts.  The word side is imv on the word, computed independently of
-    the grid.
+    The cell side takes the n_plus and n_minus row lengths of grid_rows, the
+    u_set and u_inv_set sizes of every cut from cut_counts, and the m_sets
+    sizes of every high row from m_counts.  The word side is imv on the
+    word, computed independently of the grid.
     """
     zeta._check_budget(eta.word_count(), budget)
     blocks = adm.block_lookup(eta)
     for perm in adm.admissible_perms(eta):
-        plus, minus = adm.grid_row_counts(blocks, perm)
+        rows = adm.grid_rows(blocks, perm)
         # The rows of i_set, in order, with their m_sets sizes.
         high_rows = adm.m_counts(blocks, perm)
-        high = sum(plus[j0 - 1] for j0, _, _ in high_rows)
+        high = sum(len(rows[j0 - 1][0]) for j0, _, _ in high_rows)
         word = adm.project_perm(eta, wd.inverse(perm))
         target = wd.imv(wd.exceeding_subword(word, eta))
-        minus_total = sum(minus)
+        minus = sum(len(row_minus) for _, row_minus in rows)
         exceed = len(high_rows)
-        if high != target + minus_total + exceed:
+        if high != target + minus + exceed:
             return _by_eta(
                 "lemma43",
                 eta,
                 False,
-                f"sigma={perm}: |high cells|={high}, imv+minus+iexc={target}+{minus_total}+{exceed}",
+                f"sigma={perm}: |high cells|={high}, imv+minus+iexc={target}+{minus}+{exceed}",
             )
         u, u_inv = adm.cut_counts(blocks, perm)
         row_total = 0
         for j0, meq, mgt in high_rows:
             cut = blocks[j0]
-            row_high = plus[j0 - 1]
-            lhs = meq + mgt + minus[j0 - 1] + 1
-            if not lhs == u[cut] == u_inv[cut] == row_high:
+            row_high, row_minus = rows[j0 - 1]
+            lhs = meq + mgt + len(row_minus) + 1
+            if not lhs == u[cut] == u_inv[cut] == len(row_high):
                 return _by_eta(
                     "lemma43",
                     eta,
                     False,
                     f"sigma={perm}, row {j0}: "
                     f"m+m+minus+1={lhs}, |u|={u[cut]}, |u_inv|={u_inv[cut]}, "
-                    f"|row high|={row_high}",
+                    f"|row high|={len(row_high)}",
                 )
             row_total += meq + mgt
         if row_total != target:
@@ -198,7 +211,7 @@ def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT
 def check_b_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(nden, excabs), (nmaj, ndes), and (fmaj, fdes) agree over the signed
     permutations."""
-    size = zeta.domain_size("B", n=n)
+    size = domain_size("b-equidistribution", n)
     polys = [
         ("(fmaj,fdes)", zeta.joint_distribution("B", ("fmaj", "fdes"), n=n, budget=budget)),
         ("(nden,excabs)", zeta.joint_distribution("B", ("nden", "excabs"), n=n, budget=budget)),
@@ -209,7 +222,7 @@ def check_b_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> Check
 
 def check_d_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(dden, dexc) and (dmaj, ddes) agree over the even-signed permutations."""
-    size = zeta.domain_size("D", n=n)
+    size = domain_size("d-equidistribution", n)
     polys = [
         ("(dden,dexc)", zeta.joint_distribution("D", ("dden", "dexc"), n=n, budget=budget)),
         ("(dmaj,ddes)", zeta.joint_distribution("D", ("dmaj", "ddes"), n=n, budget=budget)),

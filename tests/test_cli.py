@@ -527,6 +527,31 @@ class TestOutput:
         os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o755], ids=oct)
+    def test_out_keeps_mode_of_existing_file(self, capsys, tmp_path, mode):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        target.chmod(mode)
+        code, out, _ = run(capsys, "stats", "--eta", "2,1", "--word", "211", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text().startswith("des: 1\n")
+        assert target.stat().st_mode & 0o7777 == mode
+
+    def test_out_follows_symlink(self, capsys, tmp_path):
+        real = tmp_path / "data" / "out.txt"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        real.chmod(0o600)
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        code, out, _ = run(capsys, "stats", "--eta", "2,1", "--word", "211", "--out", str(link))
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text().startswith("des: 1\n")
+        assert real.stat().st_mode & 0o7777 == 0o600
+        assert sorted(os.listdir(tmp_path)) == ["data", "link.txt"]
+        assert os.listdir(real.parent) == ["out.txt"]
+
     def test_failed_write_leaves_existing_file(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "out.txt"
         target.write_text("old\n")
