@@ -237,13 +237,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.domain in ("words", "admissible"):
         if args.eta is None:
             raise ValueError(f"domain {args.domain!r} needs --eta")
-        poly = zeta.joint_distribution(
-            args.domain, pair, eta=parse_eta(args.eta), budget=args.budget
-        )
+        poly = zeta.distribution(args.domain, pair, eta=parse_eta(args.eta), budget=args.budget)
     else:
         if args.n is None:
             raise ValueError(f"domain {args.domain!r} needs --n")
-        poly = zeta.joint_distribution(args.domain, pair, n=args.n, budget=args.budget)
+        poly = zeta.distribution(args.domain, pair, n=args.n, budget=args.budget)
     if args.format == "json":
         _emit_json(args, poly.to_json_obj())
     else:

@@ -156,26 +156,33 @@ def d_stats(window: Sequence[int]) -> DStats:
     )
 
 
-def signed_perms(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^n n! windows, lexicographically under the integer order on entries."""
+def _windows(n: int, even: bool) -> Iterator[tuple[int, ...]]:
+    """Windows of rank n, lexicographically under the integer order on
+    entries; with even, only those with an even number of negative entries,
+    the sign of the last entry being forced by the others."""
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def rec(avail: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def rec(avail: tuple[int, ...], odd: bool) -> Iterator[tuple[int, ...]]:
+        if even and len(avail) == 1:
+            yield (-avail[0],) if odd else avail
+            return
         if not avail:
             yield ()
             return
-        candidates = [-a for a in reversed(avail)] + list(avail)
-        for v in candidates:
+        for v in [-a for a in reversed(avail)] + list(avail):
             rest = tuple(k for k in avail if k != abs(v))
-            for tail in rec(rest):
+            for tail in rec(rest, odd != (v < 0)):
                 yield (v,) + tail
 
-    yield from rec(tuple(range(1, n + 1)))
+    yield from rec(tuple(range(1, n + 1)), False)
+
+
+def signed_perms(n: int) -> Iterator[tuple[int, ...]]:
+    """All 2^n n! windows, lexicographically under the integer order on entries."""
+    return _windows(n, even=False)
 
 
 def even_signed_perms(n: int) -> Iterator[tuple[int, ...]]:
     """The windows with an even number of negative entries, in the same order."""
-    for window in signed_perms(n):
-        if is_even_signed(window):
-            yield window
+    return _windows(n, even=True)

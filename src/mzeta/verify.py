@@ -208,26 +208,28 @@ def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT
     return _by_eta("lemma43", eta, True, f"domain size {eta.word_count()}")
 
 
+def _signed_equidistribution(
+    check: str, kind: str, pairs: list[tuple[str, str]], n: int, budget: int
+) -> CheckResult:
+    """The pairs agree over the domain, in one pass of it, and agree with
+    signed_numerator."""
+    polys = zeta.joint_distributions(kind, pairs, n=n, budget=budget)
+    named = [(f"({a},{b})", poly) for (a, b), poly in zip(pairs, polys)]
+    named.append(("signed_numerator", zeta.signed_numerator(kind, n)))
+    return _poly_equality(check, f"n={n}", domain_size(check, n), named)
+
+
 def check_b_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(nden, excabs), (nmaj, ndes), and (fmaj, fdes) agree over the signed
     permutations."""
-    size = domain_size("b-equidistribution", n)
-    polys = [
-        ("(fmaj,fdes)", zeta.joint_distribution("B", ("fmaj", "fdes"), n=n, budget=budget)),
-        ("(nden,excabs)", zeta.joint_distribution("B", ("nden", "excabs"), n=n, budget=budget)),
-        ("(nmaj,ndes)", zeta.joint_distribution("B", ("nmaj", "ndes"), n=n, budget=budget)),
-    ]
-    return _poly_equality("b-equidistribution", f"n={n}", size, polys)
+    pairs = [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes")]
+    return _signed_equidistribution("b-equidistribution", "B", pairs, n, budget)
 
 
 def check_d_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(dden, dexc) and (dmaj, ddes) agree over the even-signed permutations."""
-    size = domain_size("d-equidistribution", n)
-    polys = [
-        ("(dden,dexc)", zeta.joint_distribution("D", ("dden", "dexc"), n=n, budget=budget)),
-        ("(dmaj,ddes)", zeta.joint_distribution("D", ("dmaj", "ddes"), n=n, budget=budget)),
-    ]
-    return _poly_equality("d-equidistribution", f"n={n}", size, polys)
+    pairs = [("dden", "dexc"), ("dmaj", "ddes")]
+    return _signed_equidistribution("d-equidistribution", "D", pairs, n, budget)
 
 
 def check_hadamard(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:

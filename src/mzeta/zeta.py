@@ -13,21 +13,34 @@ Joint distributions come from one registry, STATS, which names each
 statistic of each domain as an entry of a kernel's value: descent_stats and
 excedance_stats on words, block_grid_counts on admissible permutations, and
 b_stats, abs_excedance_stats and d_stats on signed windows.
-joint_distribution runs each distinct kernel of a pair once per object.
+joint_distribution runs each distinct kernel of a pair once per object, and
+joint_distributions runs those of several pairs once per object in one pass.
+Both are pure enumeration, the oracle the numerator routes are checked
+against.
 
 w_numerator enumerates nothing.  By the paper's main theorem the numerator
 is also the (maj, des) and the (denh, exc) distribution over the multiset
 words.  Route A computes (maj, des) from MacMahon's product formula; route B
 computes (denh, exc) by a transfer-matrix DP over the positions of the
-trivial word.  w_numerator returns route A and always insists that route B
-agrees.  The (den, iexc) enumeration in joint_distribution stays the
-reference they are tested against: tests/test_zeta.py compares each route
-with it for every composition of n <= 6, and the acceptance suite compares
-w_numerator with it for every composition of n <= 8.
+trivial word, keyed by the unused copies of each letter.  w_numerator
+returns route A and always insists that route B agrees.  The (den, iexc)
+enumeration in joint_distribution stays the reference they are tested
+against: tests/test_zeta.py compares each route with it for every
+composition of n <= 6, and the acceptance suite compares w_numerator with it
+for every composition of n <= 8.
+
+signed_numerator does the same for the paper's signed Mahonian companions:
+the major side of B_n or D_n from the Adin-Brenti-Roichman or Biagioli
+product formula, and the Denert side from route B on 1^n times a product of
+binomials; the two must agree.  NUMERATOR_ROUTES names every (domain,
+ordered pair) that a route serves, and distribution serves those from the
+route and every other pair by enumeration.
 
 All y-series arithmetic is Kronecker-packed (x = 2^w, y = x^span, balanced
-digits in slots of w bits): route A and hadamard_check share one MacMahon
-product, and RationalW.series divides a packed numerator by shift-adds.
+digits in slots of w bits).  One primitive, _packed_series, multiplies
+sum_k G_k y^k by a product of (1 - x^a y^b) and truncates; route A,
+hadamard_check and both signed major sides call it.  RationalW.series
+divides a packed numerator by shift-adds.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -44,7 +57,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import admissible as adm
 from . import signed
@@ -74,6 +87,8 @@ def domain_size(domain: str, *, eta: Composition | None = None, n: int | None = 
     if domain in ("B", "D"):
         if n is None:
             raise ValueError(f"domain {domain!r} needs n")
+        if n < 1:
+            raise ValueError("n must be >= 1")
         size = 2**n * math.factorial(n)
         return size // 2 if domain == "D" else size
     raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
@@ -138,6 +153,30 @@ def _field(values: Iterator, field: int | None) -> Iterator:
     return values if field is None else map(itemgetter(field), values)
 
 
+def _stat_entries(domain: str, stats: Iterable[str]) -> list[tuple[tuple, int | None]]:
+    table = STATS[domain]
+    for stat in stats:
+        if stat not in table:
+            raise ValueError(
+                f"statistic {stat!r} is not defined on domain {domain!r}; "
+                f"choose from {', '.join(table)}"
+            )
+    return [table[stat] for stat in stats]
+
+
+def _domain_objects(
+    domain: str, eta: Composition | None, n: int | None
+) -> tuple[Iterator, object]:
+    """The objects of a domain, and the context its contextual kernels take."""
+    if domain == "words":
+        return wd.words(eta), eta.trivial_word
+    if domain == "admissible":
+        return adm.admissible_perms(eta), adm.block_lookup(eta)
+    if domain == "B":
+        return signed.signed_perms(n), None
+    return signed.even_signed_perms(n), None
+
+
 def joint_distribution(
     domain: str,
     pair: tuple[str, str],
@@ -151,25 +190,12 @@ def joint_distribution(
     Evaluating the result at (1, 1) recovers the domain cardinality.  Raises
     BudgetError when the domain is larger than the budget, KeyError-free
     ValueError on unknown statistic names.  Each distinct kernel of the pair
-    runs once per object.
+    runs once per object.  This is pure enumeration, the oracle that the
+    numerator routes are checked against.
     """
     _check_budget(domain_size(domain, eta=eta, n=n), budget)
-    table = STATS[domain]
-    for stat in pair:
-        if stat not in table:
-            raise ValueError(
-                f"statistic {stat!r} is not defined on domain {domain!r}; "
-                f"choose from {', '.join(table)}"
-            )
-    if domain == "words":
-        objects, context = wd.words(eta), eta.trivial_word
-    elif domain == "admissible":
-        objects, context = adm.admissible_perms(eta), adm.block_lookup(eta)
-    elif domain == "B":
-        objects, context = signed.signed_perms(n), None
-    else:
-        objects, context = signed.even_signed_perms(n), None
-    (k1, f1), (k2, f2) = table[pair[0]], table[pair[1]]
+    (k1, f1), (k2, f2) = _stat_entries(domain, pair)
+    objects, context = _domain_objects(domain, eta, n)
     if k1 == k2:
         first, second = itertools.tee(_kernel_values(k1, objects, context))
     else:
@@ -177,6 +203,38 @@ def joint_distribution(
         first = _kernel_values(k1, objects1, context)
         second = _kernel_values(k2, objects2, context)
     return BiPoly(Counter(zip(_field(first, f1), _field(second, f2))))
+
+
+def joint_distributions(
+    domain: str,
+    pairs: Sequence[tuple[str, str]],
+    *,
+    eta: Composition | None = None,
+    n: int | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> list[BiPoly]:
+    """joint_distribution of each pair, from one pass over the domain.
+
+    Each distinct kernel of all the pairs runs once per object, and each pair
+    counts into its own Counter; the domain is never held in memory.
+    """
+    _check_budget(domain_size(domain, eta=eta, n=n), budget)
+    entries = [_stat_entries(domain, pair) for pair in pairs]
+    kernels = list(dict.fromkeys(kernel for pair in entries for kernel, _ in pair))
+    # A scalar kernel's value becomes a 1-tuple, so every statistic is an
+    # entry (kernel position, field) of the row of kernel values.
+    scalar = {kernel for pair in entries for kernel, field in pair if field is None}
+    slots = [[(kernels.index(kernel), field or 0) for kernel, field in pair] for pair in entries]
+    objects, context = _domain_objects(domain, eta, n)
+    values = []
+    for kernel, stream in zip(kernels, itertools.tee(objects, len(kernels))):
+        kernel_values = _kernel_values(kernel, stream, context)
+        values.append(zip(kernel_values) if kernel in scalar else kernel_values)
+    counts = [Counter() for _ in pairs]
+    for row in zip(*values):
+        for count, ((i, f), (j, g)) in zip(counts, slots):
+            count[row[i][f], row[j][g]] += 1
+    return [BiPoly(count) for count in counts]
 
 
 def _pack(coeffs: Iterable[int], width: int) -> int:
@@ -208,35 +266,56 @@ def _slot_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
+def _packed_series(
+    gs: Sequence[Sequence[tuple[UniPoly, int]]], factors: Sequence[tuple[int, int]]
+) -> list[UniPoly]:
+    """The y^0..y^top coefficients, top = len(gs) - 1, of
+    (sum_k G_k y^k) * prod over (a, b) in factors of (1 - x^a y^b), where G_k
+    is the product of f^e over the pairs (f, e) of gs[k], each f with
+    nonnegative coefficients.
+
+    Both factors are packed (x = 2^w, y = x^span) and multiplied once.  The
+    y^k coefficient is sum_j D_j G_(k-j), D_j the y^j coefficient of the
+    product.  |every coefficient of D_j| is at most ways[j], the number of
+    subsets of factors of y-degree j, and the x-degree of D_j at most reach[j],
+    the largest sum of their a; G_k has coefficients summing to at most the
+    product of f(1)^e.  So sum_j ways[j] * G_(k-j)(1) bounds the y^k
+    coefficients, w holds the largest such bound as a balanced digit, and span
+    exceeds every reach[j] + deg G_(k-j).  Nothing of y-degree above top lands
+    in a kept slot.
+    """
+    top = len(gs) - 1
+    ways = [1] + [0] * top
+    reach = [0] * (top + 1)
+    for a, b in factors:
+        for j in range(top, b - 1, -1):
+            if ways[j - b]:
+                reach[j] = max(reach[j], reach[j - b] + a)
+                ways[j] += ways[j - b]
+    sizes = [math.prod(sum(f.coeffs) ** e for f, e in g) for g in gs]
+    degrees = [sum(f.degree() * e for f, e in g) for g in gs]
+    ks = range(top + 1)
+    w = _slot_width(max(sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in ks))
+    span = 1 + max(reach[j] + degrees[k - j] for k in ks for j in range(k + 1))
+    g = 0
+    for k, factors_k in enumerate(gs):
+        gk = 1
+        for f, e in factors_k:
+            gk *= _pack(f.coeffs, w) ** e
+        g += gk << (w * span * k)
+    d = 1
+    for a, b in factors:
+        d -= d << (w * (span * b + a))
+    return _unpack_series(_unpack(d * g, w, span * (top + 1)), span, top + 1)
+
+
 def _macmahon_series(eta: Composition, top: int) -> list[UniPoly]:
     """The y^0..y^top coefficients of prod_{j=0..n} (1 - x^j y) times
     sum_{k<=top} G_k y^k, G_k = prod over the parts p of (p+k choose k)_x:
-    by MacMahon, those of the numerator of W_eta, and zero above y^n.
-
-    Both factors are packed (x = 2^w, y = x^span) and multiplied once.  The
-    y^k coefficient, sum_{j<=min(k,n+1)} (-1)^j x^(j(j-1)/2) (n+1 choose j)_x
-    G_(k-j), has x-degree at most k*n < span.  Its products have nonnegative
-    coefficients, so the sum of their values at x = 1, largest at k = top,
-    bounds |every coefficient|; w holds it as a balanced digit.
-    """
-    n = eta.n
+    by MacMahon, those of the numerator of W_eta, and zero above y^n."""
     mult = Counter(eta.parts)
-    bound = sum(
-        math.comb(n + 1, j) * math.prod(math.comb(p + top - j, p) ** e for p, e in mult.items())
-        for j in range(min(top, n + 1) + 1)
-    )
-    w = _slot_width(bound)
-    span = top * n + 1
-    g = 0
-    for k in range(top + 1):
-        gk = 1
-        for p, e in mult.items():
-            gk *= _pack(gaussian_binomial(p, k).coeffs, w) ** e
-        g += gk << (w * span * k)
-    d = 1
-    for j in range(n + 1):
-        d -= d << (w * (span + j))
-    return _unpack_series(_unpack(d * g, w, span * (top + 1)), span, top + 1)
+    gs = [[(gaussian_binomial(p, k), e) for p, e in mult.items()] for k in range(top + 1)]
+    return _packed_series(gs, [(j, 1) for j in range(eta.n + 1)])
 
 
 def _maj_des_numerator(eta: Composition) -> BiPoly:
@@ -249,11 +328,14 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
     transfer-matrix DP over the positions of the trivial word.
 
     denh is the sum of the excedance positions plus imv of the exceeding
-    subword E plus inv of the non-exceeding subword N.  Reading a word left to
-    right, letter a at position i with trivial letter t is an excedance when
-    a > t and adds i + #(earlier E letters >= a) to denh; otherwise it adds
-    #(earlier N letters > a).  So the state is, for each letter, how many
-    copies sit in E and how many in N: (e_1..e_r, n_1..n_r).
+    subword E plus inv of the non-exceeding subword N.  Read a word left to
+    right; at position i the trivial letter t never decreases.  So every used
+    copy of a letter a > t sits in E, and every unused copy of a letter a <= t
+    will land in N.  Letter a at position i is an excedance when a > t and
+    adds i + #(earlier E letters >= a), the used copies of the letters >= a;
+    otherwise it adds the inversions of N it starts, one with each unused copy
+    of a smaller letter.  So the state is the unused copies of each letter,
+    (rem_1..rem_r), with prod (eta_a + 1) states in all.
 
     Each state carries its polynomial packed into one integer, x^denh y^exc in
     slot denh*(n+1) + exc.  A coefficient counts prefixes of distinct words,
@@ -261,28 +343,27 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
     is below 2i, so denh <= n^2 sets the slot count.
     """
     n = eta.n
-    r = eta.r
     parts = eta.parts
     w = _slot_width(eta.word_count())
     stride = n + 1
-    layer = {(0,) * (2 * r): 1}
+    # at_least[a - 1] = eta_a + ... + eta_r, the copies of the letters >= a
+    at_least = tuple(itertools.accumulate(reversed(parts)))[::-1]
+    layer = {parts: 1}
     for i, t in enumerate(eta.trivial_word, start=1):
+        left = n - i + 1  # unused copies, this position's included
         nxt: dict[tuple[int, ...], int] = {}
-        for state, poly in layer.items():
-            e_ge = 0  # E letters >= a
-            n_gt = 0  # N letters > a
-            for a in range(r, 0, -1):
-                in_e = state[a - 1]
-                in_n = state[r + a - 1]
-                e_ge += in_e
-                if in_e + in_n < parts[a - 1]:
+        for rem, poly in layer.items():
+            rem_ge = 0  # unused copies of the letters >= a
+            for a in range(eta.r, 0, -1):
+                ra = rem[a - 1]
+                rem_ge += ra
+                if ra:
                     if a > t:
-                        slot, shift = a - 1, (i + e_ge) * stride + 1
+                        shift = (i + at_least[a - 1] - rem_ge) * stride + 1
                     else:
-                        slot, shift = r + a - 1, n_gt * stride
-                    key = state[:slot] + (state[slot] + 1,) + state[slot + 1:]
+                        shift = (left - rem_ge) * stride
+                    key = rem[:a - 1] + (ra - 1,) + rem[a:]
                     nxt[key] = nxt.get(key, 0) + (poly << (w * shift))
-                n_gt += in_n
         layer = nxt
     digits = _unpack(sum(layer.values()), w, (n * n + 1) * stride)
     return BiPoly({(s // stride, s % stride): c for s, c in enumerate(digits) if c})
@@ -311,6 +392,82 @@ def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
             f"gives {num} but (denh, exc) by the position DP gives {alt}"
         )
     return num
+
+
+def signed_numerator(kind: str, n: int) -> BiPoly:
+    """The Mahonian numerator of type kind ("B" or "D") and rank n, without
+    enumeration: the (nmaj, ndes) and (fmaj, fdes) distribution over B_n, or
+    the (dmaj, ddes) distribution over D_n.
+
+    The major side is returned.  It is the y-truncation of
+    sum_r [r+1]_x^n y^r times (1 - y) prod_{i=1..n} (1 - x^(2i) y^2) for B
+    (Adin-Brenti-Roichman 2001), and times
+    (1 - y)(1 - x^n y) prod_{i=1..n-1} (1 - x^(2i) y^2) for D (Biagioli 2003),
+    both from the packed product.  Its y-degree is 2n - 1 for B and 2n - 2
+    for D; the coefficient one degree above must vanish.  The Denert side,
+    the (nden, excabs) or (dden, dexc) distribution, is A_n prod_{k=1..n}
+    (1 + x^k y) for B and A_n prod_{k=2..n} (1 + x^(k-1) y) for D, where A_n
+    is route B's numerator for eta = 1^n.  The two sides must coincide,
+    otherwise InvariantError is raised.  Nothing is charged against a budget.
+    """
+    if kind not in ("B", "D"):
+        raise ValueError(f"unknown signed kind {kind!r}; expected 'B' or 'D'")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    powers = range(1, n + 1 if kind == "B" else n)
+    factors = [(0, 1)] + [(2 * i, 2) for i in powers] + ([(n, 1)] if kind == "D" else [])
+    top = 2 * n if kind == "B" else 2 * n - 1
+    series = _packed_series([[(UniPoly((1,) * (r + 1)), n)] for r in range(top + 1)], factors)
+    if series[top]:
+        raise InvariantError(
+            f"type {kind} numerator for n={n}: "
+            f"the y^{top} coefficient {series[top]} does not vanish"
+        )
+    major = BiPoly.from_y_coefficients(dict(enumerate(series[:top])))
+    denert = _denh_exc_numerator(Composition((1,) * n))
+    for k in powers:
+        denert = denert * BiPoly({(0, 0): 1, (k, 1): 1})
+    if major != denert:
+        raise InvariantError(
+            f"type {kind} numerator mismatch for n={n}: the major side by the product formula "
+            f"gives {major} but the Denert side gives {denert}"
+        )
+    return major
+
+
+# The pairs whose distribution a numerator route computes without
+# enumeration, by domain and ordered pair: "A" is w_numerator of the
+# composition, "B" and "D" are signed_numerator of n.
+NUMERATOR_ROUTES: dict[tuple[str, tuple[str, str]], str] = {
+    ("words", ("maj", "des")): "A",
+    ("words", ("denh", "exc")): "A",
+    ("admissible", ("den", "iexc")): "A",
+    ("B", ("nden", "excabs")): "B",
+    ("B", ("nmaj", "ndes")): "B",
+    ("B", ("fmaj", "fdes")): "B",
+    ("D", ("dden", "dexc")): "D",
+    ("D", ("dmaj", "ddes")): "D",
+}
+
+
+def distribution(
+    domain: str,
+    pair: tuple[str, str],
+    *,
+    eta: Composition | None = None,
+    n: int | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> BiPoly:
+    """joint_distribution of the pair, from its numerator route when
+    NUMERATOR_ROUTES has one.  Either way the domain size is charged against
+    the budget, and BudgetError raised beyond it."""
+    route = NUMERATOR_ROUTES.get((domain, tuple(pair)))
+    if route is None:
+        return joint_distribution(domain, pair, eta=eta, n=n, budget=budget)
+    _check_budget(domain_size(domain, eta=eta, n=n), budget)
+    if route == "A":
+        return w_numerator(eta, budget=budget)
+    return signed_numerator(route, n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -414,8 +571,11 @@ def hadamard_check(
 
     Both sides, cleared to the common denominator, are polynomials of y-degree
     at most n + 1, so agreement through y^(n+1) proves the identity of
-    rational functions; the product side is route A's packed product.  On
-    failure the first mismatching y-degree and both sides are reported.
+    rational functions.  The product side is route A's packed product, and
+    w_numerator already insists that route A equals route B.  So for the
+    computed numerator this check certifies two things: that route A equals
+    route B, and that the y^(n+1) coefficient vanishes.  On failure the first
+    mismatching y-degree and both sides are reported.
     """
     trunc = eta.n + 1
     if numerator is None:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from mzeta import zeta
 from mzeta.cli import main, parse_eta, parse_rational, parse_sequence
 
 
@@ -201,6 +202,35 @@ class TestDist:
     def test_missing_n(self, capsys):
         code, _, _ = run(capsys, "dist", "--domain", "B", "--pair", "fmaj,fdes")
         assert code == 2
+
+    @pytest.mark.parametrize("domain", ["B", "D"])
+    def test_negative_n(self, capsys, domain):
+        code, out, err = run(capsys, "dist", "--domain", domain, "--n", "-2", "--pair", "neg,maj")
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+        check = f"{domain.lower()}-equidistribution"
+        code, out, err = run(capsys, "verify", "--check", check, "--n", "-2")
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+
+    ROUTED = [
+        (domain, ",".join(pair), target)
+        for (domain, pair) in zeta.NUMERATOR_ROUTES
+        for target in (
+            [["--n", str(n)] for n in range(1, 6)]
+            if domain in ("B", "D")
+            else [["--eta", e] for e in ("1", "2,1", "1,2,1", "2,1,2", "1,1,1,1,1", "3,2")]
+        )
+    ]
+
+    @pytest.mark.parametrize("domain,pair,target", ROUTED)
+    def test_routed_output_matches_enumeration(self, capsys, monkeypatch, domain, pair, target):
+        for fmt in ("text", "json"):
+            argv = ["dist", "--domain", domain, *target, "--pair", pair, "--format", fmt]
+            routed = run(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(zeta, "NUMERATOR_ROUTES", {})
+                enumerated = run(capsys, *argv)
+            assert routed == enumerated
+            assert routed[0] == 0
 
 
 class TestVerify:
@@ -414,6 +444,35 @@ class TestFailureExitCodes:
         assert out == ""
         assert err.startswith("error: numerator mismatch")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind,argv",
+        [
+            ("B", ["dist", "--domain", "B", "--n", "3", "--pair", "nmaj,ndes"]),
+            ("D", ["dist", "--domain", "D", "--n", "3", "--pair", "dden,dexc"]),
+            ("B", ["verify", "--check", "b-equidistribution", "--n", "3"]),
+            ("D", ["verify", "--check", "d-equidistribution", "--n", "3"]),
+        ],
+    )
+    def test_signed_numerator_mismatch_exit_four(self, capsys, monkeypatch, kind, argv):
+        from mzeta.poly import BiPoly
+
+        monkeypatch.setattr(zeta, "_denh_exc_numerator", lambda eta: BiPoly.one())
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: type {kind} numerator mismatch")
+        assert "Traceback" not in err
+
+    def test_signed_check_compares_with_numerator(self, capsys, monkeypatch):
+        from mzeta.poly import BiPoly
+
+        monkeypatch.setattr(zeta, "signed_numerator", lambda kind, n: BiPoly.one())
+        code, out, _ = run(capsys, "verify", "--check", "d-equidistribution", "--n", "2")
+        assert code == 1
+        assert out.startswith(
+            "d-equidistribution n=2: FAIL ((dden,dexc) != signed_numerator: coefficient of x^1*y^1: 2 vs 0)"
+        )
 
     def test_dden_forms_mismatch_exit_four(self, capsys, monkeypatch):
         import mzeta.signed as signed

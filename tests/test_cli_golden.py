@@ -85,6 +85,15 @@ CORPUS = [
     ["verify", "--check", "lemma42", "--n", "3"],
     ["verify", "--check", "d-equidistribution", "--eta", "2,1"],
     ["dist", "--domain", "B", "--n", "4", "--pair", "maj,des", "--budget", "10"],
+    # Pairs served by a numerator route: edge sizes, JSON, and the budget
+    # charge, which stays the domain size.
+    ["dist", "--domain", "B", "--n", "1", "--pair", "fmaj,fdes"],
+    ["dist", "--domain", "D", "--n", "1", "--pair", "dmaj,ddes"],
+    ["dist", "--domain", "D", "--n", "2", "--pair", "dden,dexc", "--format", "json"],
+    ["dist", "--domain", "B", "--n", "0", "--pair", "nmaj,ndes"],
+    ["dist", "--domain", "B", "--n", "7", "--pair", "nden,excabs", "--budget", "10"],
+    ["dist", "--domain", "admissible", "--eta", "1,1,2", "--pair", "den,iexc", "--format", "json"],
+    ["dist", "--domain", "D", "--n", "-2", "--pair", "dden,dexc"],
 ]
 
 

@@ -137,6 +137,12 @@ class TestEnumeration:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             next(signed_perms(0))
+        with pytest.raises(ValueError):
+            next(even_signed_perms(0))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_even_windows_are_the_filtered_signed_windows(self, n):
+        assert list(even_signed_perms(n)) == [w for w in signed_perms(n) if is_even_signed(w)]
 
 
 class TestEquidistribution:

@@ -1,5 +1,7 @@
 """Distributions, the rational form, and the identity checks, each against an
 independently computed oracle where one exists."""
+import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -19,13 +21,16 @@ from mzeta.zeta import (
     ScanBounds,
     conjecture_report,
     default_bounds,
+    distribution,
     domain_size,
     domain_stats,
     expected_reciprocity,
     hadamard_check,
     hadamard_series_coefficient,
     joint_distribution,
+    joint_distributions,
     reciprocity_check,
+    signed_numerator,
     unitary_factor_scan,
     w_numerator,
     zeta_eval,
@@ -133,6 +138,12 @@ class TestDomains:
         assert domain_size("B", n=2) == 8
         assert domain_size("D", n=2) == 4
 
+    @pytest.mark.parametrize("domain", ["B", "D"])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_n_below_one(self, domain, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            domain_size(domain, n=n)
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             domain_size("C", n=2)
@@ -210,6 +221,38 @@ class TestJointDistribution:
         assert_every_pair_matches("D", D_FUNCS, list(even_signed_perms(n)), n=n)
 
 
+class TestJointDistributions:
+    """Several pairs from one pass must equal joint_distribution of each."""
+
+    CASES = [
+        ("words", [("inv", "imv"), ("maj", "des"), ("denh", "exc"), ("imv", "maj")], {"eta": Composition((2, 1, 2))}),
+        ("admissible", [("den", "iexc"), ("iexc", "den")], {"eta": Composition((1, 3, 1))}),
+        ("B", [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes"), ("neg", "maj")], {"n": 3}),
+        ("D", [("dden", "dexc"), ("dmaj", "ddes"), ("nsp", "nden")], {"n": 4}),
+    ]
+
+    @pytest.mark.parametrize("domain,pairs,kw", CASES, ids=[c[0] for c in CASES])
+    def test_each_pair_matches(self, domain, pairs, kw):
+        expected = [joint_distribution(domain, pair, **kw) for pair in pairs]
+        assert joint_distributions(domain, pairs, **kw) == expected
+
+    def test_each_kernel_once_per_object(self, monkeypatch):
+        import mzeta.signed as signed
+
+        calls = Counter()
+        for name in ("b_stats", "abs_excedance_stats"):
+            fn = getattr(signed, name)
+            monkeypatch.setattr(signed, name, lambda w, fn=fn, name=name: calls.update([name]) or fn(w))
+        joint_distributions("B", [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes")], n=4)
+        assert calls == {"b_stats": 384, "abs_excedance_stats": 384}
+
+    def test_budget_and_unknown_stat(self):
+        with pytest.raises(BudgetError):
+            joint_distributions("B", [("nmaj", "ndes")], n=3, budget=47)
+        with pytest.raises(ValueError, match="not defined on domain"):
+            joint_distributions("B", [("nmaj", "ndes"), ("dden", "dexc")], n=2)
+
+
 class TestNumerator:
     def test_frozen(self):
         assert w_numerator(Composition((1, 1))) == BiPoly({(0, 0): 1, (1, 1): 1})
@@ -254,6 +297,142 @@ def test_macmahon_series_matches_schoolbook():
     for eta in small_compositions(6):
         for top in range(eta.n + 2):
             assert zeta._macmahon_series(eta, top) == macmahon_oracle(eta, top), (eta, top)
+
+
+def positions_route_b(eta):
+    """The earlier route B, kept as a reference for the rem-state DP: the state
+    is how many copies of each letter sit in E and how many in N."""
+    n, r, parts = eta.n, eta.r, eta.parts
+    w = zeta._slot_width(eta.word_count())
+    stride = n + 1
+    layer = {(0,) * (2 * r): 1}
+    for i, t in enumerate(eta.trivial_word, start=1):
+        nxt = {}
+        for state, poly in layer.items():
+            e_ge = 0  # E letters >= a
+            n_gt = 0  # N letters > a
+            for a in range(r, 0, -1):
+                in_e = state[a - 1]
+                in_n = state[r + a - 1]
+                e_ge += in_e
+                if in_e + in_n < parts[a - 1]:
+                    if a > t:
+                        slot, shift = a - 1, (i + e_ge) * stride + 1
+                    else:
+                        slot, shift = r + a - 1, n_gt * stride
+                    key = state[:slot] + (state[slot] + 1,) + state[slot + 1:]
+                    nxt[key] = nxt.get(key, 0) + (poly << (w * shift))
+                n_gt += in_n
+        layer = nxt
+    digits = zeta._unpack(sum(layer.values()), w, (n * n + 1) * stride)
+    return BiPoly({(s // stride, s % stride): c for s, c in enumerate(digits) if c})
+
+
+def test_rem_state_route_b_matches_position_dp():
+    compositions = small_compositions(8)
+    assert len(compositions) == 255
+    for eta in compositions:
+        assert zeta._denh_exc_numerator(eta) == positions_route_b(eta), eta
+
+
+def packed_series_oracle(gs, factors):
+    """Schoolbook truncated product of sum_k G_k y^k with the factors."""
+    top = len(gs) - 1
+    series = [math.prod((f for f, e in g for _ in range(e)), start=UniPoly.one()) for g in gs]
+    for a, b in factors:
+        series = [
+            c - (series[k - b].shift(a) if k >= b else UniPoly()) for k, c in enumerate(series)
+        ]
+    return series[: top + 1]
+
+
+def test_packed_series_matches_schoolbook():
+    # Random G factors with nonnegative coefficients, random factors (b = 0
+    # included), every truncation from y^0 to y^6.
+    rng = random.Random(6)
+    for _ in range(150):
+        top = rng.randrange(7)
+        gs = [
+            [(UniPoly([rng.randrange(4) for _ in range(rng.randrange(1, 5))]), rng.randrange(3))
+             for _ in range(rng.randrange(3))]
+            for _ in range(top + 1)
+        ]
+        factors = [(rng.randrange(5), rng.randrange(4)) for _ in range(rng.randrange(6))]
+        assert zeta._packed_series(gs, factors) == packed_series_oracle(gs, factors), (gs, factors)
+
+
+SIGNED_PAIRS = {"B": [("nden", "excabs"), ("nmaj", "ndes"), ("fmaj", "fdes")], "D": [("dden", "dexc"), ("dmaj", "ddes")]}
+
+
+class TestSignedNumerator:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_matches_enumeration(self, kind, n):
+        num = signed_numerator(kind, n)
+        for pair in SIGNED_PAIRS[kind]:
+            assert num == joint_distribution(kind, pair, n=n), pair
+
+    def test_rank_twelve(self):
+        n = 12
+        b, d = signed_numerator("B", n), signed_numerator("D", n)
+        assert b.evaluate(1, 1) == 2**n * math.factorial(n)
+        assert d.evaluate(1, 1) == 2 ** (n - 1) * math.factorial(n)
+        assert (b.degree_y(), d.degree_y()) == (2 * n - 1, 2 * n - 2)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            signed_numerator("B", 0)
+        with pytest.raises(ValueError, match="unknown signed kind"):
+            signed_numerator("A", 3)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_denert_side_mismatch_raises(self, kind, monkeypatch):
+        monkeypatch.setattr(zeta, "_denh_exc_numerator", lambda eta: BiPoly.one())
+        with pytest.raises(InvariantError, match=f"type {kind} numerator mismatch"):
+            signed_numerator(kind, 3)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_nonvanishing_top_coefficient_raises(self, kind, monkeypatch):
+        packed = zeta._packed_series
+
+        def extra_top(gs, factors):
+            series = packed(gs, factors)
+            return series[:-1] + [series[-1] + UniPoly.one()]
+
+        monkeypatch.setattr(zeta, "_packed_series", extra_top)
+        with pytest.raises(InvariantError, match="does not vanish"):
+            signed_numerator(kind, 3)
+
+
+class TestDistribution:
+    def test_routed_pairs_enumerate_nothing(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a routed pair enumerated")
+
+        monkeypatch.setattr(zeta, "joint_distribution", no_enumeration)
+        for (domain, pair), route in zeta.NUMERATOR_ROUTES.items():
+            kw = {"n": 4} if domain in ("B", "D") else {"eta": Composition((2, 1, 2))}
+            expected = signed_numerator(route, 4) if route != "A" else w_numerator(kw["eta"])
+            assert distribution(domain, pair, **kw) == expected
+
+    def test_other_pairs_enumerate(self):
+        assert distribution("B", ("excabs", "nden"), n=3) == joint_distribution("B", ("excabs", "nden"), n=3)
+        assert distribution("D", ("nsp", "dneg"), n=3) == joint_distribution("D", ("nsp", "dneg"), n=3)
+
+    @pytest.mark.parametrize(
+        "domain,pair,kw,size",
+        [
+            ("B", ("nden", "excabs"), {"n": 7}, 645120),
+            ("D", ("dmaj", "ddes"), {"n": 3}, 24),
+            ("words", ("maj", "des"), {"eta": Composition((2, 2))}, 6),
+            ("admissible", ("den", "iexc"), {"eta": Composition((1, 1, 1))}, 6),
+        ],
+    )
+    def test_routes_charge_the_domain_size(self, domain, pair, kw, size):
+        with pytest.raises(BudgetError, match=f"domain of size {size} exceeds the budget of {size - 1}"):
+            distribution(domain, pair, budget=size - 1, **kw)
+        if size < 1000:
+            assert distribution(domain, pair, budget=size, **kw).evaluate(1, 1) == size
 
 
 class TestRationalW:
