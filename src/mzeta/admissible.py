@@ -25,13 +25,18 @@ m_sets, per-row counts) decompose these cell sets and exist so that the
 decomposition identities can be tested term by term against the word
 statistics of the projected inverse word.
 
-Two scans visit the cells (i, j) with sigma(i) < j: block_grid_counts
-counts them (it is the den kernel of the statistic registry in zeta), and
-grid_rows collects their columns row by row (n_plus_set, n_minus_set,
-n_plus_split, n_minus_row and n_plus_high_row are views on it).  cut_counts
-and m_counts give the sizes of the per-cut and per-high-row cell sets
-without building them; the lemma checks of verify run on these counts and
-on the row lengths of grid_rows.
+Two scans visit the cells (i, j) with sigma(i) < j, and both hold a row of
+cells as a bit mask, bit j standing for column j: block_grid_counts counts
+them (it is the den kernel of the statistic registry in zeta), and
+grid_rows collects them row by row (n_plus_set, n_minus_set, n_plus_split,
+n_minus_row and n_plus_high_row decode its masks into cells).  Both read the
+rows top down, keeping the mask of the values sigma(1..i-1) seen so far, so
+that sigma^{-1}(j) < i is bit j of that mask and no inverse is built, and
+both share one column-mask table per eta, column_masks, which gives each
+row the columns of the blocks at least and below its own.  cut_counts and
+m_counts give the sizes of the per-cut and per-high-row cell sets without
+building them; the lemma checks of verify run on these counts and on the
+bit counts of the grid_rows masks.
 
 Everything here is a pure function of (eta, sigma); cell sets are returned
 as frozensets of (row, column) pairs.
@@ -61,6 +66,28 @@ def block_lookup(eta: Composition) -> tuple[int, ...]:
     for k, p in enumerate(eta.parts, start=1):
         out.extend([k] * p)
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def column_masks(eta: Composition) -> tuple[tuple[int, int], ...]:
+    """masks[i - 1] = (ge, lt) for the rows i = 1..n: the columns whose
+    block is at least block(i), and those whose block is below it, as bit
+    masks (bit j for column j).
+
+    Built from block_lookup(eta), one pair of masks per block.  The cell
+    (i, sigma(i)) is in i_set exactly when bit sigma(i) of lt is set.
+
+    >>> column_masks(Composition((2, 1)))
+    ((14, 0), (14, 0), (8, 6))
+    """
+    blocks = block_lookup(eta)
+    columns = range(1, eta.n + 1)
+    every = (2 << eta.n) - 2
+    pairs = {}
+    for b in set(blocks[1:]):
+        ge = sum(1 << j for j in columns if blocks[j] >= b)
+        pairs[b] = (ge, every ^ ge)
+    return tuple(pairs[blocks[i]] for i in columns)
 
 
 def block_index(eta: Composition, i: int) -> int:
@@ -98,26 +125,38 @@ def admissible_perms(eta: Composition) -> Iterator[tuple[int, ...]]:
 
     A permutation is admissible iff it is obtained by distributing the values
     1..n over the position blocks and sorting each block ascending, so the
-    enumeration walks ordered set partitions with block sizes eta.
+    enumeration walks ordered set partitions with block sizes eta.  The walk
+    keeps a stack with one combinations iterator per block but the last,
+    whose values are the ones the other blocks leave.
     """
     n = eta.n
+    values = tuple(range(1, n + 1))
     if eta.r == n:
         # Every permutation is admissible; itertools yields lexicographic order.
-        yield from itertools.permutations(range(1, n + 1))
+        yield from itertools.permutations(values)
+        return
+    if eta.r == 1:
+        yield values
         return
     parts = eta.parts
-
-    def rec(avail: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(parts):
-            yield ()
-            return
-        for chosen in itertools.combinations(avail, parts[k]):
-            taken = set(chosen)
-            rest = tuple(v for v in avail if v not in taken)
-            for tail in rec(rest, k + 1):
-                yield chosen + tail
-
-    yield from rec(tuple(range(1, n + 1)), 0)
+    deepest = eta.r - 2
+    # Each level: (its block's choices, the values left to choose from, the
+    # values of the earlier blocks in order).
+    levels = [(itertools.combinations(values, parts[0]), values, ())]
+    while levels:
+        choices, left, head = levels[-1]
+        if len(levels) - 1 == deepest:
+            # The last block takes the values this one leaves.
+            levels.pop()
+            for chosen in choices:
+                yield head + chosen + tuple(itertools.filterfalse(chosen.__contains__, left))
+            continue
+        chosen = next(choices, None)
+        if chosen is None:
+            levels.pop()
+            continue
+        rest = tuple(itertools.filterfalse(chosen.__contains__, left))
+        levels.append((itertools.combinations(rest, parts[len(levels)]), rest, head + chosen))
 
 
 def word_to_admissible(eta: Composition, w: Sequence[int]) -> tuple[int, ...]:
@@ -153,41 +192,54 @@ def iexc(eta: Composition, perm: Sequence[int]) -> int:
 
 
 def grid_rows(
-    blocks: Sequence[int], perm: Sequence[int]
-) -> list[tuple[list[int], list[int]]]:
+    masks: Sequence[tuple[int, int]], perm: Sequence[int]
+) -> list[tuple[int, int]]:
     """For each row i = 1..n, the columns of its n_plus_set cells and of its
-    n_minus_set cells (rows[i - 1] = (plus columns, minus columns)).
+    n_minus_set cells as bit masks (rows[i - 1] = (plus mask, minus mask),
+    bit j for column j).
 
-    blocks is block_lookup(eta).  This is the one collecting scan of the
-    cells (i, j) with sigma(i) < j; the cell-set functions are views on it.
+    masks is column_masks(eta).  This is the one collecting scan of the
+    cells (i, j) with sigma(i) < j; the cell-set functions decode it.  The
+    rows are read top down with seen, the mask of sigma(1..i-1), so that
+    sigma^{-1}(j) < i is bit j of seen; with above the columns j > sigma(i)
+    and (ge, lt) = masks[i - 1], plus = above & seen & ge and
+    minus = above & ~seen & lt.
+
+    >>> eta = Composition((2, 1))
+    >>> [(bin(plus), bin(minus)) for plus, minus in grid_rows(column_masks(eta), (2, 3, 1))]
+    [('0b0', '0b0'), ('0b0', '0b0'), ('0b1000', '0b0')]
     """
-    n = len(perm)
-    inv = inverse(perm)
+    seen = 0
     rows = []
-    for i in range(1, n + 1):
-        bi = blocks[i]
-        plus = []
-        minus = []
-        for j in range(perm[i - 1] + 1, n + 1):
-            if inv[j - 1] < i:
-                if bi <= blocks[j]:
-                    plus.append(j)
-            elif bi > blocks[j]:
-                minus.append(j)
-        rows.append((plus, minus))
+    for v, (ge, lt) in zip(perm, masks):
+        above = -2 << v
+        rows.append((above & seen & ge, above & ~seen & lt))
+        seen |= 1 << v
     return rows
+
+
+def _columns(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def n_plus_set(eta: Composition, perm: Sequence[int]) -> frozenset[Cell]:
     """Cells (i, j) with sigma(i) < j, sigma^{-1}(j) < i, block(i) <= block(j)."""
-    rows = grid_rows(block_lookup(eta), perm)
-    return frozenset((i, j) for i, (plus, _) in enumerate(rows, start=1) for j in plus)
+    rows = grid_rows(column_masks(eta), perm)
+    return frozenset(
+        (i, j) for i, (plus, _) in enumerate(rows, start=1) for j in _columns(plus)
+    )
 
 
 def n_minus_set(eta: Composition, perm: Sequence[int]) -> frozenset[Cell]:
     """Cells (i, j) with sigma(i) < j, sigma^{-1}(j) > i, block(i) > block(j)."""
-    rows = grid_rows(block_lookup(eta), perm)
-    return frozenset((i, j) for i, (_, minus) in enumerate(rows, start=1) for j in minus)
+    rows = grid_rows(column_masks(eta), perm)
+    return frozenset(
+        (i, j) for i, (_, minus) in enumerate(rows, start=1) for j in _columns(minus)
+    )
 
 
 def n_plus_split(
@@ -200,12 +252,12 @@ def n_plus_split(
     block(i) > block(sigma(i))); the disjoint union is n_plus_set.
     """
     blocks = block_lookup(eta)
-    rows = grid_rows(blocks, perm)
+    rows = grid_rows(column_masks(eta), perm)
     low: set[Cell] = set()
     high: set[Cell] = set()
     for i, (plus, _) in enumerate(rows, start=1):
         target = low if blocks[i] <= blocks[perm[i - 1]] else high
-        target.update((i, j) for j in plus)
+        target.update((i, j) for j in _columns(plus))
     return frozenset(low), frozenset(high)
 
 
@@ -334,53 +386,45 @@ def m_counts(blocks: Sequence[int], perm: Sequence[int]) -> list[tuple[int, int,
 def n_minus_row(eta: Composition, perm: Sequence[int], j0: int) -> frozenset[Cell]:
     """The cells of n_minus_set lying in row j0 (requires the same row
     precondition as m_sets)."""
-    blocks = _check_row_in_high_region(eta, perm, j0)
-    return frozenset((j0, j) for j in grid_rows(blocks, perm)[j0 - 1][1])
+    _check_row_in_high_region(eta, perm, j0)
+    minus = grid_rows(column_masks(eta), perm)[j0 - 1][1]
+    return frozenset((j0, j) for j in _columns(minus))
 
 
 def n_plus_high_row(eta: Composition, perm: Sequence[int], j0: int) -> frozenset[Cell]:
     """The cells of the second component of n_plus_split lying in row j0."""
-    blocks = _check_row_in_high_region(eta, perm, j0)
-    return frozenset((j0, j) for j in grid_rows(blocks, perm)[j0 - 1][0])
+    _check_row_in_high_region(eta, perm, j0)
+    plus = grid_rows(column_masks(eta), perm)[j0 - 1][0]
+    return frozenset((j0, j) for j in _columns(plus))
 
 
 def block_grid_counts(
-    perm: Sequence[int], blocks: Sequence[int]
+    perm: Sequence[int], masks: Sequence[tuple[int, int]]
 ) -> tuple[int, int, int, int, int]:
     """(den, sum of i_set columns, |i_set|, |n_plus_set|, |n_minus_set|).
 
-    blocks is block_lookup(eta), taken as the second argument so that a
+    masks is column_masks(eta), taken as the second argument so that a
     distribution over many permutations looks it up once.  The first entry is
     the Denert statistic when perm is admissible.  This is the one counting
-    scan of the grid; grid_rows is the collecting one.
+    scan of the grid: the grid_rows scan, summing the bit counts of each
+    row's masks in place of keeping them.
     """
-    n = len(perm)
-    # The inverse is built in place: this loop is the den route's kernel.
-    inv = [0] * n
-    for i, v in enumerate(perm, start=1):
-        inv[v - 1] = i
-    col_sum = 0
-    exceed = 0
-    for j in range(1, n + 1):
-        if blocks[inv[j - 1]] > blocks[j]:
-            col_sum += j
+    seen = 0
+    col_sum = exceed = plus = minus = 0
+    for v, (ge, lt) in zip(perm, masks):
+        above = -2 << v
+        plus += (above & seen & ge).bit_count()
+        minus += (above & ~seen & lt).bit_count()
+        if lt >> v & 1:
+            col_sum += v
             exceed += 1
-    plus = 0
-    minus = 0
-    for i in range(1, n + 1):
-        bi = blocks[i]
-        for j in range(perm[i - 1] + 1, n + 1):
-            if inv[j - 1] < i:
-                if bi <= blocks[j]:
-                    plus += 1
-            elif bi > blocks[j]:
-                minus += 1
+        seen |= 1 << v
     return col_sum + plus - minus - exceed, col_sum, exceed, plus, minus
 
 
 def grid_counts(eta: Composition, perm: Sequence[int]) -> tuple[int, int, int, int]:
     """(sum of i_set columns, |i_set|, |n_plus_set|, |n_minus_set|) for any perm."""
-    return block_grid_counts(perm, block_lookup(eta))[1:]
+    return block_grid_counts(perm, column_masks(eta))[1:]
 
 
 def den(eta: Composition, perm: Sequence[int]) -> int:
@@ -391,4 +435,4 @@ def den(eta: Composition, perm: Sequence[int]) -> int:
     its meaning only on admissible permutations.
     """
     perm = check_admissible(eta, perm)
-    return block_grid_counts(perm, block_lookup(eta))[0]
+    return block_grid_counts(perm, column_masks(eta))[0]

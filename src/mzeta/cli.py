@@ -325,7 +325,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
         return 0
     if args.series_terms < 1:
         raise ValueError("--series-terms must be positive")
-    series = rational.series(args.series_terms)
+    series = rational.series(args.series_terms, budget=args.budget)
     if args.format == "json":
         _emit_json(
             args,

@@ -189,7 +189,12 @@ def cyclotomic(d: int) -> UniPoly:
     return poly
 
 
-@lru_cache(maxsize=1024)
+# Results of degree m*k above this are built on every call, not cached: one
+# result of degree 1024 takes about 40 KB, so the 1024 cache entries stay
+# near 40 MB at most, where a single (600, 600) result takes about 60 MB.
+_CACHED_DEGREE = 1024
+
+
 def gaussian_binomial(m: int, k: int) -> UniPoly:
     """The Gaussian binomial (m+k choose k)_x.
 
@@ -201,12 +206,20 @@ def gaussian_binomial(m: int, k: int) -> UniPoly:
     (1 - x^(max(m, k)+i)) / (1 - x^i), each factor one pass over the
     coefficients with exact division.  Each coefficient depends only on lower
     ones, so only the lower half is built and the palindrome gives the rest.
+    Results of degree m*k up to _CACHED_DEGREE are kept in a bounded cache,
+    whose cache_info and cache_clear this function carries.
 
     >>> gaussian_binomial(1, 1)
     UniPoly((1, 1))
     """
     if m < 0 or k < 0:
         raise ValueError("gaussian_binomial needs nonnegative arguments")
+    if m * k > _CACHED_DEGREE:
+        return _build_gaussian_binomial(m, k)
+    return _cached_gaussian_binomial(m, k)
+
+
+def _build_gaussian_binomial(m: int, k: int) -> UniPoly:
     m, k = max(m, k), min(m, k)
     top = m * k
     half = top // 2
@@ -221,6 +234,11 @@ def gaussian_binomial(m: int, k: int) -> UniPoly:
         for r in range(i):
             c[r::i] = accumulate(c[r::i])
     return UniPoly(c + c[:top - half][::-1])
+
+
+_cached_gaussian_binomial = lru_cache(maxsize=1024)(_build_gaussian_binomial)
+gaussian_binomial.cache_info = _cached_gaussian_binomial.cache_info
+gaussian_binomial.cache_clear = _cached_gaussian_binomial.cache_clear
 
 
 def format_terms(terms: Iterable[tuple[int, int, int]]) -> str:

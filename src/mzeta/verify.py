@@ -9,11 +9,11 @@ compares the observed functional equation against the rectangle prediction.
 On failure the first counterexample is captured in the detail string.
 
 The cell-count checks (Lemmas 4.2 and 4.3) take the cell side of each
-identity from one grid_rows scan per permutation (the n_plus and n_minus
-row lengths) and the counting kernels cut_counts and m_counts of admissible,
-which build no cell set, and the word side from inv and imv on the projected
-inverse word.  The cell-set functions stay the reference for those kernels
-in the tests.
+identity from one grid_rows scan per permutation (the bit counts of the
+n_plus and n_minus row masks) and the counting kernels cut_counts and
+m_counts of admissible, which build no cell set, and the word side from inv
+and imv on the projected inverse word.  The cell-set functions stay the
+reference for those kernels in the tests.
 """
 from __future__ import annotations
 
@@ -134,16 +134,17 @@ def check_nonexceeding_inversions(eta: Composition, budget: int = zeta.DEFAULT_B
     has exactly as many cells as the non-exceeding subword of the projected
     inverse has inversions.
 
-    The cell side is the sum of the n_plus row lengths of grid_rows over the
-    rows with block(i) <= block(sigma(i)); the word side is inv on the word,
-    computed independently of the grid.
+    The cell side is the sum of the n_plus row mask bit counts of grid_rows
+    over the rows with block(i) <= block(sigma(i)); the word side is inv on
+    the word, computed independently of the grid.
     """
     zeta._check_budget(eta.word_count(), budget)
     blocks = adm.block_lookup(eta)
+    masks = adm.column_masks(eta)
     for perm in adm.admissible_perms(eta):
-        rows = adm.grid_rows(blocks, perm)
+        rows = adm.grid_rows(masks, perm)
         low = sum(
-            len(plus)
+            plus.bit_count()
             for i, (plus, _) in enumerate(rows, start=1)
             if blocks[i] <= blocks[perm[i - 1]]
         )
@@ -162,21 +163,22 @@ def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT
     n_minus plus iexc, and the same identity holds row by row through the
     u-set counts.
 
-    The cell side takes the n_plus and n_minus row lengths of grid_rows, the
-    u_set and u_inv_set sizes of every cut from cut_counts, and the m_sets
-    sizes of every high row from m_counts.  The word side is imv on the
-    word, computed independently of the grid.
+    The cell side takes the n_plus and n_minus row mask bit counts of
+    grid_rows, the u_set and u_inv_set sizes of every cut from cut_counts,
+    and the m_sets sizes of every high row from m_counts.  The word side is
+    imv on the word, computed independently of the grid.
     """
     zeta._check_budget(eta.word_count(), budget)
     blocks = adm.block_lookup(eta)
+    masks = adm.column_masks(eta)
     for perm in adm.admissible_perms(eta):
-        rows = adm.grid_rows(blocks, perm)
+        rows = adm.grid_rows(masks, perm)
         # The rows of i_set, in order, with their m_sets sizes.
         high_rows = adm.m_counts(blocks, perm)
-        high = sum(len(rows[j0 - 1][0]) for j0, _, _ in high_rows)
+        high = sum(rows[j0 - 1][0].bit_count() for j0, _, _ in high_rows)
         word = adm.project_perm(eta, wd.inverse(perm))
         target = wd.imv(wd.exceeding_subword(word, eta))
-        minus = sum(len(row_minus) for _, row_minus in rows)
+        minus = sum(row_minus.bit_count() for _, row_minus in rows)
         exceed = len(high_rows)
         if high != target + minus + exceed:
             return _by_eta(
@@ -190,15 +192,16 @@ def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT
         for j0, meq, mgt in high_rows:
             cut = blocks[j0]
             row_high, row_minus = rows[j0 - 1]
-            lhs = meq + mgt + len(row_minus) + 1
-            if not lhs == u[cut] == u_inv[cut] == len(row_high):
+            n_high = row_high.bit_count()
+            lhs = meq + mgt + row_minus.bit_count() + 1
+            if not lhs == u[cut] == u_inv[cut] == n_high:
                 return _by_eta(
                     "lemma43",
                     eta,
                     False,
                     f"sigma={perm}, row {j0}: "
                     f"m+m+minus+1={lhs}, |u|={u[cut]}, |u_inv|={u_inv[cut]}, "
-                    f"|row high|={len(row_high)}",
+                    f"|row high|={n_high}",
                 )
             row_total += meq + mgt
         if row_total != target:

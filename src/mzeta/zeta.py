@@ -104,7 +104,7 @@ def _check_budget(size: int, budget: int) -> None:
 # kernel is (module, attribute, contextual).  joint_distribution looks it up
 # on its module once per call, so a replaced attribute takes effect, and
 # passes a contextual kernel the domain's context as second argument: the
-# trivial word for words, the block lookup for admissible permutations.
+# trivial word for words, the column-mask table for admissible permutations.
 _DESCENT = (wd, "descent_stats", False)
 _EXCEDANCE = (wd, "excedance_stats", True)
 _GRID = (adm, "block_grid_counts", True)
@@ -171,7 +171,7 @@ def _domain_objects(
     if domain == "words":
         return wd.words(eta), eta.trivial_word
     if domain == "admissible":
-        return adm.admissible_perms(eta), adm.block_lookup(eta)
+        return adm.admissible_perms(eta), adm.column_masks(eta)
     if domain == "B":
         return signed.signed_perms(n), None
     return signed.even_signed_perms(n), None
@@ -498,7 +498,7 @@ class RationalW:
             denom *= factor
         return Fraction(self.numerator.evaluate(Fraction(q), Fraction(t))) / denom
 
-    def series(self, terms: int) -> list[UniPoly]:
+    def series(self, terms: int, *, budget: int = DEFAULT_BUDGET) -> list[UniPoly]:
         """The first y-series coefficients, each an integer polynomial in x.
 
         >>> RationalW(BiPoly.one(), (0, 1)).series(3)
@@ -510,13 +510,21 @@ class RationalW:
         nothing above y^top reaches a kept slot.  A kept coefficient has
         x-degree below span and size at most ||N||_1 * C(top + d, d),
         d = len(exponents).
+
+        The span * terms slots are charged against the budget before anything
+        is packed; BudgetError if they exceed it.
         """
         if terms <= 0:
             return []
         top = terms - 1
         num, exps = self.numerator, self.denom_exponents
-        w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
         span = max(num.degree_x(), 0) + top * max(exps, default=0) + 1
+        if span * terms > budget:
+            raise BudgetError(
+                f"series of {terms} terms packs {span * terms} slots, "
+                f"which exceeds the budget of {budget}"
+            )
+        w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
         bits = w * span * terms
         rows = num.y_coefficients().items()
         value = sum(p.evaluate(1 << w) << (w * span * b) for b, p in rows if b <= top)

@@ -3,12 +3,15 @@ from the worked 10-letter example."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzeta.admissible import (
     admissible_perms,
     admissible_to_word,
+    block_grid_counts,
     block_index,
     block_lookup,
+    column_masks,
     cut_counts,
     den,
     grid_counts,
@@ -33,8 +36,12 @@ from mzeta.multiset import (
     denh,
     exc,
     exc_set,
+    exceeding_subword,
     identity,
+    imv,
+    inv,
     inverse,
+    nonexceeding_subword,
     standardize,
     words,
 )
@@ -362,3 +369,129 @@ class TestDen:
             word = project_perm(eta, inverse(sigma))
             assert den(eta, sigma) == denh(word, eta)
             assert iexc(eta, sigma) == exc(word, eta)
+
+
+def reference_admissible_perms(eta):
+    """The recursive enumerator the iterative walk of admissible_perms
+    replaced: its order is the one the first-counterexample details follow."""
+    n = eta.n
+    if eta.r == n:
+        yield from itertools.permutations(range(1, n + 1))
+        return
+    parts = eta.parts
+
+    def rec(avail, k):
+        if k == len(parts):
+            yield ()
+            return
+        for chosen in itertools.combinations(avail, parts[k]):
+            taken = set(chosen)
+            rest = tuple(v for v in avail if v not in taken)
+            for tail in rec(rest, k + 1):
+                yield chosen + tail
+
+    yield from rec(tuple(range(1, n + 1)), 0)
+
+
+def reference_grid_counts(perm, blocks):
+    """The per-cell O(n^2) counting loop the mask scan of block_grid_counts
+    replaced: (den, i_set column sum, |i_set|, |n_plus|, |n_minus|)."""
+    n = len(perm)
+    inv_perm = inverse(perm)
+    col_sum = 0
+    exceed = 0
+    for j in range(1, n + 1):
+        if blocks[inv_perm[j - 1]] > blocks[j]:
+            col_sum += j
+            exceed += 1
+    plus = 0
+    minus = 0
+    for i in range(1, n + 1):
+        bi = blocks[i]
+        for j in range(perm[i - 1] + 1, n + 1):
+            if inv_perm[j - 1] < i:
+                if bi <= blocks[j]:
+                    plus += 1
+            elif bi > blocks[j]:
+                minus += 1
+    return col_sum + plus - minus - exceed, col_sum, exceed, plus, minus
+
+
+class TestAgainstReference:
+    """The walk and the den kernel against the code they replaced, on every
+    composition the sweep covers."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_and_kernel(self, n):
+        for eta in compositions_of(n):
+            perms = list(admissible_perms(eta))
+            assert perms == list(reference_admissible_perms(eta)), eta
+            blocks, masks = block_lookup(eta), column_masks(eta)
+            for sigma in perms:
+                assert block_grid_counts(sigma, masks) == reference_grid_counts(sigma, blocks)
+
+
+@st.composite
+def large_admissible(draw):
+    """A composition of n = 20..40 and a random admissible permutation of it:
+    a random ordered set partition of 1..n with block sizes eta, each block
+    sorted."""
+    n = draw(st.integers(20, 40))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    bounds = [0, *cuts, n]
+    eta = Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    values = draw(st.permutations(range(1, n + 1)))
+    sigma = tuple(v for a, b in zip(bounds, bounds[1:]) for v in sorted(values[a:b]))
+    return eta, sigma
+
+
+def _mask(cells):
+    return sum(1 << j for _, j in cells)
+
+
+class TestLargeRandom:
+    """Random admissible permutations at n = 20..40, beyond the exhaustive
+    sweeps (n <= 7); from n = 30 on a row mask spans more than one 30-bit
+    digit of a Python int."""
+
+    @given(large_admissible())
+    @settings(max_examples=40, deadline=None)
+    def test_cell_sets_match_brute_force(self, case):
+        eta, sigma = case
+        assert is_admissible(eta, sigma)
+        plus, minus, low, high, _ = brute_force_cells(eta, sigma)
+        assert n_plus_set(eta, sigma) == plus
+        assert n_minus_set(eta, sigma) == minus
+        assert n_plus_split(eta, sigma) == (low, high)
+        cells = i_set(eta, sigma)
+        assert grid_counts(eta, sigma) == (sum(j for _, j in cells), len(cells), len(plus), len(minus))
+
+    @given(large_admissible())
+    @settings(max_examples=40, deadline=None)
+    def test_lemma_identities(self, case):
+        eta, sigma = case
+        _, minus, low, high, block = brute_force_cells(eta, sigma)
+        word = project_perm(eta, inverse(sigma))
+        # Lemma 4.2.
+        assert len(low) == inv(nonexceeding_subword(word, eta))
+        # Lemma 4.3, for the whole grid.
+        target = imv(exceeding_subword(word, eta))
+        exceeding = i_set(eta, sigma)
+        assert len(high) == target + len(minus) + len(exceeding)
+        # Lemma 4.3, row by row, on the kernels the lemma43 check reads.
+        blocks = block_lookup(eta)
+        rows = grid_rows(column_masks(eta), sigma)
+        u, u_inv = cut_counts(blocks, sigma)
+        counts = m_counts(blocks, sigma)
+        assert [j0 for j0, _, _ in counts] == sorted(j0 for j0, _ in exceeding)
+        total = 0
+        for j0, meq, mgt in counts:
+            assert (meq, mgt) == tuple(map(len, m_sets(eta, sigma, j0)))
+            cut = block[j0]
+            assert (u[cut], u_inv[cut]) == (len(u_set(eta, sigma, cut)), len(u_inv_set(eta, sigma, cut)))
+            row_high = {c for c in high if c[0] == j0}
+            row_minus = {c for c in minus if c[0] == j0}
+            assert rows[j0 - 1] == (_mask(row_high), _mask(row_minus))
+            assert meq + mgt + len(row_minus) + 1 == u[cut] == u_inv[cut] == len(row_high)
+            total += meq + mgt
+        assert total == target

@@ -347,6 +347,19 @@ class TestZeta:
         code, _, err = run(capsys, "zeta", "--eta", "2,1", "--q", "2", "--t", "1/2")
         assert code == 2
 
+    def test_series_terms_charged_to_budget(self, capsys):
+        # 100 terms of W_{2,1} pack 100 * 201 slots; the budget covers them.
+        argv = ("zeta", "--eta", "2,1", "--series-terms", "100")
+        code, out, err = run(capsys, *argv, "--budget", "10")
+        assert (code, out) == (3, "")
+        assert err == "error: series of 100 terms packs 20100 slots, which exceeds the budget of 10\n"
+        assert run(capsys, *argv, "--budget", "20100")[0] == 0
+
+    def test_million_series_terms_exit_3_under_default_budget(self, capsys):
+        code, out, err = run(capsys, "zeta", "--eta", "2,1", "--series-terms", "1000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: series of 1000000 terms packs ")
+
     def test_mode_required(self, capsys):
         code, _, _ = run(capsys, "zeta", "--eta", "2,1")
         assert code == 2

@@ -94,6 +94,8 @@ CORPUS = [
     ["dist", "--domain", "B", "--n", "7", "--pair", "nden,excabs", "--budget", "10"],
     ["dist", "--domain", "admissible", "--eta", "1,1,2", "--pair", "den,iexc", "--format", "json"],
     ["dist", "--domain", "D", "--n", "-2", "--pair", "dden,dexc"],
+    # The series is charged its packed slot count (100 terms, span 201).
+    ["zeta", "--eta", "2,1", "--series-terms", "100", "--budget", "10"],
 ]
 
 

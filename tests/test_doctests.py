@@ -1,9 +1,15 @@
 """The docstring examples are real: run them."""
 import doctest
 
+import mzeta.admissible
 import mzeta.multiset
 import mzeta.poly
 import mzeta.zeta
+
+
+def test_admissible_doctests():
+    failures, tried = doctest.testmod(mzeta.admissible)
+    assert tried and not failures
 
 
 def test_multiset_doctests():

@@ -141,6 +141,18 @@ class TestGaussianBinomial:
         finally:
             gaussian_binomial.cache_clear()
 
+    def test_cache_keeps_small_results_only(self):
+        # Degree 40 * 30 = 1200 is built on every call and not kept; a small
+        # argument is still served from the cache.
+        before = gaussian_binomial.cache_info().currsize
+        assert gaussian_binomial(40, 30) == gaussian_binomial(30, 40)
+        assert gaussian_binomial(40, 30).evaluate(1) == math.comb(70, 30)
+        assert gaussian_binomial.cache_info().currsize == before
+        gaussian_binomial(3, 2)
+        hits = gaussian_binomial.cache_info().hits
+        assert gaussian_binomial(3, 2) == UniPoly((1, 1, 2, 2, 2, 1, 1))
+        assert gaussian_binomial.cache_info().hits == hits + 1
+
 
 class TestBiPoly:
     def test_canonical(self):

@@ -454,6 +454,14 @@ class TestRationalW:
         series = RationalW.for_composition(Composition((1, 1))).series(3)
         assert series == [UniPoly((1,)), UniPoly((1, 2)), UniPoly((1, 2, 2))]
 
+    def test_series_budget(self):
+        # x-degree 0, top 2, largest exponent 1: span 3, so 3 terms pack 9 slots.
+        rational = RationalW(BiPoly.one(), (0, 1))
+        assert rational.series(3, budget=9) == rational.series(3)
+        with pytest.raises(BudgetError, match="packs 9 slots"):
+            rational.series(3, budget=8)
+        assert rational.series(0, budget=0) == []
+
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (3,), (2, 2)])
     def test_series_against_oracle(self, parts):
         rational = RationalW.for_composition(Composition(parts))
