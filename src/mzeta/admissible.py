@@ -33,10 +33,10 @@ n_minus_row and n_plus_high_row decode its masks into cells).  Both read the
 rows top down, keeping the mask of the values sigma(1..i-1) seen so far, so
 that sigma^{-1}(j) < i is bit j of that mask and no inverse is built, and
 both share one column-mask table per eta, column_masks, which gives each
-row the columns of the blocks at least and below its own.  cut_counts and
-m_counts give the sizes of the per-cut and per-high-row cell sets without
-building them; the lemma checks of verify run on these counts and on the
-bit counts of the grid_rows masks.
+row the columns of the blocks at least and below its own.  cut_counts gives
+the sizes of the per-cut cell sets without building them.  The lemma checks
+of verify read column_masks directly, in scans of their own that count the
+cells of each row, and take the per-cut counts from cut_counts.
 
 Everything here is a pure function of (eta, sigma); cell sets are returned
 as frozensets of (row, column) pairs.
@@ -359,28 +359,6 @@ def m_sets(
         elif i > j0 and blocks[i] > bj0:
             higher_block.add((j0, si))
     return frozenset(equal_block), frozenset(higher_block)
-
-
-def m_counts(blocks: Sequence[int], perm: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(j0, |meq|, |mgt|) for every row j0 of i_set, in order, where
-    (meq, mgt) = m_sets(eta, perm, j0).
-
-    blocks is block_lookup(eta).  Only rows of i_set can contribute a cell to
-    either set, so the count runs over pairs of those rows.
-    """
-    high = [(i, v) for i, v in enumerate(perm, start=1) if blocks[i] > blocks[v]]
-    out = []
-    for j0, sj0 in high:
-        bj0 = blocks[j0]
-        equal_block = higher_block = 0
-        for i, si in high:
-            if si < sj0:
-                if blocks[i] > bj0:
-                    higher_block += 1
-                elif i < j0 and blocks[i] == bj0:
-                    equal_block += 1
-        out.append((j0, equal_block, higher_block))
-    return out
 
 
 def n_minus_row(eta: Composition, perm: Sequence[int], j0: int) -> frozenset[Cell]:

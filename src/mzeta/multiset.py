@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_left, bisect_right, insort
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -229,23 +230,29 @@ def excedance_stats(w: Sequence[int], triv: Sequence[int]) -> tuple[int, int]:
     trivial word of eta these are exc(w, eta) and denh(w, eta); signed
     windows pass their absolute values with triv = 1..n.
 
+    One pass over w builds no subword: it keeps the exceeding and the
+    non-exceeding letters read so far as two sorted lists, and a bisect into
+    them counts the earlier exceeding letters >= a (the weak inversions a
+    closes) or the earlier non-exceeding letters > a (the inversions).
+
     >>> excedance_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1), (1, 1, 1, 2, 2, 3, 3, 4, 4, 4))
     (5, 27)
     >>> excedance_stats((3, 1, 2), range(1, 4))
     (1, 1)
     """
-    pos_sum = 0
+    total = 0
     exceeding: list[int] = []
     rest: list[int] = []
     i = 0
     for a in w:
         i += 1
         if a > triv[i - 1]:
-            pos_sum += i
-            exceeding.append(a)
+            total += i + len(exceeding) - bisect_left(exceeding, a)
+            insort(exceeding, a)
         else:
-            rest.append(a)
-    return len(exceeding), pos_sum + imv(exceeding) + inv(rest)
+            total += len(rest) - bisect_right(rest, a)
+            insort(rest, a)
+    return len(exceeding), total
 
 
 def denh(w: Sequence[int], eta: Composition) -> int:

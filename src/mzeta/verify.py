@@ -8,17 +8,21 @@ admissible permutation (and every qualifying row), and the reciprocity check
 compares the observed functional equation against the rectangle prediction.
 On failure the first counterexample is captured in the detail string.
 
-The cell-count checks (Lemmas 4.2 and 4.3) take the cell side of each
-identity from one grid_rows scan per permutation (the bit counts of the
-n_plus and n_minus row masks) and the counting kernels cut_counts and
-m_counts of admissible, which build no cell set, and the word side from inv
-and imv on the projected inverse word.  The cell-set functions stay the
-reference for those kernels in the tests.
+The cell-count checks (Lemmas 4.2 and 4.3) run one function per admissible
+permutation, which returns the failure detail or None.  Each reads the grid
+rows top down with the column_masks table of admissible, as grid_rows does,
+and takes the cell side of its identity from bit counts of the row masks
+without collecting them or building any cell set; in the same pass it writes
+the projected inverse word.  The word side is inv on the non-exceeding or
+imv on the exceeding subword of that word, and the per-cut counts of Lemma
+4.3 come from cut_counts of admissible, both computed independently of the
+grid.  The cell-set functions stay the
+reference for these counts in the tests.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import admissible as adm
 from . import multiset as wd
@@ -129,86 +133,123 @@ def check_euler_mahonian_den(eta: Composition, budget: int = zeta.DEFAULT_BUDGET
     return _poly_equality("euler-mahonian-den", f"eta={eta}", size, polys)
 
 
-def check_nonexceeding_inversions(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
-    """Lemma 4.2, per admissible permutation: the low part of n_plus_split
-    has exactly as many cells as the non-exceeding subword of the projected
-    inverse has inversions.
+def nonexceeding_inversions_failure(
+    eta: Composition, blocks: Sequence[int], masks: Sequence[tuple[int, int]], perm: Sequence[int]
+) -> str | None:
+    """Lemma 4.2 for one admissible permutation: the failure detail, or None
+    when the low part of n_plus_split has exactly as many cells as the
+    non-exceeding subword of the projected inverse has inversions.
 
-    The cell side is the sum of the n_plus row mask bit counts of grid_rows
-    over the rows with block(i) <= block(sigma(i)); the word side is inv on
-    the word, computed independently of the grid.
+    blocks and masks are block_lookup(eta) and column_masks(eta).  One top
+    down pass reads the rows as grid_rows does, adds the n_plus mask bit
+    counts of the rows with block(i) <= block(sigma(i)), and writes the
+    projected inverse word, word[sigma(i) - 1] = block(i).  The word side is
+    inv on its non-exceeding subword, computed independently of the grid.
     """
+    word = [0] * len(perm)
+    seen = low = 0
+    i = 0
+    for v, (ge, lt) in zip(perm, masks):
+        i += 1
+        if not lt >> v & 1:
+            low += (-2 << v & seen & ge).bit_count()
+        seen |= 1 << v
+        word[v - 1] = blocks[i]
+    expected = wd.inv(wd.nonexceeding_subword(word, eta))
+    if low != expected:
+        return f"sigma={perm}: |low cells|={low}, inversions={expected}"
+    return None
+
+
+def exceeding_weak_inversions_failure(
+    eta: Composition, blocks: Sequence[int], masks: Sequence[tuple[int, int]], perm: Sequence[int]
+) -> str | None:
+    """Lemma 4.3 for one admissible permutation: the failure detail, or None
+    when the high part of n_plus_split is accounted for by the weak
+    inversions of the exceeding subword plus n_minus plus iexc, and the same
+    identity holds row by row through the u-set counts.
+
+    blocks and masks are block_lookup(eta) and column_masks(eta).  A high
+    row is a row j0 of i_set.  One top down pass reads the rows as grid_rows
+    does, writes the projected inverse word, and keeps by_block[b], the mask
+    of the values of the high rows of block b seen so far.  For each high
+    row it takes the n_plus and n_minus mask bit counts and |meq| of m_sets,
+    the bits of by_block[block(j0)] below sigma(j0).  Once the whole-grid
+    identity holds, suffix ORs turn by_block[b] into the values of the high
+    rows of the blocks after b, and |mgt| is its bits below sigma(j0).  The
+    word side is imv on the exceeding subword and the per-cut counts come
+    from cut_counts, both computed independently of the grid.  The failures
+    are reported in order: the whole grid, the first failing row, the row
+    total.
+    """
+    top = max(blocks)
+    by_block = [0] * (top + 1)
+    word = [0] * len(perm)
+    # (j0, sigma(j0), block(j0), |meq|, n_minus bit count, n_plus bit count)
+    # of each high row.
+    high_rows = []
+    seen = high = minus = 0
+    i = 0
+    for v, (ge, lt) in zip(perm, masks):
+        i += 1
+        b = blocks[i]
+        word[v - 1] = b
+        above = -2 << v
+        row_minus = (above & ~seen & lt).bit_count()
+        minus += row_minus
+        bit = 1 << v
+        if lt & bit:
+            row_high = (above & seen & ge).bit_count()
+            high += row_high
+            high_rows.append((i, v, b, (by_block[b] & (bit - 1)).bit_count(), row_minus, row_high))
+            by_block[b] |= bit
+        seen |= bit
+    target = wd.imv(wd.exceeding_subword(word, eta))
+    exceed = len(high_rows)
+    if high != target + minus + exceed:
+        return f"sigma={perm}: |high cells|={high}, imv+minus+iexc={target}+{minus}+{exceed}"
+    u, u_inv = adm.cut_counts(blocks, perm)
+    later = 0
+    for b in range(top, -1, -1):
+        by_block[b], later = later, later | by_block[b]
+    row_total = 0
+    for j0, v, cut, meq, row_minus, n_high in high_rows:
+        m = meq + (by_block[cut] & ((1 << v) - 1)).bit_count()
+        lhs = m + row_minus + 1
+        if not lhs == u[cut] == u_inv[cut] == n_high:
+            return (
+                f"sigma={perm}, row {j0}: "
+                f"m+m+minus+1={lhs}, |u|={u[cut]}, |u_inv|={u_inv[cut]}, |row high|={n_high}"
+            )
+        row_total += m
+    if row_total != target:
+        return f"sigma={perm}: row m-cells total {row_total}, imv={target}"
+    return None
+
+
+def _each_admissible(
+    check: str, failure: Callable[..., str | None], eta: Composition, budget: int
+) -> CheckResult:
+    """Run a per-permutation check over the admissible permutations of eta;
+    the first failure detail fails the check."""
     zeta._check_budget(eta.word_count(), budget)
     blocks = adm.block_lookup(eta)
     masks = adm.column_masks(eta)
     for perm in adm.admissible_perms(eta):
-        rows = adm.grid_rows(masks, perm)
-        low = sum(
-            plus.bit_count()
-            for i, (plus, _) in enumerate(rows, start=1)
-            if blocks[i] <= blocks[perm[i - 1]]
-        )
-        word = adm.project_perm(eta, wd.inverse(perm))
-        expected = wd.inv(wd.nonexceeding_subword(word, eta))
-        if low != expected:
-            return _by_eta(
-                "lemma42", eta, False, f"sigma={perm}: |low cells|={low}, inversions={expected}"
-            )
-    return _by_eta("lemma42", eta, True, f"domain size {eta.word_count()}")
+        detail = failure(eta, blocks, masks, perm)
+        if detail is not None:
+            return _by_eta(check, eta, False, detail)
+    return _by_eta(check, eta, True, f"domain size {eta.word_count()}")
+
+
+def check_nonexceeding_inversions(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
+    """Lemma 4.2 on every admissible permutation (nonexceeding_inversions_failure)."""
+    return _each_admissible("lemma42", nonexceeding_inversions_failure, eta, budget)
 
 
 def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
-    """Lemma 4.3, per admissible permutation: the high part of n_plus_split
-    is accounted for by weak inversions of the exceeding subword plus
-    n_minus plus iexc, and the same identity holds row by row through the
-    u-set counts.
-
-    The cell side takes the n_plus and n_minus row mask bit counts of
-    grid_rows, the u_set and u_inv_set sizes of every cut from cut_counts,
-    and the m_sets sizes of every high row from m_counts.  The word side is
-    imv on the word, computed independently of the grid.
-    """
-    zeta._check_budget(eta.word_count(), budget)
-    blocks = adm.block_lookup(eta)
-    masks = adm.column_masks(eta)
-    for perm in adm.admissible_perms(eta):
-        rows = adm.grid_rows(masks, perm)
-        # The rows of i_set, in order, with their m_sets sizes.
-        high_rows = adm.m_counts(blocks, perm)
-        high = sum(rows[j0 - 1][0].bit_count() for j0, _, _ in high_rows)
-        word = adm.project_perm(eta, wd.inverse(perm))
-        target = wd.imv(wd.exceeding_subword(word, eta))
-        minus = sum(row_minus.bit_count() for _, row_minus in rows)
-        exceed = len(high_rows)
-        if high != target + minus + exceed:
-            return _by_eta(
-                "lemma43",
-                eta,
-                False,
-                f"sigma={perm}: |high cells|={high}, imv+minus+iexc={target}+{minus}+{exceed}",
-            )
-        u, u_inv = adm.cut_counts(blocks, perm)
-        row_total = 0
-        for j0, meq, mgt in high_rows:
-            cut = blocks[j0]
-            row_high, row_minus = rows[j0 - 1]
-            n_high = row_high.bit_count()
-            lhs = meq + mgt + row_minus.bit_count() + 1
-            if not lhs == u[cut] == u_inv[cut] == n_high:
-                return _by_eta(
-                    "lemma43",
-                    eta,
-                    False,
-                    f"sigma={perm}, row {j0}: "
-                    f"m+m+minus+1={lhs}, |u|={u[cut]}, |u_inv|={u_inv[cut]}, "
-                    f"|row high|={n_high}",
-                )
-            row_total += meq + mgt
-        if row_total != target:
-            return _by_eta(
-                "lemma43", eta, False, f"sigma={perm}: row m-cells total {row_total}, imv={target}"
-            )
-    return _by_eta("lemma43", eta, True, f"domain size {eta.word_count()}")
+    """Lemma 4.3 on every admissible permutation (exceeding_weak_inversions_failure)."""
+    return _each_admissible("lemma43", exceeding_weak_inversions_failure, eta, budget)
 
 
 def _signed_equidistribution(

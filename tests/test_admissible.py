@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mzeta.multiset as wd
 from mzeta.admissible import (
     admissible_perms,
     admissible_to_word,
@@ -19,7 +20,6 @@ from mzeta.admissible import (
     i_set,
     iexc,
     is_admissible,
-    m_counts,
     m_sets,
     n_minus_row,
     n_minus_set,
@@ -45,7 +45,11 @@ from mzeta.multiset import (
     standardize,
     words,
 )
-from mzeta.verify import compositions_of
+from mzeta.verify import (
+    compositions_of,
+    exceeding_weak_inversions_failure,
+    nonexceeding_inversions_failure,
+)
 from test_multiset import small_compositions
 
 ETA = Composition((3, 2, 2, 3))
@@ -308,8 +312,28 @@ class TestRowSets:
                 assert n_plus_high_row(eta, sigma, j0) == {c for c in high if c[0] == j0}
 
 
+def reference_m_counts(blocks, perm):
+    """(j0, |meq|, |mgt|) for every row j0 of i_set, in order, where
+    (meq, mgt) = m_sets(eta, perm, j0): the O(h^2) counting loop over pairs
+    of i_set rows that the lemma43 check used before it counted by masks.
+    blocks is block_lookup(eta)."""
+    high = [(i, v) for i, v in enumerate(perm, start=1) if blocks[i] > blocks[v]]
+    out = []
+    for j0, sj0 in high:
+        bj0 = blocks[j0]
+        equal_block = higher_block = 0
+        for i, si in high:
+            if si < sj0:
+                if blocks[i] > bj0:
+                    higher_block += 1
+                elif i < j0 and blocks[i] == bj0:
+                    equal_block += 1
+        out.append((j0, equal_block, higher_block))
+    return out
+
+
 class TestCountingKernels:
-    """The counting kernels of the lemma checks against the cell sets."""
+    """cut_counts and the m_sets count reference against the cell sets."""
 
     def test_worked_example(self):
         u, u_inv = cut_counts(block_lookup(ETA), SIGMA)
@@ -330,7 +354,7 @@ class TestCountingKernels:
                 for j0, _ in sorted(i_set(eta, sigma)):
                     meq, mgt = m_sets(eta, sigma, j0)
                     expected.append((j0, len(meq), len(mgt)))
-                assert m_counts(blocks, sigma) == expected
+                assert reference_m_counts(blocks, sigma) == expected
 
 
 class TestDen:
@@ -478,11 +502,12 @@ class TestLargeRandom:
         target = imv(exceeding_subword(word, eta))
         exceeding = i_set(eta, sigma)
         assert len(high) == target + len(minus) + len(exceeding)
-        # Lemma 4.3, row by row, on the kernels the lemma43 check reads.
-        blocks = block_lookup(eta)
-        rows = grid_rows(column_masks(eta), sigma)
+        # Lemma 4.3, row by row, on the row masks, cut_counts and the m_sets
+        # count reference.
+        blocks, masks = block_lookup(eta), column_masks(eta)
+        rows = grid_rows(masks, sigma)
         u, u_inv = cut_counts(blocks, sigma)
-        counts = m_counts(blocks, sigma)
+        counts = reference_m_counts(blocks, sigma)
         assert [j0 for j0, _, _ in counts] == sorted(j0 for j0, _ in exceeding)
         total = 0
         for j0, meq, mgt in counts:
@@ -495,3 +520,14 @@ class TestLargeRandom:
             assert meq + mgt + len(row_minus) + 1 == u[cut] == u_inv[cut] == len(row_high)
             total += meq + mgt
         assert total == target
+        # The per-permutation functions of the lemma checks pass, and with imv
+        # one too high lemma43 fails the whole-grid identity first.
+        assert nonexceeding_inversions_failure(eta, blocks, masks, sigma) is None
+        assert exceeding_weak_inversions_failure(eta, blocks, masks, sigma) is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wd, "imv", lambda seq: imv(seq) + 1)
+            detail = exceeding_weak_inversions_failure(eta, blocks, masks, sigma)
+        assert detail == (
+            f"sigma={sigma}: |high cells|={len(high)}, "
+            f"imv+minus+iexc={target + 1}+{len(minus)}+{len(exceeding)}"
+        )

@@ -566,6 +566,17 @@ class TestParserReuse:
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+def test_python_dash_m_matches_in_process(capsys):
+    argv = ["stats", "--eta", "2,1", "--word", "211"]
+    code, out, err = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mzeta", *argv], capture_output=True, text=True, env=env
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+    assert (code, err) == (0, "") and out
+
+
 class TestOutput:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "poly.json"

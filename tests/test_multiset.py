@@ -12,6 +12,7 @@ from mzeta.multiset import (
     descent_set,
     exc,
     exc_set,
+    excedance_stats,
     exceeding_subword,
     imv,
     inv,
@@ -23,6 +24,8 @@ from mzeta.multiset import (
     standardize,
     words,
 )
+from mzeta.signed import abs_window, signed_perms
+from mzeta.verify import compositions_of
 
 ETA = Composition((3, 2, 2, 3))
 W = (4, 2, 3, 2, 3, 1, 4, 1, 4, 1)
@@ -204,6 +207,37 @@ class TestDenh:
         for w in words(eta):
             assert 0 <= des(w) <= bound
             assert 0 <= exc(w, eta) <= bound
+
+
+def reference_excedance_stats(w, triv):
+    """The subword form the one-pass excedance_stats replaced: imv of the
+    exceeding subword plus inv of the non-exceeding subword."""
+    pos_sum = 0
+    exceeding = []
+    rest = []
+    for i, a in enumerate(w, start=1):
+        if a > triv[i - 1]:
+            pos_sum += i
+            exceeding.append(a)
+        else:
+            rest.append(a)
+    return len(exceeding), pos_sum + imv(exceeding) + inv(rest)
+
+
+class TestExcedanceStatsAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_word(self, n):
+        for eta in compositions_of(n):
+            triv = eta.trivial_word
+            for w in words(eta):
+                assert excedance_stats(w, triv) == reference_excedance_stats(w, triv), w
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_absolute_window(self, n):
+        triv = range(1, n + 1)
+        for window in signed_perms(n):
+            absolute = abs_window(window)
+            assert excedance_stats(absolute, triv) == reference_excedance_stats(absolute, triv)
 
 
 class TestStandardize:
