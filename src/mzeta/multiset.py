@@ -120,7 +120,9 @@ def descent_set(w: Sequence[int]) -> set[int]:
 def descent_stats(w: Sequence[int]) -> tuple[int, int]:
     """(des, maj): the number of descents and the sum of their positions.
 
-    The one descent scan, for words and signed windows alike.
+    The descent scan of words, and of signed windows through
+    signed.type_a_stats; signed.b_stats and signed.d_stats run the same scan
+    inline, in the pass that also reads the signs.
 
     >>> descent_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1))
     (5, 25)

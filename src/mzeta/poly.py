@@ -278,6 +278,8 @@ class BiPoly:
                 raise ValueError(f"coefficients must be ints, got {v!r}")
             if v:
                 a, b = key
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"exponents must be ints, got {key!r}")
                 if a < 0 or b < 0:
                     raise ValueError(f"negative exponent pair ({a}, {b})")
                 data[key] = v

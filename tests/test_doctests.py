@@ -4,6 +4,7 @@ import doctest
 import mzeta.admissible
 import mzeta.multiset
 import mzeta.poly
+import mzeta.signed
 import mzeta.zeta
 
 
@@ -19,6 +20,11 @@ def test_multiset_doctests():
 
 def test_poly_doctests():
     failures, tried = doctest.testmod(mzeta.poly)
+    assert tried and not failures
+
+
+def test_signed_doctests():
+    failures, tried = doctest.testmod(mzeta.signed)
     assert tried and not failures
 
 

@@ -166,6 +166,13 @@ class TestBiPoly:
         with pytest.raises(ValueError):
             BiPoly({(0, 0): bad})
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, Fraction(1), "1"], ids=repr)
+    def test_rejects_non_int_exponents(self, bad):
+        with pytest.raises(ValueError, match="exponents must be ints"):
+            BiPoly({(bad, 0): 1})
+        with pytest.raises(ValueError, match="exponents must be ints"):
+            BiPoly({(0, bad): 1})
+
     def test_arithmetic(self):
         p = BiPoly.one() + BiPoly.monomial(1, 1)
         q = BiPoly.one() - BiPoly.monomial(1, 1)

@@ -1,25 +1,33 @@
 """Signed and even-signed statistics against brute-force oracles."""
+from fractions import Fraction
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzeta.multiset import des, maj
+from mzeta.multiset import des, descent_stats, excedance_stats, maj
 from mzeta.signed import (
+    BStats,
+    DStats,
+    abs_excedance_stats,
     b_stats,
     check_window,
     d_stats,
     even_signed_perms,
     excabs,
     is_even_signed,
+    is_signed_window,
     nden,
     nsp,
     signed_perms,
     type_a_stats,
 )
+from mzeta.zeta import InvariantError
 
 
-def random_windows(n_max=5):
+def random_windows(n_max=5, n_min=1):
     return (
-        st.integers(1, n_max)
+        st.integers(n_min, n_max)
         .flatmap(
             lambda n: st.tuples(
                 st.permutations(range(1, n + 1)),
@@ -39,6 +47,12 @@ class TestValidation:
             check_window((0, 1))
         with pytest.raises(ValueError):
             check_window((3, 1))
+
+    @pytest.mark.parametrize("window", [(1.0, 2), (True, 2), (-1, 2.0), (Fraction(1), 2)], ids=repr)
+    def test_rejects_non_int_entries(self, window):
+        assert not is_signed_window(window)
+        with pytest.raises(ValueError):
+            check_window(window)
 
 
 class TestTypeA:
@@ -162,3 +176,109 @@ class TestEquidistribution:
         lhs = Counter((d_stats(w).dden, d_stats(w).dexc) for w in even_signed_perms(n))
         rhs = Counter((d_stats(w).dmaj, d_stats(w).ddes) for w in even_signed_perms(n))
         assert lhs == rhs
+
+
+# The recursive walk and the multi-pass kernels that the cached-tail walk and
+# the one-pass kernels replaced, kept as references.
+
+
+def reference_windows(n, even):
+    def rec(avail, odd):
+        if even and len(avail) == 1:
+            yield (-avail[0],) if odd else avail
+            return
+        if not avail:
+            yield ()
+            return
+        for v in [-a for a in reversed(avail)] + list(avail):
+            rest = tuple(k for k in avail if k != abs(v))
+            for tail in rec(rest, odd != (v < 0)):
+                yield (v,) + tail
+
+    yield from rec(tuple(range(1, n + 1)), False)
+
+
+def reference_b_stats(window):
+    d, m = descent_stats(window)
+    negatives = [v for v in window if v < 0]
+    k = len(negatives)
+    return BStats(
+        neg=k,
+        ndes=d + k,
+        nmaj=m - sum(negatives),
+        fdes=2 * d + (1 if window and window[0] < 0 else 0),
+        fmaj=2 * m + k,
+    )
+
+
+def reference_abs_excedance_stats(window):
+    exc_abs, denh_abs = excedance_stats(tuple(abs(v) for v in window), range(1, len(window) + 1))
+    negatives = [v for v in window if v < 0]
+    return exc_abs + len(negatives), denh_abs - sum(negatives)
+
+
+def reference_nsp(window):
+    n = len(window)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if window[i] + window[j] < 0)
+
+
+def reference_d_stats(window):
+    if not is_even_signed(window):
+        raise ValueError(f"{tuple(window)} has an odd number of negative entries")
+    d, m = descent_stats(window)
+    low = [v for v in window if v < -1]
+    dneg = len(low)
+    low_sum = sum(low)
+    exc_abs, base = excedance_stats(tuple(abs(v) for v in window), range(1, len(window) + 1))
+    pairs = reference_nsp(window)
+    via_pairs = base + pairs
+    if via_pairs != base - low_sum - dneg:
+        raise InvariantError(f"dden mismatch on {tuple(window)}")
+    return DStats(
+        dneg=dneg,
+        ddes=d + dneg,
+        dmaj=m - low_sum - dneg,
+        dexc=exc_abs + dneg,
+        nsp=pairs,
+        dden=via_pairs,
+    )
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "n,even", [(n, even) for n in range(1, 7) for even in (False, True)] + [(7, True)]
+    )
+    def test_same_windows_in_the_same_order(self, n, even):
+        walk = even_signed_perms(n) if even else signed_perms(n)
+        missing = object()
+        for got, want in zip_longest(walk, reference_windows(n, even), fillvalue=missing):
+            assert got == want
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_b_kernels_on_every_window(self, n):
+        for w in signed_perms(n):
+            assert b_stats(w) == reference_b_stats(w)
+            assert abs_excedance_stats(w) == reference_abs_excedance_stats(w)
+            assert nsp(w) == reference_nsp(w)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_d_kernels_on_every_window(self, n):
+        for w in even_signed_perms(n):
+            assert d_stats(w) == reference_d_stats(w)
+
+    @given(random_windows(n_max=14, n_min=8))
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_on_wide_windows(self, window):
+        assert b_stats(window) == reference_b_stats(window)
+        assert abs_excedance_stats(window) == reference_abs_excedance_stats(window)
+        assert nsp(window) == reference_nsp(window)
+        if is_even_signed(window):
+            assert d_stats(window) == reference_d_stats(window)
+        else:
+            with pytest.raises(ValueError):
+                d_stats(window)
+
+    def test_walk_is_lazy(self):
+        # 2^12 12! windows: only a lazy walk returns the first one.
+        assert next(signed_perms(12)) == tuple(range(-12, 0))
+        assert next(even_signed_perms(12)) == tuple(range(-12, 0))
