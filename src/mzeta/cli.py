@@ -178,26 +178,7 @@ def _stats_for_perm(eta: Composition, perm: tuple[int, ...], verbose: bool) -> d
 
 def _stats_for_signed(window: tuple[int, ...], kind: str, verbose: bool) -> dict:
     window = signed.check_window(window)
-    d, m = signed.type_a_stats(window)
-    b = signed.b_stats(window)
-    excabs, nden = signed.abs_excedance_stats(window)
-    out: dict = {
-        "des": d,
-        "maj": m,
-        "neg": b.neg,
-        "ndes": b.ndes,
-        "nmaj": b.nmaj,
-        "fdes": b.fdes,
-        "fmaj": b.fmaj,
-        "excabs": excabs,
-        "nden": nden,
-    }
-    if kind == "D":
-        ds = signed.d_stats(window)
-        out.update(
-            dneg=ds.dneg, ddes=ds.ddes, dmaj=ds.dmaj,
-            dexc=ds.dexc, nsp=ds.nsp, dden=ds.dden,
-        )
+    out: dict = zeta.window_stats(kind, window)
     if verbose:
         out["abs"] = list(signed.abs_window(window))
     return out
@@ -259,26 +240,26 @@ def _verify_targets(args: argparse.Namespace):
         if by_eta:
             raise ValueError(f"check {args.check!r} takes --eta, not --n")
         return [args.n]
-    if args.all_eta_up_to is not None:
+    n_max = args.all_eta_up_to
+    if n_max is not None:
+        # A sweep is bounded as a whole, before any target is listed or runs.
+        count, total = verify.sweep_size(args.check, n_max)
+        if count > 1 and total > args.budget:
+            raise zeta.BudgetError(
+                f"sweep of {zeta.format_count(count)} targets has total domain size "
+                f"{zeta.format_count(total)}, which exceeds the budget of "
+                f"{zeta.format_count(args.budget)}"
+            )
         if by_eta:
-            return list(verify.compositions_up_to(args.all_eta_up_to))
+            return list(verify.compositions_up_to(n_max))
         # For the signed-group checks the composition is irrelevant; sweep n.
-        return list(range(1, args.all_eta_up_to + 1))
+        return list(range(1, n_max + 1))
     raise ValueError("choose a target: --eta, --n, or --all-eta-up-to")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     fn = CHECKS_BY_ETA.get(args.check) or CHECKS_BY_N[args.check]
-    targets = _verify_targets(args)
-    if len(targets) > 1:
-        # A sweep is bounded as a whole, before any target runs.
-        total = sum(verify.domain_size(args.check, target) for target in targets)
-        if total > args.budget:
-            raise zeta.BudgetError(
-                f"sweep of {len(targets)} targets has total domain size {total}, "
-                f"which exceeds the budget of {args.budget}"
-            )
-    results = [fn(target, args.budget) for target in targets]
+    results = [fn(target, args.budget) for target in _verify_targets(args)]
     all_passed = all(r.passed for r in results)
     if args.format == "json":
         _emit_json(
@@ -423,9 +404,15 @@ def _default_budget() -> int:
         raise ValueError(f"MZETA_BUDGET={raw!r} is not an integer")
 
 
+# Usage and help text wrap at 80 columns, whatever COLUMNS or the terminal
+# says, so the CLI's output is the same everywhere.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=80 - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzeta",
+        formatter_class=_FORMATTER,
         description=(
             "Exact statistics on multiset, admissible, and signed permutations; "
             "genus zeta numerators; and verification of the identities they satisfy."
@@ -441,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum number of enumerated objects (default 10^7, or MZETA_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[common], formatter_class=_FORMATTER)
 
-    p = sub.add_parser("stats", parents=[common], help="statistics of one object")
+    p = add_parser("stats", help="statistics of one object")
     p.add_argument("--eta", help="composition, e.g. 3,2,2,3")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--word", help="multiset word, e.g. 4232314141 or 4,2,3,...")
@@ -453,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true", help="include intermediate sets")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("dist", parents=[common], help="joint distribution polynomial")
+    p = add_parser("dist", help="joint distribution polynomial")
     p.add_argument("--domain", choices=zeta.DOMAINS, required=True)
     p.add_argument("--eta", help="composition for words/admissible domains")
     p.add_argument("--n", type=int, help="rank for the B/D domains")
     p.add_argument("--pair", required=True, help="statistic pair, e.g. denh,exc")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("verify", parents=[common], help="exhaustive identity checks")
+    p = add_parser("verify", help="exhaustive identity checks")
     p.add_argument(
         "--check",
         required=True,
@@ -476,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("zeta", parents=[common], help="evaluate or expand the rational form")
+    p = add_parser("zeta", help="evaluate or expand the rational form")
     p.add_argument("--eta", required=True)
     p.add_argument("--q", help="rational value for x, e.g. 2")
     p.add_argument("--t", help="rational value for y, e.g. 1/8")
     p.add_argument("--series-terms", type=int, help="print the first K y-series coefficients")
     p.set_defaults(func=cmd_zeta)
 
-    p = sub.add_parser("conjecture", parents=[common], help="unitary-factor report")
+    p = add_parser("conjecture", help="unitary-factor report")
     p.add_argument("--eta", help="composition, e.g. 2,1")
     p.add_argument("--rect", metavar="R,M", help="rectangle with r copies of m")
     p.add_argument("--max-a", type=int, help="bound on the x-power of scan directions")

@@ -331,10 +331,6 @@ def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def inverse(perm: Sequence[int]) -> tuple[int, ...]:
     """One-line form of the inverse permutation.
 

@@ -14,6 +14,7 @@ UniPoly((1, 1, 2, 1, 1))
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
@@ -420,11 +421,18 @@ class BiPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> BiPoly:
+        """The polynomial of an interchange object.  Exponents must be ints and
+        coefficients ints or decimal strings; a float or a bool raises
+        ValueError instead of being truncated."""
         if obj.get("vars") != ["x", "y"]:
             raise ValueError("polynomial object must declare vars ['x', 'y']")
         terms: dict[tuple[int, int], int] = {}
         for a, b, c in obj["terms"]:
-            key = (int(a), int(b))
+            key = (a, b)
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"exponents must be ints, got {key!r}")
+            if type(c) is not int and not (type(c) is str and re.fullmatch(r"-?[0-9]+", c)):
+                raise ValueError(f"coefficients must be ints or decimal strings, got {c!r}")
             if key in terms:
                 raise ValueError(f"duplicate exponent pair {key}")
             terms[key] = int(c)

@@ -113,6 +113,28 @@ def domain_size(check: str, target: Composition | int) -> int:
     return zeta.domain_size(_SIGNED_DOMAINS[check], n=target)
 
 
+def sweep_size(check: str, n_max: int) -> tuple[int, int]:
+    """The number of targets of a sweep of `check` over every n <= n_max, and
+    the objects they enumerate in all, without listing any target.
+
+    A check by composition has the 2^(n-1) compositions of each n, and their
+    words number the ordered set partitions of [n] (those of eta are the
+    partitions into blocks of sizes eta_1, ..., eta_r in order); a check by n
+    has one domain per n.
+    """
+    if check in _SIGNED_DOMAINS:
+        return max(n_max, 0), sum(domain_size(check, n) for n in range(1, n_max + 1))
+    # blocks[k]: the ordered set partitions of [n] into k blocks, built up by
+    # placing n in one of the k blocks or alone in a new one.
+    blocks = [1]
+    total = 0
+    for n in range(1, n_max + 1):
+        blocks.append(0)
+        blocks = [0] + [k * (blocks[k - 1] + blocks[k]) for k in range(1, n + 1)]
+        total += sum(blocks)
+    return max(2**n_max - 1, 0), total
+
+
 def check_euler_mahonian_words(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(denh, exc) and (maj, des) have the same joint distribution over the words."""
     size = eta.word_count()

@@ -12,9 +12,11 @@ polynomials and evaluations are Fractions.
 Joint distributions come from one registry, STATS, which names each
 statistic of each domain as an entry of a kernel's value: descent_stats and
 excedance_stats on words, block_grid_counts on admissible permutations, and
-b_stats, abs_excedance_stats and d_stats on signed windows.
-joint_distribution runs each distinct kernel of a pair once per object, and
-joint_distributions runs those of several pairs once per object in one pass.
+b_stats, abs_excedance_stats and d_stats on signed windows; window_stats
+reads every statistic of one signed window from it.  joint_distributions is
+the one counting path: it reads the objects in batches, runs each distinct
+kernel of all its pairs once per object into one column per kernel, and
+counts each pair from two columns.  joint_distribution is its one-pair case.
 Both are pure enumeration, the oracle the numerator routes are checked
 against.
 
@@ -94,9 +96,31 @@ def domain_size(domain: str, *, eta: Composition | None = None, n: int | None = 
     raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
 
 
+def format_count(count: int) -> str:
+    """count in decimal, or as d.dde<exponent> (leading digits truncated) when
+    it has more digits than str() converts (sys.get_int_max_str_digits()).
+
+    >>> format_count(10**5000 * 314)
+    '3.14e5002'
+    """
+    try:
+        return str(count)
+    except ValueError:
+        sign, count = "-" if count < 0 else "", abs(count)
+        exponent = int(count.bit_length() * math.log10(2))  # off by at most one
+        if 10**exponent > count:
+            exponent -= 1
+        elif 10 ** (exponent + 1) <= count:
+            exponent += 1
+        lead = count // 10 ** (exponent - 2)
+        return f"{sign}{lead // 100}.{lead % 100:02d}e{exponent}"
+
+
 def _check_budget(size: int, budget: int) -> None:
     if size > budget:
-        raise BudgetError(f"domain of size {size} exceeds the budget of {budget}")
+        raise BudgetError(
+            f"domain of size {format_count(size)} exceeds the budget of {format_count(budget)}"
+        )
 
 
 # STATS[domain][name] = (kernel, field): the statistic is entry `field` of the
@@ -143,13 +167,27 @@ def domain_stats(domain: str) -> tuple[str, ...]:
     return tuple(STATS[domain])
 
 
+def window_stats(domain: str, window: tuple[int, ...]) -> dict[str, int]:
+    """Every statistic of the signed domain ("B" or "D") on one window, by
+    name in the order of STATS; each kernel runs once."""
+    values = {}
+    out = {}
+    for name, (kernel, field) in STATS[domain].items():
+        if kernel not in values:
+            module, attr, _ = kernel
+            values[kernel] = getattr(module, attr)(window)
+        value = values[kernel]
+        out[name] = value if field is None else value[field]
+    return out
+
+
 def _kernel_values(kernel: tuple, objects: Iterable, context) -> Iterator:
     module, name, contextual = kernel
     fn = getattr(module, name)
     return map(fn, objects, itertools.repeat(context)) if contextual else map(fn, objects)
 
 
-def _field(values: Iterator, field: int | None) -> Iterator:
+def _field(values: Iterable, field: int | None) -> Iterable:
     return values if field is None else map(itemgetter(field), values)
 
 
@@ -193,16 +231,14 @@ def joint_distribution(
     runs once per object.  This is pure enumeration, the oracle that the
     numerator routes are checked against.
     """
-    _check_budget(domain_size(domain, eta=eta, n=n), budget)
-    (k1, f1), (k2, f2) = _stat_entries(domain, pair)
-    objects, context = _domain_objects(domain, eta, n)
-    if k1 == k2:
-        first, second = itertools.tee(_kernel_values(k1, objects, context))
-    else:
-        objects1, objects2 = itertools.tee(objects)
-        first = _kernel_values(k1, objects1, context)
-        second = _kernel_values(k2, objects2, context)
-    return BiPoly(Counter(zip(_field(first, f1), _field(second, f2))))
+    return joint_distributions(domain, [pair], eta=eta, n=n, budget=budget)[0]
+
+
+# Objects per batch of joint_distributions.  Each batch is held in memory with
+# one column of values per kernel; 256 keeps that small while Counter.update
+# does the counting in C (1024 measured more peak memory on a B_6/D_6 pass
+# and no more speed).
+_BATCH = 256
 
 
 def joint_distributions(
@@ -215,25 +251,21 @@ def joint_distributions(
 ) -> list[BiPoly]:
     """joint_distribution of each pair, from one pass over the domain.
 
-    Each distinct kernel of all the pairs runs once per object, and each pair
-    counts into its own Counter; the domain is never held in memory.
+    The objects are read in batches of _BATCH.  Each distinct kernel of all
+    the pairs runs once per object of a batch, into one column of values, and
+    each pair counts the zipped entries of its two columns into its own
+    Counter; at most one batch is held in memory.
     """
     _check_budget(domain_size(domain, eta=eta, n=n), budget)
     entries = [_stat_entries(domain, pair) for pair in pairs]
     kernels = list(dict.fromkeys(kernel for pair in entries for kernel, _ in pair))
-    # A scalar kernel's value becomes a 1-tuple, so every statistic is an
-    # entry (kernel position, field) of the row of kernel values.
-    scalar = {kernel for pair in entries for kernel, field in pair if field is None}
-    slots = [[(kernels.index(kernel), field or 0) for kernel, field in pair] for pair in entries]
+    slots = [[(kernels.index(kernel), field) for kernel, field in pair] for pair in entries]
     objects, context = _domain_objects(domain, eta, n)
-    values = []
-    for kernel, stream in zip(kernels, itertools.tee(objects, len(kernels))):
-        kernel_values = _kernel_values(kernel, stream, context)
-        values.append(zip(kernel_values) if kernel in scalar else kernel_values)
     counts = [Counter() for _ in pairs]
-    for row in zip(*values):
+    while batch := list(itertools.islice(objects, _BATCH)):
+        columns = [list(_kernel_values(kernel, batch, context)) for kernel in kernels]
         for count, ((i, f), (j, g)) in zip(counts, slots):
-            count[row[i][f], row[j][g]] += 1
+            count.update(zip(_field(columns[i], f), _field(columns[j], g)))
     return [BiPoly(count) for count in counts]
 
 
@@ -521,8 +553,8 @@ class RationalW:
         span = max(num.degree_x(), 0) + top * max(exps, default=0) + 1
         if span * terms > budget:
             raise BudgetError(
-                f"series of {terms} terms packs {span * terms} slots, "
-                f"which exceeds the budget of {budget}"
+                f"series of {format_count(terms)} terms packs {format_count(span * terms)} "
+                f"slots, which exceeds the budget of {format_count(budget)}"
             )
         w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
         bits = w * span * terms

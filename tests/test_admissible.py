@@ -37,7 +37,6 @@ from mzeta.multiset import (
     exc,
     exc_set,
     exceeding_subword,
-    identity,
     imv,
     inv,
     inverse,
@@ -56,6 +55,11 @@ ETA = Composition((3, 2, 2, 3))
 W = (4, 2, 3, 2, 3, 1, 4, 1, 4, 1)
 SIGMA = (6, 8, 10, 2, 4, 3, 5, 1, 7, 9)
 TAU = (6, 8, 10, 4, 2, 3, 5, 1, 7, 9)
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
+
 
 # Cell sets of SIGMA, read off the block grid by hand.
 SIGMA_N_PLUS = frozenset(

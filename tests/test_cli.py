@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -125,9 +126,9 @@ class TestStats:
         assert "dexc: 1" in out
 
     def test_signed_d_odd_rejected(self, capsys):
-        code, _, err = run(capsys, "stats", "--signed=-1,2", "--type", "D")
-        assert code == 2
-        assert "odd" in err
+        code, out, err = run(capsys, "stats", "--signed=-1,2", "--type", "D")
+        assert (code, out) == (2, "")
+        assert err == "error: (-1, 2) has an odd number of negative entries\n"
 
     def test_malformed_word(self, capsys):
         code, _, err = run(capsys, "stats", "--eta", "2,1", "--word", "122")
@@ -308,6 +309,14 @@ class TestVerify:
         code, _, _ = run(capsys, *argv, "--budget", str(total))
         assert code == 0 and len(calls) == targets
 
+    def test_large_sweep_is_bounded_before_listing_targets(self, capsys):
+        # 2^60 - 1 compositions: listing them would never finish.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--check", "hadamard", "--all-eta-up-to", "60")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: sweep of {2**60 - 1} targets has total domain size ")
+
     def test_wrong_target_kind(self, capsys):
         code, _, _ = run(capsys, "verify", "--check", "lemma42", "--n", "3")
         assert code == 2
@@ -317,6 +326,32 @@ class TestVerify:
     def test_unknown_check(self, capsys):
         code, _, _ = run(capsys, "verify", "--check", "nonsense", "--eta", "2,1")
         assert code == 2
+
+
+class TestUnprintableSizes:
+    """Sizes past the digits str() converts still give the budget error."""
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["dist", "--domain", "B", "--n", "2000", "--pair", "neg,des"], "3.80e6337"),
+            (["dist", "--domain", "words", "--eta", ",".join(["1"] * 1700), "--pair", "maj,des"], "2.99e4755"),
+        ],
+        ids=["B_2000", "words_1^1700"],
+    )
+    def test_domain_exits_3(self, capsys, argv, size):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: domain of size {size} exceeds the budget of 10000000\n"
+
+    def test_sweep_exits_3(self, capsys):
+        argv = ["verify", "--check", "b-equidistribution", "--all-eta-up-to", "1500"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: sweep of 1500 targets has total domain size 1.68e4566, "
+            "which exceeds the budget of 10000000\n"
+        )
 
 
 class TestZeta:

@@ -119,6 +119,13 @@ def test_output_matches_golden(argv):
     assert run(argv) == _golden()[" ".join(argv)]
 
 
+def test_output_does_not_depend_on_terminal_width(monkeypatch):
+    # argparse wraps usage to COLUMNS unless the width is pinned.
+    monkeypatch.setenv("COLUMNS", "400")
+    argv = ["dist", "--domain", "E", "--n", "2", "--pair", "maj,des"]
+    assert run(argv) == _golden()[" ".join(argv)]
+
+
 def test_corpus_replayed_in_one_process():
     # main keeps one parser per process: a second pass over the whole corpus
     # must not see anything the first pass left behind.

@@ -3,6 +3,7 @@ round trips, Gaussian binomials against an independent series oracle."""
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,25 @@ class TestBiPoly:
             BiPoly.from_json_obj({"vars": ["x"], "terms": []})
         with pytest.raises(ValueError):
             BiPoly.from_json_obj({"vars": ["x", "y"], "terms": [[0, 0, "1"], [0, 0, "2"]]})
+
+    @pytest.mark.parametrize(
+        "term",
+        [[0.5, 0, "1"], [1, True, "2"], [2, 0, 1.5], [2, 0, True], [2, 0, "1.5"], [2, 0, " 3"], [0, 1.0, "0"]],
+    )
+    def test_from_json_rejects_what_it_would_truncate(self, term):
+        with pytest.raises(ValueError):
+            BiPoly.from_json_obj({"vars": ["x", "y"], "terms": [[0, 0, "1"], term]})
+
+    def test_from_json_reads_int_and_string_coefficients(self):
+        obj = {"vars": ["x", "y"], "terms": [[0, 0, 1], [1, 1, "-12"]]}
+        assert BiPoly.from_json_obj(obj) == BiPoly({(0, 0): 1, (1, 1): -12})
+
+    def test_committed_numerators_load(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "numerators.json"
+        entries = json.loads(path.read_text(encoding="utf-8"))["numerators"]
+        for entry in entries:
+            num = BiPoly.from_json_obj(entry["numerator"])
+            assert num.to_json_obj() == entry["numerator"]
 
     def test_y_coefficients_round_trip(self):
         p = BiPoly({(0, 0): 1, (3, 2): 4, (1, 2): -1})

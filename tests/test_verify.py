@@ -92,6 +92,23 @@ CHECKS = [
 ]
 
 
+@pytest.mark.parametrize("check", ["lemma43", "b-equidistribution", "d-equidistribution"])
+def test_sweep_size_counts_the_listed_targets(check):
+    for n_max in range(-1, 8):
+        if check.endswith("equidistribution"):
+            targets = list(range(1, n_max + 1))
+        else:
+            targets = list(verify.compositions_up_to(n_max))
+        total = sum(verify.domain_size(check, target) for target in targets)
+        assert verify.sweep_size(check, n_max) == (len(targets), total)
+
+
+def test_sweep_size_by_eta_is_the_ordered_bell_number():
+    # OEIS A000670: 1, 3, 13, 75, 541, 4683, ...
+    sizes = [verify.sweep_size("hadamard", n)[1] for n in range(0, 7)]
+    assert [b - a for a, b in zip(sizes, sizes[1:])] == [1, 3, 13, 75, 541, 4683]
+
+
 def outcome(check, eta):
     """The result line of a check, or the type of the exception it raised."""
     try:

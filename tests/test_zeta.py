@@ -157,6 +157,33 @@ class TestDomains:
         assert "dden" not in domain_stats("B")
 
 
+class TestFormatCount:
+    def test_printable_counts_unchanged(self):
+        assert zeta.format_count(645120) == "645120"
+        assert zeta.format_count(10**4299) == "1" + "0" * 4299  # 4300 digits, the limit
+
+    @pytest.mark.parametrize(
+        "count,text",
+        [(10**4300, "1.00e4300"), (10**4301 - 1, "9.99e4300"), (2**20000, "3.98e6020"), (-(10**5000) * 271, "-2.71e5002")],
+        ids=["10^4300", "10^4301-1", "2^20000", "-271*10^5000"],
+    )
+    def test_unprintable_counts(self, count, text):
+        assert zeta.format_count(count) == text
+
+    def test_budget_error_of_unprintable_size(self):
+        with pytest.raises(BudgetError, match=r"^domain of size 3\.80e6337 exceeds the budget of 10000000$"):
+            joint_distribution("B", ("neg", "des"), n=2000)
+
+
+class TestWindowStats:
+    @pytest.mark.parametrize("domain,funcs,windows", [("B", B_FUNCS, signed_perms), ("D", D_FUNCS, even_signed_perms)])
+    def test_every_statistic_in_registry_order(self, domain, funcs, windows):
+        for window in windows(3):
+            stats = zeta.window_stats(domain, window)
+            assert tuple(stats) == domain_stats(domain)
+            assert stats == {name: funcs[name](window) for name in stats}
+
+
 class TestJointDistribution:
     def test_words_examples(self):
         eta = Composition((2, 1))
@@ -245,6 +272,43 @@ class TestJointDistributions:
             monkeypatch.setattr(signed, name, lambda w, fn=fn, name=name: calls.update([name]) or fn(w))
         joint_distributions("B", [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes")], n=4)
         assert calls == {"b_stats": 384, "abs_excedance_stats": 384}
+
+    # A scalar pair and a pair across two kernels, against a plain Counter.
+    REFERENCE = {
+        "words": (("inv", "imv"), lambda w: (inv(w), imv(w))),
+        "B": (("neg", "des"), lambda w: (neg(w), des(w))),
+    }
+
+    @pytest.mark.parametrize("domain,kw,objects", [
+        ("words", {"eta": Composition((1,) * 4)}, lambda: words(Composition((1,) * 4))),
+        ("B", {"n": 3}, lambda: signed_perms(3)),
+    ], ids=["words_1^4", "B_3"])
+    @pytest.mark.parametrize(
+        "batch",
+        [lambda size: size - 1, lambda size: size, lambda size: size + 1, lambda size: size // 2, lambda size: 1000],
+        ids=["size-1", "size", "size+1", "half_size", "above_size"],
+    )
+    def test_batch_edges_match_counter(self, monkeypatch, domain, kw, objects, batch):
+        # A batch of one object less than the domain, exactly the domain or
+        # half of it, or more than the domain.
+        pair, stats = self.REFERENCE[domain]
+        monkeypatch.setattr(zeta, "_BATCH", batch(domain_size(domain, **kw)))
+        rows = [stats(w) for w in objects()]
+        expected = [BiPoly(Counter(rows)), BiPoly(Counter((b, a) for a, b in rows))]
+        assert joint_distributions(domain, [pair, pair[::-1]], **kw) == expected
+
+    @pytest.mark.parametrize("domain,kw,objects", [
+        ("words", {"eta": Composition((1,) * 7)}, lambda: words(Composition((1,) * 7))),
+        ("B", {"n": 5}, lambda: signed_perms(5)),
+    ], ids=["words_1^7", "B_5"])
+    def test_several_batches_match_counter(self, domain, kw, objects):
+        # 5040 words and 3840 windows: at a batch of 256, 19 full batches
+        # and one of 176, and exactly 15 full batches.
+        pair, stats = self.REFERENCE[domain]
+        assert domain_size(domain, **kw) > 10 * zeta._BATCH
+        expected = BiPoly(Counter(map(stats, objects())))
+        assert joint_distributions(domain, [pair], **kw) == [expected]
+        assert joint_distribution(domain, pair, **kw) == expected
 
     def test_budget_and_unknown_stat(self):
         with pytest.raises(BudgetError):
