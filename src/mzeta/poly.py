@@ -22,7 +22,8 @@ from typing import Iterable, Mapping
 
 
 class UniPoly:
-    """Integer polynomial in one variable.
+    """Integer polynomial in one variable.  A coefficient that is not an int
+    (a float, a bool, a Fraction) raises ValueError.
 
     >>> UniPoly((1, 1)) * UniPoly((-1, 1))
     UniPoly((-1, 0, 1))
@@ -31,10 +32,14 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
+        c = tuple(coeffs)
+        if not {int}.issuperset(map(type, c)):
+            bad = next(v for v in c if type(v) is not int)
+            raise ValueError(f"coefficients must be ints, got {bad!r}")
+        end = len(c)
+        while end and c[end - 1] == 0:
+            end -= 1
+        self.coeffs = c if end == len(c) else c[:end]
 
     @classmethod
     def zero(cls) -> UniPoly:
@@ -57,7 +62,7 @@ class UniPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = UniPoly((other,))
+            return self.coeffs == ((other,) if other else ())
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs

@@ -42,7 +42,13 @@ All y-series arithmetic is Kronecker-packed (x = 2^w, y = x^span, balanced
 digits in slots of w bits).  One primitive, _packed_series, multiplies
 sum_k G_k y^k by a product of (1 - x^a y^b) and truncates; route A,
 hadamard_check and both signed major sides call it.  RationalW.series
-divides a packed numerator by shift-adds.
+divides a packed numerator by shift-adds.  Slots are read back as bytes:
+adding 2^(w-1) to every slot, masking, and flipping each slot's top bit back
+leaves every balanced digit in two's complement (_slot_bytes).  struct then
+reads a whole y-row of 1-, 2-, 4- or 8-byte slots in one call, after its
+trailing zero slots are cut off as bytes; slots of 3, 5, 6 or 7 bytes are
+first widened by strided byte copies, and wider slots are read one by one.
+_pack writes the 1-, 2-, 4- and 8-byte slots with struct as well.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -56,6 +62,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -64,7 +71,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import admissible as adm
 from . import signed
 from . import multiset as wd
-from .poly import BiPoly, UniPoly, cyclotomic_in_monomial, gaussian_binomial, totient
+from .poly import BiPoly, UniPoly, cyclotomic, cyclotomic_in_monomial, gaussian_binomial, totient
 from .multiset import Composition
 
 DEFAULT_BUDGET = 10_000_000
@@ -269,27 +276,75 @@ def joint_distributions(
     return [BiPoly(count) for count in counts]
 
 
-def _pack(coeffs: Iterable[int], width: int) -> int:
+# Slots of 1, 2, 4 or 8 bytes are read by struct one row per call and written
+# one polynomial per call; a slot of 3, 5, 6 or 7 bytes is widened to the next
+# of these before it is read.
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+# A bytes.translate table from a slot's top byte to its sign-extension byte.
+_SIGN_BYTES = bytes(128) + b"\xff" * 128
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
     """The integer sum of c * 2^(width*i): coefficients in slots of width bits
     (a multiple of 8), each in [0, 2^width)."""
     size = width // 8
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
+    if size in _FORMATS:
+        data = struct.pack(f"<{len(coeffs)}{_FORMATS[size].upper()}", *coeffs)
+    else:
+        data = b"".join(c.to_bytes(size, "little") for c in coeffs)
+    return int.from_bytes(data, "little")
 
 
-def _unpack(value: int, width: int, count: int) -> Iterator[int]:
-    """The lowest count slots of a packed value as balanced digits in
-    [-2^(width-1), 2^(width-1)); exact when every one lies in that range, since
-    adding 2^(width-1) to every slot makes each a plain byte string."""
+def _slot_bytes(value: int, width: int, count: int) -> bytes:
+    """The lowest count slots of a packed value, width bits each, as bytes in
+    which every slot holds its balanced digit in [-2^(width-1), 2^(width-1))
+    in little-endian two's complement.  Exact when every digit lies in that
+    range: adding 2^(width-1) to every slot makes each a plain byte string,
+    and flipping each slot's top bit back subtracts it again."""
     size = width // 8
-    raised = value + int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    data = (raised & ((1 << (width * count)) - 1)).to_bytes(size * count, "little")
-    half = 1 << (width - 1)
-    return (int.from_bytes(data[i:i + size], "little") - half for i in range(0, size * count, size))
+    tops = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raised = (value + tops) ^ tops  # before the mask, so tops is freed first
+    del tops
+    raised &= (1 << (width * count)) - 1
+    return raised.to_bytes(size * count, "little")
 
 
-def _unpack_series(digits: Iterator[int], span: int, count: int) -> list[UniPoly]:
-    """The y^0..y^(count-1) coefficients, span slot digits each (y = x^span)."""
-    return [UniPoly(itertools.islice(digits, span)) for _ in range(count)]
+def _read_slots(data: bytes, size: int, start: int, count: int) -> tuple[int, ...]:
+    """The count slots of size bytes at byte offset start of data, written by
+    _slot_bytes, as ints."""
+    end = start + size * count
+    if size > 8:
+        return tuple(
+            int.from_bytes(data[i:i + size], "little", signed=True) for i in range(start, end, size)
+        )
+    wide = 1 << (size - 1).bit_length()
+    if wide != size:
+        out = bytearray(wide * count)
+        for i in range(size):
+            out[i::wide] = data[start + i:end:size]
+        sign = data[start + size - 1:end:size].translate(_SIGN_BYTES)
+        for i in range(size, wide):
+            out[i::wide] = sign
+        data, start = out, 0
+    return struct.unpack_from(f"<{count}{_FORMATS[wide]}", data, start)
+
+
+def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The lowest count slots of a packed value as balanced digits; see
+    _slot_bytes."""
+    return _read_slots(_slot_bytes(value, width, count), width // 8, 0, count)
+
+
+def _unpack_series(data: bytes, size: int, span: int, count: int) -> list[UniPoly]:
+    """The y^0..y^(count-1) coefficients, span slots of size bytes each
+    (y = x^span), from the bytes of _slot_bytes.  A row's trailing zero slots
+    are cut off as bytes, so no int is made for them."""
+    row = span * size
+    out = []
+    for start in range(0, row * count, row):
+        used = len(data[start:start + row].rstrip(b"\0"))
+        out.append(UniPoly(_read_slots(data, size, start, -(-used // size))))
+    return out
 
 
 def _slot_width(bound: int) -> int:
@@ -338,7 +393,9 @@ def _packed_series(
     d = 1
     for a, b in factors:
         d -= d << (w * (span * b + a))
-    return _unpack_series(_unpack(d * g, w, span * (top + 1)), span, top + 1)
+    data = _slot_bytes(d * g, w, span * (top + 1))
+    del d, g
+    return _unpack_series(data, w // 8, span, top + 1)
 
 
 def _macmahon_series(eta: Composition, top: int) -> list[UniPoly]:
@@ -398,7 +455,8 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
                     nxt[key] = nxt.get(key, 0) + (poly << (w * shift))
         layer = nxt
     digits = _unpack(sum(layer.values()), w, (n * n + 1) * stride)
-    return BiPoly({(s // stride, s % stride): c for s, c in enumerate(digits) if c})
+    keys = itertools.product(range(n * n + 1), range(stride))
+    return BiPoly(dict(itertools.compress(zip(keys, digits), digits)))
 
 
 def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
@@ -565,9 +623,9 @@ class RationalW:
             for _ in range(top.bit_length()):
                 value += (value & ((1 << (bits - shift)) - 1)) << shift
                 shift *= 2
-        digits = _unpack(value, w, span * terms)
+        data = _slot_bytes(value, w, span * terms)
         del value  # as large as the result: free it before the rows are built
-        return _unpack_series(digits, span, terms)
+        return _unpack_series(data, w // 8, span, terms)
 
 
 def zeta_eval(
@@ -765,8 +823,6 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
 
 
 def _cyclotomic_at(d: int, value: int) -> int:
-    from .poly import cyclotomic
-
     return cyclotomic(d).evaluate(value)
 
 

@@ -51,6 +51,19 @@ class TestUniPoly:
         assert UniPoly((3,)).degree() == 0
         assert UniPoly().degree() == -1
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, 0.0, True, False, Fraction(1), "1", None], ids=repr)
+    def test_rejects_non_int_coefficients(self, bad):
+        # Anywhere in the list, trailing zeros included.
+        for coeffs in [(bad,), (1, bad), (bad, 1), (1, bad, 0)]:
+            with pytest.raises(ValueError, match="coefficients must be ints"):
+                UniPoly(coeffs)
+
+    def test_compares_with_ints(self):
+        # Comparison builds no UniPoly, so a bool compares as its int.
+        assert UniPoly((1,)) == 1 and UniPoly((1,)) == True
+        assert UniPoly() == 0 and UniPoly() == False
+        assert UniPoly((0, 1)) != 0
+
     def test_arithmetic(self):
         assert UniPoly((1, 1)) * UniPoly((-1, 1)) == UniPoly((-1, 0, 1))
         assert UniPoly((1, 2)) + UniPoly((0, -2)) == UniPoly((1,))

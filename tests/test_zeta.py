@@ -13,6 +13,7 @@ from mzeta.admissible import admissible_perms, den, i_set, iexc, n_minus_set, n_
 from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
 from mzeta.signed import b_stats, d_stats, even_signed_perms, excabs, nden, neg, nsp, signed_perms
 from mzeta.poly import BiPoly, UniPoly, cyclotomic_in_monomial, totient
+from mzeta.verify import compositions_of
 from mzeta import zeta
 from mzeta.zeta import (
     BudgetError,
@@ -428,6 +429,63 @@ def test_packed_series_matches_schoolbook():
 SIGNED_PAIRS = {"B": [("nden", "excabs"), ("nmaj", "ndes"), ("fmaj", "fdes")], "D": [("dden", "dexc"), ("dmaj", "ddes")]}
 
 
+def balanced_pack(digits, width):
+    """The integer sum of d * 2^(width*i), each d a balanced digit: what the
+    slot codec reads back, by plain integer arithmetic."""
+    return sum(d << (width * i) for i, d in enumerate(digits))
+
+
+class TestSlotCodec:
+    """_pack, _unpack and _unpack_series at every slot width of 1 to 16 bytes:
+    the struct widths, the widened ones (3, 5, 6, 7) and int.from_bytes above
+    8 bytes."""
+
+    @pytest.mark.parametrize("size", range(1, 17))
+    def test_round_trip(self, size):
+        w = 8 * size
+        low, high = -(1 << (w - 1)), (1 << (w - 1)) - 1
+        rng = random.Random(size)
+        digits = [low, high, 0, 0, 0, -1, 1, high, 0, low, low + 1, high - 1]
+        digits += [rng.randint(low, high) for _ in range(20)] + [0] * 5
+        for count in range(len(digits) + 1):
+            # Nonzero slots above count do not reach the ones read.
+            value = balanced_pack(digits[:count], w) + (rng.randint(-3, 3) << (w * count))
+            assert list(zeta._unpack(value, w, count)) == digits[:count]
+        # _pack writes any slot value in [0, 2^w); those below 2^(w-1) read
+        # back as themselves.
+        coeffs = [0, high, 1, 0, 0x7F, 0, 0]
+        assert list(zeta._unpack(zeta._pack(coeffs, w), w, len(coeffs))) == coeffs
+        full = [(1 << w) - 1, 0, 1 << (w - 1), 1, 0]
+        assert zeta._pack(full, w) == balanced_pack(full, w)
+        assert zeta._pack([], w) == 0
+
+    @pytest.mark.parametrize("size", range(1, 17))
+    def test_series_rows(self, size):
+        # All-zero rows, runs of zero slots inside and at the end of a row, and
+        # last slots whose high bytes are zero, against UniPoly built by hand.
+        w = 8 * size
+        low, high = -(1 << (w - 1)), (1 << (w - 1)) - 1
+        span = 6
+        rows = [
+            [],
+            [low],
+            [0, 0, high],
+            [high, 0, 0, 0],
+            [0, low, 0, -1],
+            [],
+            [0, 0, 0, 0, 0, 1],
+            [high, 1],
+            [-1, 0, 0, 0, 0, low],
+            [],
+        ]
+        digits = [d for row in rows for d in row + [0] * (span - len(row))]
+        data = zeta._slot_bytes(balanced_pack(digits, w) + (1 << (w * len(digits))), w, len(digits))
+        assert len(data) == size * len(digits)
+        series = zeta._unpack_series(data, size, span, len(rows))
+        assert [p.coeffs for p in series] == [UniPoly(row).coeffs for row in rows]
+        assert zeta._unpack_series(data, size, span, 0) == []
+
+
 class TestSignedNumerator:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("kind", ["B", "D"])
@@ -552,6 +610,14 @@ class TestRationalW:
             for terms in range(13):
                 assert rational.series(terms) == series_oracle(rational, terms), (num, exponents, terms)
 
+    def test_series_against_oracle_at_every_slot_width(self):
+        # Coefficients of 2^0 to 2^120 put the slots of series(6) at every
+        # width from 2 to 16 bytes, past the 64-bit struct formats.
+        for bits in range(121):
+            num = BiPoly({(0, 0): 1 << bits, (2, 1): -(1 << bits) + 3, (1, 3): -1})
+            rational = RationalW(num, (0, 1, 1))
+            assert rational.series(6) == series_oracle(rational, 6), bits
+
     def test_evaluate_matches_series_truncation(self):
         # At t with |t| small the truncated series approaches the value; check
         # exactly via the rational identity value * denom == numerator.
@@ -656,6 +722,54 @@ class TestUnitaryScan:
             assert found == reference_unitary_scan(f, bounds), (f, bounds)
             hits += len(found)
         assert hits > 10  # the comparison covers hits, not only clean scans
+
+    def test_matches_sympy_factorisation(self):
+        # An oracle that shares no code with the scan: sympy factors each
+        # numerator of a partition of n <= 8 over Z[x, y], and a candidate
+        # cyclotomic_d(x^a y^b) divides it exactly when each irreducible factor
+        # of the candidate appears in the numerator at least as often.  A
+        # candidate of higher x- or y-degree than the numerator cannot divide
+        # it.  Every candidate within the default bounds is decided, so both
+        # the hits and the misses of the scan are confirmed.
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+
+        def factors(terms):
+            _, found = sympy.Poly.from_dict(terms, x, y, domain=sympy.ZZ).factor_list()
+            return found
+
+        candidate_factors = {}
+        numerators = hits = misses = 0
+        for n in range(1, 9):
+            bounds = default_bounds(n)
+            directions = [(1, 0)] + [
+                (a, b) for b in range(1, bounds.max_b + 1) for a in range(bounds.max_a + 1)
+            ]
+            for eta in compositions_of(n):
+                if list(eta.parts) != sorted(eta.parts, reverse=True):
+                    continue
+                numerators += 1
+                f = w_numerator(eta)
+                multiplicity = dict(factors(f.terms))
+                expected = set()
+                for a, b in directions:
+                    for d in range(1, bounds.max_d + 1):
+                        phi = int(sympy.totient(d))
+                        if a * phi > f.degree_x() or b * phi > f.degree_y():
+                            continue
+                        if (d, a, b) not in candidate_factors:
+                            base = sympy.Poly(sympy.cyclotomic_poly(d, x), x).as_dict()
+                            candidate_factors[d, a, b] = factors(
+                                {(a * e, b * e): c for (e,), c in base.items()}
+                            )
+                        if all(multiplicity.get(p, 0) >= m for p, m in candidate_factors[d, a, b]):
+                            expected.add((d, a, b))
+                found = {(u.order, u.x_power, u.y_power) for u in unitary_factor_scan(f, bounds)}
+                assert found == expected, eta
+                hits += len(found)
+                misses += len(directions) * bounds.max_d - len(found)
+        # The hits are 1 + x^(rm/2) y on 1^2, 1^4, 1^6, 1^8 and 3^2.
+        assert (numerators, hits) == (66, 5) and misses > 100_000
 
 
 class TestConjecture:
