@@ -72,7 +72,7 @@ class UniPoly:
 
     def __add__(self, other: UniPoly | int) -> UniPoly:
         if isinstance(other, int):
-            other = UniPoly((other,))
+            other = UniPoly((int(other),))  # int(): a bool is a constant too
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -88,7 +88,7 @@ class UniPoly:
 
     def __sub__(self, other: UniPoly | int) -> UniPoly:
         if isinstance(other, int):
-            other = UniPoly((other,))
+            other = UniPoly((int(other),))  # int(): a bool is a constant too
         return self + (-other)
 
     def __mul__(self, other: UniPoly | int) -> UniPoly:

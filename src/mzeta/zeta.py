@@ -48,7 +48,6 @@ leaves every balanced digit in two's complement (_slot_bytes).  struct then
 reads a whole y-row of 1-, 2-, 4- or 8-byte slots in one call, after its
 trailing zero slots are cut off as bytes; slots of 3, 5, 6 or 7 bytes are
 first widened by strided byte copies, and wider slots are read one by one.
-_pack writes the 1-, 2-, 4- and 8-byte slots with struct as well.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -71,7 +70,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import admissible as adm
 from . import signed
 from . import multiset as wd
-from .poly import BiPoly, UniPoly, cyclotomic, cyclotomic_in_monomial, gaussian_binomial, totient
+from . import poly
+from .poly import BiPoly, UniPoly, cyclotomic_in_monomial, gaussian_binomial, totient
 from .multiset import Composition
 
 DEFAULT_BUDGET = 10_000_000
@@ -276,23 +276,18 @@ def joint_distributions(
     return [BiPoly(count) for count in counts]
 
 
-# Slots of 1, 2, 4 or 8 bytes are read by struct one row per call and written
-# one polynomial per call; a slot of 3, 5, 6 or 7 bytes is widened to the next
-# of these before it is read.
+# Slots of 1, 2, 4 or 8 bytes are read by struct one row per call; a slot of
+# 3, 5, 6 or 7 bytes is widened to the next of these before it is read.
 _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 # A bytes.translate table from a slot's top byte to its sign-extension byte.
 _SIGN_BYTES = bytes(128) + b"\xff" * 128
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
+def _pack(coeffs: Iterable[int], width: int) -> int:
     """The integer sum of c * 2^(width*i): coefficients in slots of width bits
     (a multiple of 8), each in [0, 2^width)."""
     size = width // 8
-    if size in _FORMATS:
-        data = struct.pack(f"<{len(coeffs)}{_FORMATS[size].upper()}", *coeffs)
-    else:
-        data = b"".join(c.to_bytes(size, "little") for c in coeffs)
-    return int.from_bytes(data, "little")
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
 
 
 def _slot_bytes(value: int, width: int, count: int) -> bytes:
@@ -441,7 +436,7 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
     for i, t in enumerate(eta.trivial_word, start=1):
         left = n - i + 1  # unused copies, this position's included
         nxt: dict[tuple[int, ...], int] = {}
-        for rem, poly in layer.items():
+        for rem, packed in layer.items():
             rem_ge = 0  # unused copies of the letters >= a
             for a in range(eta.r, 0, -1):
                 ra = rem[a - 1]
@@ -452,7 +447,7 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
                     else:
                         shift = (left - rem_ge) * stride
                     key = rem[:a - 1] + (ra - 1,) + rem[a:]
-                    nxt[key] = nxt.get(key, 0) + (poly << (w * shift))
+                    nxt[key] = nxt.get(key, 0) + (packed << (w * shift))
         layer = nxt
     digits = _unpack(sum(layer.values()), w, (n * n + 1) * stride)
     keys = itertools.product(range(n * n + 1), range(stride))
@@ -823,7 +818,7 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
 
 
 def _cyclotomic_at(d: int, value: int) -> int:
-    return cyclotomic(d).evaluate(value)
+    return poly.cyclotomic(d).evaluate(value)
 
 
 @dataclasses.dataclass(frozen=True)

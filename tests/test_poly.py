@@ -64,6 +64,16 @@ class TestUniPoly:
         assert UniPoly() == 0 and UniPoly() == False
         assert UniPoly((0, 1)) != 0
 
+    def test_int_arithmetic_takes_bools_as_ints(self):
+        # A bool operand is a constant, as in comparison; only a bool
+        # coefficient is rejected.
+        p = UniPoly((1, 2))
+        assert p + True == p + 1 == UniPoly((2, 2))
+        assert True + p == UniPoly((2, 2))
+        assert p - False == p and p - True == UniPoly((0, 2))
+        assert p * True == p and p * False == UniPoly()
+        assert all(type(c) is int for c in (p + True).coeffs + (p - True).coeffs)
+
     def test_arithmetic(self):
         assert UniPoly((1, 1)) * UniPoly((-1, 1)) == UniPoly((-1, 0, 1))
         assert UniPoly((1, 2)) + UniPoly((0, -2)) == UniPoly((1,))
