@@ -30,6 +30,7 @@ from . import verify
 from . import multiset as wd
 from . import zeta
 from .multiset import Composition
+from .poly import BiPoly
 
 CHECKS_BY_ETA = {
     "euler-mahonian-a": verify.check_euler_mahonian_words,
@@ -242,6 +243,8 @@ def _verify_targets(args: argparse.Namespace):
         return [args.n]
     n_max = args.all_eta_up_to
     if n_max is not None:
+        if n_max < 1:
+            raise ValueError("--all-eta-up-to must be >= 1")
         # A sweep is bounded as a whole, before any target is listed or runs.
         count, total = verify.sweep_size(args.check, n_max)
         if count > 1 and total > args.budget:
@@ -313,13 +316,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
             {
                 "eta": list(eta.parts),
                 "series": [
-                    {
-                        "power": k,
-                        "coefficient": {
-                            "vars": ["x", "y"],
-                            "terms": [[a, 0, str(c)] for a, c in enumerate(p.coeffs) if c],
-                        },
-                    }
+                    {"power": k, "coefficient": BiPoly.from_y_coefficients({0: p}).to_json_obj()}
                     for k, p in enumerate(series)
                 ],
             },

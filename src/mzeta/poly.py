@@ -87,9 +87,7 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: UniPoly | int) -> UniPoly:
-        if isinstance(other, int):
-            other = UniPoly((int(other),))  # int(): a bool is a constant too
-        return self + (-other)
+        return self + (-other)  # -other of an int (or a bool) is an int
 
     def __mul__(self, other: UniPoly | int) -> UniPoly:
         if isinstance(other, int):
@@ -324,10 +322,7 @@ class BiPoly:
         return BiPoly({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: BiPoly) -> BiPoly:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return BiPoly(out)
+        return self + (-other)
 
     def __mul__(self, other: BiPoly | int) -> BiPoly:
         if isinstance(other, int):

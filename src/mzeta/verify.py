@@ -135,14 +135,16 @@ def sweep_size(check: str, n_max: int) -> tuple[int, int]:
     return max(2**n_max - 1, 0), total
 
 
+def _named_distributions(domain: str, pairs: list, **where) -> list[tuple[str, BiPoly]]:
+    """zeta.joint_distributions of the pairs, from one pass, each named "(a,b)"."""
+    polys = zeta.joint_distributions(domain, pairs, **where)
+    return [(f"({a},{b})", poly) for (a, b), poly in zip(pairs, polys)]
+
+
 def check_euler_mahonian_words(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(denh, exc) and (maj, des) have the same joint distribution over the words."""
-    size = eta.word_count()
-    polys = [
-        ("(denh,exc)", zeta.joint_distribution("words", ("denh", "exc"), eta=eta, budget=budget)),
-        ("(maj,des)", zeta.joint_distribution("words", ("maj", "des"), eta=eta, budget=budget)),
-    ]
-    return _poly_equality("euler-mahonian-a", f"eta={eta}", size, polys)
+    polys = _named_distributions("words", [("denh", "exc"), ("maj", "des")], eta=eta, budget=budget)
+    return _poly_equality("euler-mahonian-a", f"eta={eta}", eta.word_count(), polys)
 
 
 def check_euler_mahonian_den(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
@@ -279,8 +281,7 @@ def _signed_equidistribution(
 ) -> CheckResult:
     """The pairs agree over the domain, in one pass of it, and agree with
     signed_numerator."""
-    polys = zeta.joint_distributions(kind, pairs, n=n, budget=budget)
-    named = [(f"({a},{b})", poly) for (a, b), poly in zip(pairs, polys)]
+    named = _named_distributions(kind, pairs, n=n, budget=budget)
     named.append(("signed_numerator", zeta.signed_numerator(kind, n)))
     return _poly_equality(check, f"n={n}", domain_size(check, n), named)
 

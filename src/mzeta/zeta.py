@@ -39,10 +39,13 @@ ordered pair) that a route serves, and distribution serves those from the
 route and every other pair by enumeration.
 
 All y-series arithmetic is Kronecker-packed (x = 2^w, y = x^span, balanced
-digits in slots of w bits).  One primitive, _packed_series, multiplies
-sum_k G_k y^k by a product of (1 - x^a y^b) and truncates; route A,
-hadamard_check and both signed major sides call it.  RationalW.series
-divides a packed numerator by shift-adds.  Slots are read back as bytes:
+digits in slots of w bits).  G_k = prod over the parts p of (p+k choose k)_x
+is written down once, in _gaussian_factors, and multiplied only by
+_packed_series, which multiplies sum_k G_k y^k by a product of (1 - x^a y^b)
+and truncates: hadamard_series_coefficient (G_k alone), route A and
+hadamard_check (MacMahon's product) and both signed major sides
+([r+1]_x^n is G_r of 1^n) share it.  RationalW.series divides a packed
+numerator by shift-adds.  Slots are read back as bytes:
 adding 2^(w-1) to every slot, masking, and flipping each slot's top bit back
 leaves every balanced digit in two's complement (_slot_bytes).  struct then
 reads a whole y-row of 1-, 2-, 4- or 8-byte slots in one call, after its
@@ -393,12 +396,17 @@ def _packed_series(
     return _unpack_series(data, w // 8, span, top + 1)
 
 
+def _gaussian_factors(eta: Composition, k: int) -> list[tuple[UniPoly, int]]:
+    """G_k = prod over the parts p of (p+k choose k)_x, as the pairs
+    (gaussian_binomial(p, k), multiplicity of p) that _packed_series takes."""
+    return [(gaussian_binomial(p, k), eta.parts.count(p)) for p in dict.fromkeys(eta.parts)]
+
+
 def _macmahon_series(eta: Composition, top: int) -> list[UniPoly]:
     """The y^0..y^top coefficients of prod_{j=0..n} (1 - x^j y) times
-    sum_{k<=top} G_k y^k, G_k = prod over the parts p of (p+k choose k)_x:
-    by MacMahon, those of the numerator of W_eta, and zero above y^n."""
-    mult = Counter(eta.parts)
-    gs = [[(gaussian_binomial(p, k), e) for p, e in mult.items()] for k in range(top + 1)]
+    sum_{k<=top} G_k y^k: by MacMahon, those of the numerator of W_eta, and
+    zero above y^n."""
+    gs = [_gaussian_factors(eta, k) for k in range(top + 1)]
     return _packed_series(gs, [(j, 1) for j in range(eta.n + 1)])
 
 
@@ -502,14 +510,15 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
     powers = range(1, n + 1 if kind == "B" else n)
     factors = [(0, 1)] + [(2 * i, 2) for i in powers] + ([(n, 1)] if kind == "D" else [])
     top = 2 * n if kind == "B" else 2 * n - 1
-    series = _packed_series([[(UniPoly((1,) * (r + 1)), n)] for r in range(top + 1)], factors)
+    ones = Composition((1,) * n)  # G_r of 1^n is [r+1]_x^n
+    series = _packed_series([_gaussian_factors(ones, r) for r in range(top + 1)], factors)
     if series[top]:
         raise InvariantError(
             f"type {kind} numerator for n={n}: "
             f"the y^{top} coefficient {series[top]} does not vanish"
         )
     major = BiPoly.from_y_coefficients(dict(enumerate(series[:top])))
-    denert = _denh_exc_numerator(Composition((1,) * n))
+    denert = _denh_exc_numerator(ones)
     for k in powers:
         denert = denert * BiPoly({(0, 0): 1, (k, 1): 1})
     if major != denert:
@@ -572,7 +581,12 @@ class RationalW:
         return cls(w_numerator(eta, budget=budget), tuple(range(eta.n)))
 
     def evaluate(self, q: Fraction | int, t: Fraction | int) -> Fraction:
-        """Exact value at (q, t); raises ZeroDivisionError on a denominator pole."""
+        """Exact value at (q, t); raises ZeroDivisionError on a denominator pole
+        and ValueError unless q and t are ints or Fractions (a float or a bool
+        is refused, not converted)."""
+        for v in (q, t):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(f"evaluation points must be ints or Fractions, got {v!r}")
         denom = Fraction(1)
         for j in self.denom_exponents:
             factor = 1 - Fraction(q) ** j * Fraction(t)
@@ -645,12 +659,9 @@ class HadamardResult:
 
 
 def hadamard_series_coefficient(eta: Composition, k: int) -> UniPoly:
-    """Coefficient of y^k on the termwise-product side: the product over the
-    parts of the Gaussian binomials (part + k choose k)_x."""
-    out = UniPoly.one()
-    for p in eta.parts:
-        out = out * gaussian_binomial(p, k)
-    return out
+    """Coefficient of y^k on the termwise-product side, G_k: the product over
+    the parts of the Gaussian binomials (part + k choose k)_x, packed."""
+    return _packed_series([_gaussian_factors(eta, k)], [])[0]
 
 
 def hadamard_check(
@@ -757,6 +768,16 @@ class ScanBounds(NamedTuple):
     max_b: int
     max_d: int
 
+    def check(self) -> None:
+        """ValueError unless max_a >= 0, max_b >= 0 and max_d >= 1: smaller
+        bounds leave a scan direction or every index out, and a scan that
+        looks at nothing would report nothing found."""
+        if self.max_a < 0 or self.max_b < 0 or self.max_d < 1:
+            raise ValueError(
+                f"scan bounds need max_a >= 0, max_b >= 0 and max_d >= 1, got "
+                f"max_a={self.max_a}, max_b={self.max_b}, max_d={self.max_d}"
+            )
+
 
 def default_bounds(n: int) -> ScanBounds:
     return ScanBounds(max_a=n, max_b=n, max_d=2 * n * n)
@@ -787,9 +808,12 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
     f(2, 3), so the expensive polynomial divisions are rare.  The degree test
     needs totient(d) <= max(deg_x, deg_y), and totient(d) >= sqrt(d/2), so no
     d above 2*max(deg_x, deg_y)^2 can divide and the loop stops there.
+    Bounds that leave a direction or every index out raise ValueError
+    (ScanBounds.check).
     """
     if not f:
         raise ValueError("scan needs a nonzero polynomial")
+    bounds.check()
     dx = f.degree_x()
     dy = f.degree_y()
     max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
@@ -853,6 +877,7 @@ def conjecture_report(
 ) -> ConjectureReport:
     if bounds is None:
         bounds = default_bounds(eta.n)
+    bounds.check()
     if numerator is None:
         numerator = w_numerator(eta, budget=budget)
     rect = eta.is_rectangle()

@@ -252,6 +252,14 @@ class TestVerify:
         assert code == 0
         assert "pass" in out
 
+    @pytest.mark.parametrize("check", ["lemma42", "hadamard", "b-equidistribution"])
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_sweep_of_nothing_is_refused(self, capsys, check, n_max):
+        code, out, err = run(capsys, "verify", "--check", check, "--all-eta-up-to", n_max)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --all-eta-up-to must be >= 1\n"
+
     def test_reciprocity_expected_failure(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "reciprocity", "--eta", "2,1")
         assert code == 0
@@ -439,6 +447,16 @@ class TestConjecture:
         assert code == 0
         assert "max_d=3000000" in out
         assert "verdict: CONSISTENT" in out
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--max-d", "-5"), ("--max-d", "0"), ("--max-a", "-1", "--max-b", "-1"), ("--max-b", "-2")],
+    )
+    def test_bounds_that_scan_nothing_are_refused(self, capsys, bounds):
+        code, out, err = run(capsys, "conjecture", "--eta", "2,2", *bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: scan bounds need max_a >= 0, max_b >= 0 and max_d >= 1")
 
     def test_requires_one_target(self, capsys):
         code, _, _ = run(capsys, "conjecture")

@@ -161,3 +161,19 @@ def test_perturbed_block_maps_fail_as_reference(n, monkeypatch, fresh_column_mas
                     failed.add(name)
     # From n = 2 on, some perturbation makes each check report a failure.
     assert failed == ({name for name, _, _ in CHECKS} if n >= 2 else set())
+
+
+@pytest.mark.parametrize("parts", [(1,), (2, 1), (1, 2, 1), (2, 2, 1)])
+def test_euler_mahonian_words_enumerates_once(parts, monkeypatch):
+    calls = []
+    words = wd.words
+
+    def counted(eta):
+        calls.append(eta)
+        return words(eta)
+
+    monkeypatch.setattr(wd, "words", counted)
+    eta = wd.Composition(parts)
+    result = verify.check_euler_mahonian_words(eta)
+    assert result.passed, result
+    assert calls == [eta]

@@ -12,7 +12,7 @@ import pytest
 from mzeta.admissible import admissible_perms, den, i_set, iexc, n_minus_set, n_plus_set
 from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
 from mzeta.signed import b_stats, d_stats, even_signed_perms, excabs, nden, neg, nsp, signed_perms
-from mzeta.poly import BiPoly, UniPoly, cyclotomic_in_monomial, totient
+from mzeta.poly import BiPoly, UniPoly, cyclotomic_in_monomial, gaussian_binomial, totient
 from mzeta.verify import compositions_of
 from mzeta import zeta
 from mzeta.zeta import (
@@ -96,14 +96,20 @@ def series_oracle(rational, terms):
     return out
 
 
+def schoolbook_gaussian_product(eta, k):
+    """G_k = prod over the parts p of (p+k choose k)_x, one UniPoly product
+    per part, no packing."""
+    return math.prod((gaussian_binomial(p, k) for p in eta.parts), start=UniPoly.one())
+
+
 def macmahon_oracle(eta, top):
     """Schoolbook y^0..y^top coefficients of the product of (1 - x^j y) over
-    j = 0..n with the termwise Gaussian-binomial series: UniPoly products of
-    hadamard_series_coefficient, no packing."""
+    j = 0..n with the termwise Gaussian-binomial series: UniPoly products,
+    no packing."""
     dplus = [UniPoly.one()]
     for j in range(eta.n + 1):
         dplus = [a - b.shift(j) for a, b in zip(dplus + [UniPoly()], [UniPoly()] + dplus)]
-    gauss = [hadamard_series_coefficient(eta, k) for k in range(top + 1)]
+    gauss = [schoolbook_gaussian_product(eta, k) for k in range(top + 1)]
     return [
         sum((dplus[j] * gauss[k - j] for j in range(min(k, eta.n + 1) + 1)), UniPoly())
         for k in range(top + 1)
@@ -567,6 +573,13 @@ class TestRationalW:
         with pytest.raises(ZeroDivisionError):
             zeta_eval(Composition((2, 1)), 2, Fraction(1, 2))
 
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True, False, "2", None])
+    def test_evaluate_rejects_non_exact_points(self, bad):
+        # A float would be evaluated at its binary value, a bool as 0 or 1.
+        for q, t in ((bad, Fraction(1, 8)), (Fraction(2), bad)):
+            with pytest.raises(ValueError, match="evaluation points must be ints or Fractions"):
+                zeta_eval(Composition((2, 1)), q, t)
+
     @pytest.mark.parametrize("bad", [-1, 1.5, True, "2", None])
     def test_rejects_bad_exponents(self, bad):
         with pytest.raises(ValueError, match="denominator exponents must be non-negative ints"):
@@ -637,6 +650,21 @@ class TestHadamard:
         assert hadamard_series_coefficient(eta, 0) == UniPoly.one()
         assert hadamard_series_coefficient(eta, 1) == UniPoly((1, 2, 1))  # (1+x)^2
 
+    def test_series_coefficient_matches_schoolbook(self):
+        compositions = small_compositions(8)
+        assert len(compositions) == 255
+        for eta in compositions:
+            for k in range(13):
+                expected = schoolbook_gaussian_product(eta, k)
+                assert hadamard_series_coefficient(eta, k) == expected, (eta, k)
+
+    @pytest.mark.parametrize("k", [8, 16, 24, 32])
+    def test_series_coefficient_of_eight_threes(self, k):
+        eta = Composition((3,) * 8)
+        coefficient = hadamard_series_coefficient(eta, k)
+        assert coefficient == schoolbook_gaussian_product(eta, k)
+        assert coefficient.evaluate(1) == math.comb(3 + k, k) ** 8
+
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (3,), (2, 2), (3, 2, 2, 3)])
     def test_holds(self, parts):
         result = hadamard_check(Composition(parts))
@@ -690,6 +718,21 @@ class TestUnitaryScan:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             unitary_factor_scan(BiPoly(), default_bounds(2))
+
+    @pytest.mark.parametrize(
+        "bounds", [ScanBounds(-1, 2, 12), ScanBounds(3, -1, 12), ScanBounds(-1, -1, 12),
+                   ScanBounds(3, 2, 0), ScanBounds(3, 2, -5)]
+    )
+    def test_rejects_bounds_that_scan_nothing(self, bounds):
+        num = w_numerator(Composition((1, 1)))
+        with pytest.raises(ValueError, match="scan bounds need"):
+            unitary_factor_scan(num, bounds)
+
+    def test_smallest_bounds_scan_the_pure_x_direction(self):
+        # max_b = 0 leaves the pure-x direction (1, 0) and nothing else.
+        num = w_numerator(Composition((1, 1))) * BiPoly({(0, 0): 1, (1, 0): 1})
+        found = unitary_factor_scan(num, ScanBounds(0, 0, 2))
+        assert [(u.order, u.x_power, u.y_power) for u in found] == [(2, 1, 0)]
 
     def test_scan_of_constant_is_empty(self):
         assert unitary_factor_scan(BiPoly.one(), default_bounds(3)) == ()
@@ -799,6 +842,15 @@ class TestConjecture:
         assert report.predicted_factor == BiPoly({(0, 0): 1, (3, 1): 1})
         assert report.factor_divides
         assert report.consistent
+
+    @pytest.mark.parametrize("bounds", [ScanBounds(4, 4, -5), ScanBounds(-1, -1, 32)])
+    def test_rejects_bounds_that_scan_nothing(self, bounds):
+        with pytest.raises(ValueError, match="scan bounds need"):
+            conjecture_report(Composition((2, 2)), bounds=bounds)
+        # Before anything else: here the predicted factor does not divide,
+        # and the report would be made without a scan.
+        with pytest.raises(ValueError, match="scan bounds need"):
+            conjecture_report(Composition((1, 1)), bounds=bounds, numerator=BiPoly.one())
 
     def test_non_qualifying_rectangle(self):
         # All parts equal but the part is even: predicted to have no factor.
