@@ -506,7 +506,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except zeta.InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -95,8 +95,9 @@ class Composition:
 
 
 def is_word(w: Sequence[int], eta: Composition) -> bool:
-    """True iff w is a rearrangement of eta's trivial word."""
-    return tuple(sorted(w)) == eta.trivial_word
+    """True iff w is a rearrangement of eta's trivial word.  The length is
+    compared first, so a huge eta builds no trivial word."""
+    return len(w) == eta.n and tuple(sorted(w)) == eta.trivial_word
 
 
 def check_word(w: Sequence[int], eta: Composition) -> tuple[int, ...]:
@@ -121,8 +122,9 @@ def descent_stats(w: Sequence[int]) -> tuple[int, int]:
     """(des, maj): the number of descents and the sum of their positions.
 
     The descent scan of words, and of signed windows through
-    signed.type_a_stats; signed.b_stats and signed.d_stats run the same scan
-    inline, in the pass that also reads the signs.
+    signed.type_a_stats; signed._scan runs the same scan inline, in the pass
+    that also reads the signs and the excedances of |sigma| for b_stats and
+    d_stats.
 
     >>> descent_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1))
     (5, 25)

@@ -13,12 +13,13 @@ the flag statistics (fdes, fmaj), and excedance/Denert companions (excabs,
 nden on all signed permutations; dneg, ddes, dmaj, dexc, nsp, dden on the
 even-signed ones).
 
-Each statistic kernel (b_stats, abs_excedance_stats, d_stats) reads the
-window in one pass, with the descent scan and the excedance scan of |sigma|
-written inline rather than through the multiset kernels; nsp is one bisect
-pass of its own.  signed_perms and even_signed_perms walk the first n - 3
-entries and take the last three from a cache of the tails of each set of
-absolute values left, built once per call.
+One loop, _scan, reads a window: its descents, its negative entries and the
+excedance scan of |sigma|, written inline rather than through the multiset
+kernels.  b_stats (every statistic defined on all signed permutations) and
+d_stats are read from it; nsp, the independent second form of dden, is one
+bisect pass of its own.  signed_perms and even_signed_perms walk the first
+n - 3 entries and take the last three from a cache of the tails of each set
+of absolute values left, built once per call.
 """
 from __future__ import annotations
 
@@ -50,6 +51,15 @@ def check_window(window: Sequence[int]) -> tuple[int, ...]:
     return window
 
 
+def check_rank(n: int) -> int:
+    """n, when it is an int (not a bool) and at least 1; ValueError otherwise."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
 def is_even_signed(window: Sequence[int]) -> bool:
     """True iff the number of negative entries is even."""
     return neg(window) % 2 == 0
@@ -68,67 +78,33 @@ def type_a_stats(window: Sequence[int]) -> tuple[int, int]:
     return descent_stats(window)
 
 
-class BStats(NamedTuple):
-    neg: int
-    ndes: int
-    nmaj: int
-    fdes: int
-    fmaj: int
+def _scan(window: Sequence[int]) -> tuple[int, int, int, int, int, int, int, int]:
+    """One pass over a window: (des, maj, neg, the sum of the negative
+    entries, the count and the sum of the entries below -1, exc and denh of
+    |sigma| against 1..n).
 
-
-def b_stats(window: Sequence[int]) -> BStats:
-    """Negative and flag statistics of a signed permutation.
-
-    ndes = des + neg, nmaj = maj - (sum of negative entries),
-    fdes = 2*des + [first entry negative], fmaj = 2*maj + neg.
-    One pass counts the descents, their positions and the negative entries.
-
-    >>> b_stats((-2, 1))
-    BStats(neg=1, ndes=1, nmaj=2, fdes=1, fmaj=1)
-    >>> b_stats((2, -3, 1))
-    BStats(neg=1, ndes=2, nmaj=4, fdes=2, fmaj=3)
+    The descent scan is that of multiset.descent_stats on the window, the
+    excedance scan that of multiset.excedance_stats on |sigma|.
     """
-    d = m = k = low_sum = 0
-    i = 0  # the index of a; a descent window[i - 1] > window[i] sits at position i
+    d = m = k = neg_sum = low = low_sum = total = 0
+    exceeding: list[int] = []
+    rest: list[int] = []
+    # i is the index of a until the step (a descent window[i - 1] > a sits at
+    # position i), and a's 1-based position after it.
+    i = 0
     prev = window[0] if window else 0
     for a in window:
         if prev > a:
             d += 1
             m += i
-        if a < 0:
-            k += 1
-            low_sum += a
         prev = a
         i += 1
-    return BStats(
-        neg=k,
-        ndes=d + k,
-        nmaj=m - low_sum,
-        fdes=2 * d + (1 if window and window[0] < 0 else 0),
-        fmaj=2 * m + k,
-    )
-
-
-def abs_excedance_stats(window: Sequence[int]) -> tuple[int, int]:
-    """(excabs, nden): the excedance and Denert statistics of |sigma|, the
-    first plus the negative count, the second minus the sum of the negative
-    entries.
-
-    The excedance scan of multiset.excedance_stats runs on |sigma| against
-    1..n in the same pass that counts and sums the negative entries.
-
-    >>> abs_excedance_stats((-2, 1))
-    (2, 3)
-    """
-    total = k = low_sum = 0
-    exceeding: list[int] = []
-    rest: list[int] = []
-    i = 0
-    for a in window:
-        i += 1
         if a < 0:
             k += 1
-            low_sum += a
+            neg_sum += a
+            if a < -1:
+                low += 1
+                low_sum += a
             a = -a
         if a > i:
             total += i + len(exceeding) - bisect_left(exceeding, a)
@@ -136,17 +112,48 @@ def abs_excedance_stats(window: Sequence[int]) -> tuple[int, int]:
         else:
             total += len(rest) - bisect_right(rest, a)
             insort(rest, a)
-    return len(exceeding) + k, total - low_sum
+    return d, m, k, neg_sum, low, low_sum, len(exceeding), total
+
+
+class BStats(NamedTuple):
+    des: int
+    maj: int
+    neg: int
+    ndes: int
+    nmaj: int
+    fdes: int
+    fmaj: int
+    excabs: int
+    nden: int
+
+
+def b_stats(window: Sequence[int]) -> BStats:
+    """Descent, negative, flag, and excedance statistics of a signed
+    permutation, from one scan.
+
+    des and maj are those of the window; ndes = des + neg,
+    nmaj = maj - (sum of negative entries), fdes = 2*des + [first entry
+    negative], fmaj = 2*maj + neg; excabs = excedances of |sigma| plus neg,
+    and nden = denh(|sigma|) - (sum of negative entries).
+
+    >>> b_stats((-2, 1))
+    BStats(des=0, maj=0, neg=1, ndes=1, nmaj=2, fdes=1, fmaj=1, excabs=2, nden=3)
+    >>> b_stats((2, -3, 1))
+    BStats(des=1, maj=1, neg=1, ndes=2, nmaj=4, fdes=2, fmaj=3, excabs=3, nden=6)
+    """
+    d, m, k, neg_sum, _, _, exc, total = _scan(window)
+    first = 1 if window and window[0] < 0 else 0
+    return BStats(d, m, k, d + k, m - neg_sum, 2 * d + first, 2 * m + k, exc + k, total - neg_sum)
 
 
 def excabs(window: Sequence[int]) -> int:
     """Absolute excedance number: excedances of |sigma| plus the negative count."""
-    return abs_excedance_stats(window)[0]
+    return b_stats(window).excabs
 
 
 def nden(window: Sequence[int]) -> int:
     """Negative Denert statistic: denh of |sigma| minus the sum of negative entries."""
-    return abs_excedance_stats(window)[1]
+    return b_stats(window).nden
 
 
 def nsp(window: Sequence[int]) -> int:
@@ -185,8 +192,8 @@ def d_stats(window: Sequence[int]) -> DStats:
     dden = denh(|sigma|) + nsp.  The last has a second defining expression,
     denh(|sigma|) - (sum over entries below -1) - dneg; both are computed and
     must agree, otherwise something is deeply wrong and InvariantError is
-    raised.  One pass reads the descents, the sign parity, the entries below
-    -1 and the excedance scan of |sigma|; nsp is its own pass.
+    raised.  The descents, the sign parity, the entries below -1 and the
+    excedance scan of |sigma| come from _scan; nsp is its own pass.
 
     Raises ValueError when the window has an odd number of negative entries.
 
@@ -197,33 +204,8 @@ def d_stats(window: Sequence[int]) -> DStats:
     ...
     ValueError: (-1, 2) has an odd number of negative entries
     """
-    d = m = dneg = low_sum = base = 0
-    odd = False
-    exceeding: list[int] = []
-    rest: list[int] = []
-    # i is the index of a until the step (a descent window[i - 1] > a sits at
-    # position i), and a's 1-based position after it.
-    i = 0
-    prev = window[0] if window else 0
-    for a in window:
-        if prev > a:
-            d += 1
-            m += i
-        prev = a
-        i += 1
-        if a < 0:
-            odd = not odd
-            if a < -1:
-                dneg += 1
-                low_sum += a
-            a = -a
-        if a > i:
-            base += i + len(exceeding) - bisect_left(exceeding, a)
-            insort(exceeding, a)
-        else:
-            base += len(rest) - bisect_right(rest, a)
-            insort(rest, a)
-    if odd:
+    d, m, k, _, dneg, low_sum, exc, base = _scan(window)
+    if k % 2:
         raise ValueError(f"{tuple(window)} has an odd number of negative entries")
     pairs = nsp(window)
     via_pairs = base + pairs
@@ -239,7 +221,7 @@ def d_stats(window: Sequence[int]) -> DStats:
         dneg=dneg,
         ddes=d + dneg,
         dmaj=m - low_sum - dneg,
-        dexc=len(exceeding) + dneg,
+        dexc=exc + dneg,
         nsp=pairs,
         dden=via_pairs,
     )
@@ -276,9 +258,7 @@ def _windows(n: int, even: bool) -> Iterator[tuple[int, ...]]:
     absolute values left (and, with even, the parity of the negatives so
     far), so each window costs one tuple concatenation.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    values = tuple(range(1, n + 1))
+    values = tuple(range(1, check_rank(n) + 1))
     if n <= _TAIL_RANK:
         yield from _tails(values, False, even)
         return

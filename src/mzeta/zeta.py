@@ -11,12 +11,13 @@ polynomials and evaluations are Fractions.
 
 Joint distributions come from one registry, STATS, which names each
 statistic of each domain as an entry of a kernel's value: descent_stats and
-excedance_stats on words, block_grid_counts on admissible permutations, and
-b_stats, abs_excedance_stats and d_stats on signed windows; window_stats
-reads every statistic of one signed window from it.  joint_distributions is
-the one counting path: it reads the objects in batches, runs each distinct
-kernel of all its pairs once per object into one column per kernel, and
-counts each pair from two columns.  joint_distribution is its one-pair case.
+excedance_stats on words, block_grid_counts on admissible permutations,
+b_stats on signed windows, and b_stats and d_stats on even-signed ones;
+window_stats reads every statistic of one signed window from it.
+joint_distributions is the one counting path: it reads the objects in
+batches, runs each distinct kernel of all its pairs once per object into one
+column per kernel, and counts each pair from two columns.
+joint_distribution is its one-pair case.
 Both are pure enumeration, the oracle the numerator routes are checked
 against.
 
@@ -99,8 +100,7 @@ def domain_size(domain: str, *, eta: Composition | None = None, n: int | None = 
     if domain in ("B", "D"):
         if n is None:
             raise ValueError(f"domain {domain!r} needs n")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        signed.check_rank(n)
         size = 2**n * math.factorial(n)
         return size // 2 if domain == "D" else size
     raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
@@ -143,7 +143,6 @@ _DESCENT = (wd, "descent_stats", False)
 _EXCEDANCE = (wd, "excedance_stats", True)
 _GRID = (adm, "block_grid_counts", True)
 _B = (signed, "b_stats", False)
-_ABS = (signed, "abs_excedance_stats", False)
 _D = (signed, "d_stats", False)
 
 
@@ -153,11 +152,7 @@ def _entries(kernel: tuple, *names: str | None) -> dict[str, tuple[tuple, int]]:
     return {name: (kernel, field) for field, name in enumerate(names) if name}
 
 
-_SIGNED_STATS = {
-    **_entries(_DESCENT, "des", "maj"),
-    **_entries(_B, *signed.BStats._fields),
-    **_entries(_ABS, "excabs", "nden"),
-}
+_SIGNED_STATS = _entries(_B, *signed.BStats._fields)
 
 STATS: dict[str, dict[str, tuple[tuple, int | None]]] = {
     "words": {
@@ -505,8 +500,7 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
     """
     if kind not in ("B", "D"):
         raise ValueError(f"unknown signed kind {kind!r}; expected 'B' or 'D'")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    signed.check_rank(n)
     powers = range(1, n + 1 if kind == "B" else n)
     factors = [(0, 1)] + [(2 * i, 2) for i in powers] + ([(n, 1)] if kind == "D" else [])
     top = 2 * n if kind == "B" else 2 * n - 1
@@ -802,7 +796,9 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
     Candidates are the directions a in 0..max_a with b in 1..max_b, plus the
     pure-x direction (1, 0), against every cyclotomic index d <= max_d.  A hit
     certifies a unitary factor; an empty result only says no cyclotomic
-    candidate within the bounds divides f, nothing stronger.
+    candidate within the bounds divides f, nothing stronger.  A direction
+    with a > deg_x or b > deg_y passes no degree test, so only a <= deg_x and
+    b <= deg_y are listed: bounds far past the degrees cost nothing.
 
     Candidates are pruned by degree and by exact integer divisibility of
     f(2, 3), so the expensive polynomial divisions are rare.  The degree test
@@ -818,7 +814,8 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
     dy = f.degree_y()
     max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
     f23 = f.evaluate(2, 3)
-    directions = [(1, 0)] + [(a, b) for b in range(1, bounds.max_b + 1) for a in range(bounds.max_a + 1)]
+    top_a, top_b = min(bounds.max_a, dx), min(bounds.max_b, dy)
+    directions = [(1, 0)] + [(a, b) for b in range(1, top_b + 1) for a in range(top_a + 1)]
     phis = [(d, totient(d)) for d in range(1, max_d + 1)]
     passing: dict[int, list[int]] = {}
     found: list[UnitaryFactor] = []

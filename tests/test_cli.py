@@ -448,6 +448,15 @@ class TestConjecture:
         assert "max_d=3000000" in out
         assert "verdict: CONSISTENT" in out
 
+    def test_directions_past_the_degrees_are_skipped(self, capsys):
+        # W_{2,1} has x- and y-degree 2; a million directions would find nothing.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "conjecture", "--eta", "2,1", "--max-a", "1000", "--max-b", "1000")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert "(max_a=1000, max_b=1000, max_d=18): none" in out
+        assert "verdict: CONSISTENT" in out
+
     @pytest.mark.parametrize(
         "bounds",
         [("--max-d", "-5"), ("--max-d", "0"), ("--max-a", "-1", "--max-b", "-1"), ("--max-b", "-2")],
@@ -466,6 +475,24 @@ class TestConjecture:
 
 
 class TestFailureExitCodes:
+    HUGE = str(10**20)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--eta", HUGE, "--word", "1"],
+            ["zeta", "--eta", HUGE, "--q", "2", "--t", "1/3"],
+            ["dist", "--domain", "words", "--eta", HUGE, "--pair", "maj,des"],
+            ["verify", "--check", "hadamard", "--eta", HUGE],
+            ["conjecture", "--rect", "1," + HUGE],
+        ],
+        ids=["stats", "zeta", "dist", "verify", "conjecture"],
+    )
+    def test_huge_eta_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verify_reports_failure_with_exit_one(self, capsys, monkeypatch):
         # No true identity fails, so inject a failing check to exercise the
         # counterexample path end to end.

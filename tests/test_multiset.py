@@ -18,6 +18,7 @@ from mzeta.multiset import (
     inv,
     inverse,
     is_permutation,
+    check_word,
     is_word,
     maj,
     nonexceeding_subword,
@@ -75,6 +76,13 @@ class TestComposition:
     def test_trivial_word(self):
         assert ETA.trivial_word == (1, 1, 1, 2, 2, 3, 3, 4, 4, 4)
         assert Composition((2, 1)).trivial_word == (1, 1, 2)
+
+    def test_word_of_wrong_length_for_huge_eta(self):
+        # The length is compared before the 10^20-letter trivial word is built.
+        huge = Composition((10**20,))
+        assert not is_word((1,), huge)
+        with pytest.raises(ValueError, match="does not rearrange"):
+            check_word((1,), huge)
 
     def test_counts(self):
         assert Composition((2, 1)).word_count() == 3

@@ -9,8 +9,8 @@ from mzeta.multiset import des, descent_stats, excedance_stats, maj
 from mzeta.signed import (
     BStats,
     DStats,
-    abs_excedance_stats,
     b_stats,
+    check_rank,
     check_window,
     d_stats,
     even_signed_perms,
@@ -54,6 +54,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_window(window)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, Fraction(2), "2"], ids=repr)
+    def test_rank_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            check_rank(n)
+        with pytest.raises(ValueError, match="n must be an int"):
+            next(signed_perms(n))
+        with pytest.raises(ValueError, match="n must be an int"):
+            next(even_signed_perms(n))
+
 
 class TestTypeA:
     def test_windows(self):
@@ -64,9 +73,9 @@ class TestTypeA:
 
 class TestBStats:
     def test_examples(self):
-        assert b_stats((-2, 1)) == (1, 1, 2, 1, 1)
-        assert b_stats((1, 2)) == (0, 0, 0, 0, 0)
-        assert b_stats((-1,)) == (1, 1, 1, 1, 1)
+        assert b_stats((-2, 1)) == (0, 0, 1, 1, 2, 1, 1, 2, 3)
+        assert b_stats((1, 2)) == (0, 0, 0, 0, 0, 0, 0, 0, 0)
+        assert b_stats((-1,)) == (0, 0, 1, 1, 1, 1, 1, 1, 1)
 
     def test_excabs(self):
         assert excabs((-2, 1)) == 2
@@ -83,6 +92,7 @@ class TestBStats:
     def test_displays(self, window):
         stats = b_stats(window)
         negatives = [v for v in window if v < 0]
+        assert (stats.des, stats.maj) == (des(window), maj(window))
         assert stats.neg == len(negatives)
         assert stats.ndes == des(window) + stats.neg
         assert stats.nmaj == maj(window) - sum(negatives)
@@ -199,22 +209,25 @@ def reference_windows(n, even):
 
 
 def reference_b_stats(window):
+    # (neg, ndes, nmaj, fdes, fmaj)
     d, m = descent_stats(window)
     negatives = [v for v in window if v < 0]
     k = len(negatives)
-    return BStats(
-        neg=k,
-        ndes=d + k,
-        nmaj=m - sum(negatives),
-        fdes=2 * d + (1 if window and window[0] < 0 else 0),
-        fmaj=2 * m + k,
-    )
+    return (k, d + k, m - sum(negatives), 2 * d + (1 if window and window[0] < 0 else 0), 2 * m + k)
 
 
 def reference_abs_excedance_stats(window):
     exc_abs, denh_abs = excedance_stats(tuple(abs(v) for v in window), range(1, len(window) + 1))
     negatives = [v for v in window if v < 0]
     return exc_abs + len(negatives), denh_abs - sum(negatives)
+
+
+def reference_all_b_stats(window):
+    """Every BStats field from the references: (des, maj), the negative and
+    flag statistics, then (excabs, nden)."""
+    return BStats(
+        *descent_stats(window), *reference_b_stats(window), *reference_abs_excedance_stats(window)
+    )
 
 
 def reference_nsp(window):
@@ -257,8 +270,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_b_kernels_on_every_window(self, n):
         for w in signed_perms(n):
-            assert b_stats(w) == reference_b_stats(w)
-            assert abs_excedance_stats(w) == reference_abs_excedance_stats(w)
+            assert b_stats(w) == reference_all_b_stats(w)
             assert nsp(w) == reference_nsp(w)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -269,8 +281,7 @@ class TestAgainstReference:
     @given(random_windows(n_max=14, n_min=8))
     @settings(max_examples=200, deadline=None)
     def test_kernels_on_wide_windows(self, window):
-        assert b_stats(window) == reference_b_stats(window)
-        assert abs_excedance_stats(window) == reference_abs_excedance_stats(window)
+        assert b_stats(window) == reference_all_b_stats(window)
         assert nsp(window) == reference_nsp(window)
         if is_even_signed(window):
             assert d_stats(window) == reference_d_stats(window)

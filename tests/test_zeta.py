@@ -151,6 +151,14 @@ class TestDomains:
         with pytest.raises(ValueError, match="n must be >= 1"):
             domain_size(domain, n=n)
 
+    @pytest.mark.parametrize("domain", ["B", "D"])
+    @pytest.mark.parametrize("n", [True, 2.0], ids=repr)
+    def test_rejects_rank_that_is_not_an_int(self, domain, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            domain_size(domain, n=n)
+        with pytest.raises(ValueError, match="n must be an int"):
+            signed_numerator(domain, n)
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             domain_size("C", n=2)
@@ -182,6 +190,18 @@ class TestFormatCount:
             joint_distribution("B", ("neg", "des"), n=2000)
 
 
+def count_kernel_calls(monkeypatch) -> Counter:
+    """Count the calls of every signed-window kernel the registry can name."""
+    import mzeta.multiset as multiset
+    import mzeta.signed as signed
+
+    calls = Counter()
+    for module, name in ((signed, "b_stats"), (signed, "d_stats"), (multiset, "descent_stats")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda w, fn=fn, name=name: calls.update([name]) or fn(w))
+    return calls
+
+
 class TestWindowStats:
     @pytest.mark.parametrize("domain,funcs,windows", [("B", B_FUNCS, signed_perms), ("D", D_FUNCS, even_signed_perms)])
     def test_every_statistic_in_registry_order(self, domain, funcs, windows):
@@ -189,6 +209,12 @@ class TestWindowStats:
             stats = zeta.window_stats(domain, window)
             assert tuple(stats) == domain_stats(domain)
             assert stats == {name: funcs[name](window) for name in stats}
+
+    @pytest.mark.parametrize("domain,kernels", [("B", {"b_stats": 1}), ("D", {"b_stats": 1, "d_stats": 1})])
+    def test_one_call_per_kernel(self, monkeypatch, domain, kernels):
+        calls = count_kernel_calls(monkeypatch)
+        zeta.window_stats(domain, (-2, 3, -1, 4))
+        assert calls == kernels
 
 
 class TestJointDistribution:
@@ -271,14 +297,9 @@ class TestJointDistributions:
         assert joint_distributions(domain, pairs, **kw) == expected
 
     def test_each_kernel_once_per_object(self, monkeypatch):
-        import mzeta.signed as signed
-
-        calls = Counter()
-        for name in ("b_stats", "abs_excedance_stats"):
-            fn = getattr(signed, name)
-            monkeypatch.setattr(signed, name, lambda w, fn=fn, name=name: calls.update([name]) or fn(w))
-        joint_distributions("B", [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes")], n=4)
-        assert calls == {"b_stats": 384, "abs_excedance_stats": 384}
+        calls = count_kernel_calls(monkeypatch)
+        joint_distributions("B", [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes"), ("maj", "des")], n=4)
+        assert calls == {"b_stats": 384}
 
     # A scalar pair and a pair across two kernels, against a plain Counter.
     REFERENCE = {
@@ -759,6 +780,8 @@ class TestUnitaryScan:
         for d, a, b in [(1, 0, 1), (3, 1, 1), (4, 2, 1), (6, 0, 2), (5, 1, 0), (12, 1, 1)]:
             product = base * cyclotomic_in_monomial(d, a, b) * cyclotomic_in_monomial(2, 1, 1)
             cases.append((product, ScanBounds(4, 4, 300)))
+        # Bounds past both degrees: the directions beyond them find nothing.
+        cases.append((w_numerator(Composition((2, 1))), ScanBounds(40, 30, 300)))
         hits = 0
         for f, bounds in cases:
             found = [(u.order, u.x_power, u.y_power, u.poly) for u in unitary_factor_scan(f, bounds)]
