@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from bisect import bisect_left, bisect_right, insort
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -77,7 +78,9 @@ class Composition:
         return tuple(out)
 
     def word_count(self) -> int:
-        """|S_eta| = n! / (eta_1! ... eta_r!)."""
+        """|S_eta| = n! / (eta_1! ... eta_r!); ValueError for n > sys.maxsize."""
+        if self.n > sys.maxsize:
+            raise ValueError(f"eta={self} has n={self.n} letters, too many to count its words")
         count = math.factorial(self.n)
         for p in self.parts:
             count //= math.factorial(p)

@@ -41,17 +41,17 @@ route and every other pair by enumeration.
 
 All y-series arithmetic is Kronecker-packed (x = 2^w, y = x^span, balanced
 digits in slots of w bits).  G_k = prod over the parts p of (p+k choose k)_x
-is written down once, in _gaussian_factors, and multiplied only by
+is written down once, in _gaussian_factors, and packed only by
 _packed_series, which multiplies sum_k G_k y^k by a product of (1 - x^a y^b)
 and truncates: hadamard_series_coefficient (G_k alone), route A and
 hadamard_check (MacMahon's product) and both signed major sides
 ([r+1]_x^n is G_r of 1^n) share it.  RationalW.series divides a packed
-numerator by shift-adds.  Slots are read back as bytes:
-adding 2^(w-1) to every slot, masking, and flipping each slot's top bit back
-leaves every balanced digit in two's complement (_slot_bytes).  struct then
-reads a whole y-row of 1-, 2-, 4- or 8-byte slots in one call, after its
-trailing zero slots are cut off as bytes; slots of 3, 5, 6 or 7 bytes are
-first widened by strided byte copies, and wider slots are read one by one.
+numerator.  Both apply each binomial in _shifted_rows, as masked shift-adds
+of the bits below the last kept row.  Slots are read back as bytes: adding
+2^(w-1) to every slot, masking, and flipping each slot's top bit back leaves
+every balanced digit in two's complement (_slot_bytes).  Slots of 8, 16, 32
+or 64 bits are read by struct a y-row per call, after its trailing zero
+slots are cut off as bytes; wider slots are read one by one.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -68,7 +68,7 @@ import math
 import struct
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import admissible as adm
@@ -174,7 +174,9 @@ def domain_stats(domain: str) -> tuple[str, ...]:
 
 def window_stats(domain: str, window: tuple[int, ...]) -> dict[str, int]:
     """Every statistic of the signed domain ("B" or "D") on one window, by
-    name in the order of STATS; each kernel runs once."""
+    name in the order of STATS; each kernel runs once.  ValueError otherwise."""
+    if domain not in ("B", "D"):
+        raise ValueError(f"window_stats needs a signed domain, 'B' or 'D'; got {domain!r}")
     values = {}
     out = {}
     for name, (kernel, field) in STATS[domain].items():
@@ -274,11 +276,8 @@ def joint_distributions(
     return [BiPoly(count) for count in counts]
 
 
-# Slots of 1, 2, 4 or 8 bytes are read by struct one row per call; a slot of
-# 3, 5, 6 or 7 bytes is widened to the next of these before it is read.
+# Slots of 1, 2, 4 or 8 bytes are read by struct one row per call.
 _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
-# A bytes.translate table from a slot's top byte to its sign-extension byte.
-_SIGN_BYTES = bytes(128) + b"\xff" * 128
 
 
 def _pack(coeffs: Iterable[int], width: int) -> int:
@@ -305,21 +304,12 @@ def _slot_bytes(value: int, width: int, count: int) -> bytes:
 def _read_slots(data: bytes, size: int, start: int, count: int) -> tuple[int, ...]:
     """The count slots of size bytes at byte offset start of data, written by
     _slot_bytes, as ints."""
-    end = start + size * count
-    if size > 8:
-        return tuple(
-            int.from_bytes(data[i:i + size], "little", signed=True) for i in range(start, end, size)
-        )
-    wide = 1 << (size - 1).bit_length()
-    if wide != size:
-        out = bytearray(wide * count)
-        for i in range(size):
-            out[i::wide] = data[start + i:end:size]
-        sign = data[start + size - 1:end:size].translate(_SIGN_BYTES)
-        for i in range(size, wide):
-            out[i::wide] = sign
-        data, start = out, 0
-    return struct.unpack_from(f"<{count}{_FORMATS[wide]}", data, start)
+    if size in _FORMATS:
+        return struct.unpack_from(f"<{count}{_FORMATS[size]}", data, start)
+    return tuple(
+        int.from_bytes(data[i:i + size], "little", signed=True)
+        for i in range(start, start + size * count, size)
+    )
 
 
 def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
@@ -341,9 +331,29 @@ def _unpack_series(data: bytes, size: int, span: int, count: int) -> list[UniPol
 
 
 def _slot_width(bound: int) -> int:
-    """Bits per slot, a multiple of 8, for balanced digits of absolute value at
-    most bound."""
-    return (bound.bit_length() + 8) // 8 * 8
+    """Bits per slot for balanced digits of absolute value at most bound: 8,
+    16, 32, 64 or, above 64, a multiple of 8.
+
+    >>> [_slot_width(2**k - 1) for k in (0, 7, 8, 15, 16, 31, 32, 63, 64, 71, 72)]
+    [8, 8, 16, 16, 32, 32, 64, 64, 72, 72, 80]
+    """
+    bits = bound.bit_length() + 1
+    return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else (bits + 7) // 8 * 8
+
+
+def _shifted_rows(value: int, w: int, span: int, count: int, shifts: list) -> list[UniPoly]:
+    """The y^0..y^(count-1) coefficients (x = 2^w, y = x^span) of value times
+    1 + 2^shift or 1 - 2^shift for each (shift, add or sub) of shifts; exact
+    when they fit w-bit balanced digits.  A step adds only the bits that land
+    below y^count, so it is linear in their number.  Callers pass value
+    unnamed: the first step frees it."""
+    bits = w * span * count
+    for shift, step in shifts:
+        if shift < bits:
+            value = step(value, (value & ((1 << (bits - shift)) - 1)) << shift)
+    data = _slot_bytes(value, w, span * count)
+    del value  # as large as the result: free it before the rows are built
+    return _unpack_series(data, w // 8, span, count)
 
 
 def _packed_series(
@@ -354,15 +364,15 @@ def _packed_series(
     is the product of f^e over the pairs (f, e) of gs[k], each f with
     nonnegative coefficients.
 
-    Both factors are packed (x = 2^w, y = x^span) and multiplied once.  The
-    y^k coefficient is sum_j D_j G_(k-j), D_j the y^j coefficient of the
-    product.  |every coefficient of D_j| is at most ways[j], the number of
-    subsets of factors of y-degree j, and the x-degree of D_j at most reach[j],
-    the largest sum of their a; G_k has coefficients summing to at most the
-    product of f(1)^e.  So sum_j ways[j] * G_(k-j)(1) bounds the y^k
-    coefficients, w holds the largest such bound as a balanced digit, and span
-    exceeds every reach[j] + deg G_(k-j).  Nothing of y-degree above top lands
-    in a kept slot.
+    Each factor is one shift step of _shifted_rows (x = 2^w, y = x^span).
+    The y^k coefficient is sum_j D_j G_(k-j), D_j the y^j coefficient of
+    prod (1 - x^a y^b).  |every coefficient of D_j| is at most ways[j], the
+    number of subsets of factors of y-degree j, and the x-degree of D_j at
+    most reach[j], the largest sum of their a; G_k has coefficients summing
+    to at most the product of f(1)^e.  So sum_j ways[j] * G_(k-j)(1) bounds
+    the y^k coefficients, w holds the largest such bound as a balanced
+    digit, and span exceeds every reach[j] + deg G_(k-j).  Nothing of
+    y-degree above top lands in a kept slot.
     """
     top = len(gs) - 1
     ways = [1] + [0] * top
@@ -377,18 +387,10 @@ def _packed_series(
     ks = range(top + 1)
     w = _slot_width(max(sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in ks))
     span = 1 + max(reach[j] + degrees[k - j] for k in ks for j in range(k + 1))
-    g = 0
-    for k, factors_k in enumerate(gs):
-        gk = 1
-        for f, e in factors_k:
-            gk *= _pack(f.coeffs, w) ** e
-        g += gk << (w * span * k)
-    d = 1
-    for a, b in factors:
-        d -= d << (w * (span * b + a))
-    data = _slot_bytes(d * g, w, span * (top + 1))
-    del d, g
-    return _unpack_series(data, w // 8, span, top + 1)
+    shifts = [(w * (span * b + a), sub) for a, b in factors]
+    gks = (math.prod(_pack(f.coeffs, w) ** e for f, e in g) for g in gs)
+    packed = (gk << (w * span * k) for k, gk in enumerate(gks))
+    return _shifted_rows(sum(packed), w, span, top + 1, shifts)
 
 
 def _gaussian_factors(eta: Composition, k: int) -> list[tuple[UniPoly, int]]:
@@ -618,17 +620,10 @@ class RationalW:
                 f"slots, which exceeds the budget of {format_count(budget)}"
             )
         w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
-        bits = w * span * terms
         rows = num.y_coefficients().items()
-        value = sum(p.evaluate(1 << w) << (w * span * b) for b, p in rows if b <= top)
-        for j in exps:
-            shift = w * (span + j)
-            for _ in range(top.bit_length()):
-                value += (value & ((1 << (bits - shift)) - 1)) << shift
-                shift *= 2
-        data = _slot_bytes(value, w, span * terms)
-        del value  # as large as the result: free it before the rows are built
-        return _unpack_series(data, w // 8, span, terms)
+        shifts = [(w * (span + j) << i, add) for j in exps for i in range(top.bit_length())]
+        packed = (p.evaluate(1 << w) << (w * span * b) for b, p in rows if b <= top)
+        return _shifted_rows(sum(packed), w, span, terms, shifts)
 
 
 def zeta_eval(

@@ -492,6 +492,7 @@ class TestFailureExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert self.HUGE in err
 
     def test_verify_reports_failure_with_exit_one(self, capsys, monkeypatch):
         # No true identity fails, so inject a failing check to exercise the

@@ -1,33 +1,20 @@
-"""The docstring examples are real: run them."""
+"""The docstring examples are real: run them, in every module of mzeta."""
 import doctest
+import importlib
+import inspect
+import pkgutil
 
-import mzeta.admissible
-import mzeta.multiset
-import mzeta.poly
-import mzeta.signed
-import mzeta.zeta
+import pytest
 
+import mzeta
 
-def test_admissible_doctests():
-    failures, tried = doctest.testmod(mzeta.admissible)
-    assert tried and not failures
+MODULES = sorted(info.name for info in pkgutil.iter_modules(mzeta.__path__))
 
 
-def test_multiset_doctests():
-    failures, tried = doctest.testmod(mzeta.multiset)
-    assert tried and not failures
-
-
-def test_poly_doctests():
-    failures, tried = doctest.testmod(mzeta.poly)
-    assert tried and not failures
-
-
-def test_signed_doctests():
-    failures, tried = doctest.testmod(mzeta.signed)
-    assert tried and not failures
-
-
-def test_zeta_doctests():
-    failures, tried = doctest.testmod(mzeta.zeta)
-    assert tried and not failures
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    module = importlib.import_module(f"mzeta.{name}")
+    failures, tried = doctest.testmod(module)
+    assert not failures
+    # A module whose source shows an example must have run it.
+    assert tried or ">>>" not in inspect.getsource(module)

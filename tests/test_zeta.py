@@ -216,6 +216,11 @@ class TestWindowStats:
         zeta.window_stats(domain, (-2, 3, -1, 4))
         assert calls == kernels
 
+    @pytest.mark.parametrize("domain", ["words", "admissible", "A"])
+    def test_rejects_other_domains(self, domain):
+        with pytest.raises(ValueError, match=f"signed domain, 'B' or 'D'; got {domain!r}"):
+            zeta.window_stats(domain, (1, 2))
+
 
 class TestJointDistribution:
     def test_words_examples(self):
@@ -361,6 +366,13 @@ class TestNumerator:
     def test_counts(self, eta):
         assert w_numerator(eta).evaluate(1, 1) == eta.word_count()
 
+    def test_one_part_of_forty_is_linear_in_the_packed_size(self):
+        # One word, but route A packs 41 rows of G_k and applies 41 binomials
+        # to them; each is one shift step, linear in the packed size.
+        t0 = time.perf_counter()
+        assert w_numerator(Composition((40,))) == BiPoly.one()
+        assert time.perf_counter() - t0 < 1.0
+
     def test_budget_counts_words(self):
         with pytest.raises(BudgetError):
             w_numerator(Composition((1, 1, 1, 1)), budget=23)
@@ -462,10 +474,20 @@ def balanced_pack(digits, width):
     return sum(d << (width * i) for i, d in enumerate(digits))
 
 
+def test_slot_width_is_the_smallest_struct_or_byte_width():
+    # 8, 16, 32 or 64 bits, or a multiple of 8 above 64; it holds +-bound as
+    # a balanced digit, and no smaller such width does.
+    widths = [8, 16, 32, 64, *range(72, 216, 8)]
+    for bound in [0] + [(1 << bits) - c for bits in range(1, 201) for c in (0, 1)]:
+        w = zeta._slot_width(bound)
+        assert w in widths and bound < 1 << (w - 1), bound
+        i = widths.index(w)
+        assert i == 0 or bound >= 1 << (widths[i - 1] - 1), bound
+
+
 class TestSlotCodec:
     """_pack, _unpack and _unpack_series at every slot width of 1 to 16 bytes:
-    the struct widths, the widened ones (3, 5, 6, 7) and int.from_bytes above
-    8 bytes."""
+    the struct widths (1, 2, 4, 8) and int.from_bytes at every other one."""
 
     @pytest.mark.parametrize("size", range(1, 17))
     def test_round_trip(self, size):
