@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -135,20 +136,18 @@ def _format_value(value) -> str:
 
 def _stats_for_word(eta: Composition, w: tuple[int, ...], verbose: bool) -> dict:
     w = wd.check_word(w, eta)
-    out: dict = {
-        "des": wd.des(w),
-        "maj": wd.maj(w),
-        "exc": wd.exc(w, eta),
-        "denh": wd.denh(w, eta),
-    }
+    des, maj = wd.descent_stats(w)
+    exc, denh = wd.excedance_stats(w, eta.trivial_word)
+    out: dict = {"des": des, "maj": maj, "exc": exc, "denh": denh}
     if verbose:
         exceeding = wd.exceeding_subword(w, eta)
         rest = wd.nonexceeding_subword(w, eta)
+        positions = sorted(wd.exc_set(w, eta))
         out["Des"] = sorted(wd.descent_set(w))
-        out["Exc"] = sorted(wd.exc_set(w, eta))
+        out["Exc"] = positions
         out["E"] = list(exceeding)
         out["N"] = list(rest)
-        out["exc_sum"] = sum(wd.exc_set(w, eta))
+        out["exc_sum"] = sum(positions)
         out["imv_E"] = wd.imv(exceeding)
         out["inv_N"] = wd.inv(rest)
     return out
@@ -195,6 +194,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         else:
             table = _stats_for_perm(eta, parse_sequence(args.perm), args.verbose)
     else:
+        if args.eta is not None:
+            raise ValueError("--signed takes no --eta")
         window = parse_sequence(args.signed, allow_negative=True)
         table = _stats_for_signed(window, args.type, args.verbose)
     if args.stat:
@@ -219,10 +220,14 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.domain in ("words", "admissible"):
         if args.eta is None:
             raise ValueError(f"domain {args.domain!r} needs --eta")
+        if args.n is not None:
+            raise ValueError(f"domain {args.domain!r} takes --eta, not --n")
         poly = zeta.distribution(args.domain, pair, eta=parse_eta(args.eta), budget=args.budget)
     else:
         if args.n is None:
             raise ValueError(f"domain {args.domain!r} needs --n")
+        if args.eta is not None:
+            raise ValueError(f"domain {args.domain!r} takes --n, not --eta")
         poly = zeta.distribution(args.domain, pair, n=args.n, budget=args.budget)
     if args.format == "json":
         _emit_json(args, poly.to_json_obj())
@@ -233,15 +238,17 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def _verify_targets(args: argparse.Namespace):
     by_eta = args.check in CHECKS_BY_ETA
+    if args.eta is not None and not by_eta:
+        raise ValueError(f"check {args.check!r} takes --n, not --eta")
+    if args.n is not None and by_eta:
+        raise ValueError(f"check {args.check!r} takes --eta, not --n")
+    n_max = args.all_eta_up_to
+    if sum(v is not None for v in (args.eta, args.n, n_max)) > 1:
+        raise ValueError("choose one target, not several: --eta, --n, or --all-eta-up-to")
     if args.eta is not None:
-        if not by_eta:
-            raise ValueError(f"check {args.check!r} takes --n, not --eta")
         return [parse_eta(args.eta)]
     if args.n is not None:
-        if by_eta:
-            raise ValueError(f"check {args.check!r} takes --eta, not --n")
         return [args.n]
-    n_max = args.all_eta_up_to
     if n_max is not None:
         if n_max < 1:
             raise ValueError("--all-eta-up-to must be >= 1")
@@ -271,13 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "check": args.check,
                 "passed": all_passed,
                 "results": [
-                    {
-                        "target": r.target,
-                        "passed": r.passed,
-                        "expected_failure": r.expected_failure,
-                        "checked": r.checked,
-                        "detail": r.detail,
-                    }
+                    {k: v for k, v in dataclasses.asdict(r).items() if k != "check"}
                     for r in results
                 ],
             },
@@ -362,7 +363,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
                 "factor_divides": report.factor_divides,
                 "residual": report.residual.to_json_obj() if report.residual is not None else None,
                 "factors_found": found,
-                "bounds": {"max_a": bounds.max_a, "max_b": bounds.max_b, "max_d": bounds.max_d},
+                "bounds": bounds._asdict(),
                 "verdict": "CONSISTENT" if report.consistent else "INCONSISTENT",
             },
         )

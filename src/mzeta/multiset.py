@@ -78,13 +78,12 @@ class Composition:
         return tuple(out)
 
     def word_count(self) -> int:
-        """|S_eta| = n! / (eta_1! ... eta_r!); ValueError for n > sys.maxsize."""
+        """|S_eta| = n! / (eta_1! ... eta_r!), built as the product over k of
+        C(eta_1 + ... + eta_k, eta_k) with no n! in between; ValueError for
+        n > sys.maxsize."""
         if self.n > sys.maxsize:
             raise ValueError(f"eta={self} has n={self.n} letters, too many to count its words")
-        count = math.factorial(self.n)
-        for p in self.parts:
-            count //= math.factorial(p)
-        return count
+        return math.prod(map(math.comb, itertools.accumulate(self.parts), self.parts))
 
     def is_rectangle(self) -> tuple[int, int] | None:
         """Return (m, r) if all parts equal m, else None."""
@@ -161,38 +160,36 @@ def maj(w: Sequence[int]) -> int:
     return descent_stats(w)[1]
 
 
-def inv(seq: Sequence[int]) -> int:
-    """Number of pairs i < j with seq_i > seq_j.
+def _pairs_above(seq: Sequence[int], cut) -> int:
+    """The pairs i < j with seq_i above seq_j, in one pass: each entry a
+    counts the entries read before it that sort past cut(seen, a), then joins
+    the sorted list seen.  bisect_right counts seq_i > a, bisect_left
+    seq_i >= a."""
+    total = 0
+    seen: list[int] = []
+    for a in seq:
+        total += len(seen) - cut(seen, a)
+        insort(seen, a)
+    return total
 
-    Plain O(k^2) scan; the sequences in play are short.
+
+def inv(seq: Sequence[int]) -> int:
+    """Number of pairs i < j with seq_i > seq_j, one bisect per entry.
 
     >>> inv((2, 1, 1, 4, 1))
     4
     """
-    total = 0
-    k = len(seq)
-    for i in range(k):
-        a = seq[i]
-        for j in range(i + 1, k):
-            if a > seq[j]:
-                total += 1
-    return total
+    return _pairs_above(seq, bisect_right)
 
 
 def imv(seq: Sequence[int]) -> int:
-    """Number of weak inversions: pairs i < j with seq_i >= seq_j.
+    """Number of weak inversions: pairs i < j with seq_i >= seq_j, one
+    bisect per entry.
 
     >>> imv((4, 2, 3, 3, 4))
     5
     """
-    total = 0
-    k = len(seq)
-    for i in range(k):
-        a = seq[i]
-        for j in range(i + 1, k):
-            if a >= seq[j]:
-                total += 1
-    return total
+    return _pairs_above(seq, bisect_left)
 
 
 def exc_set(w: Sequence[int], eta: Composition) -> set[int]:

@@ -715,40 +715,31 @@ def reciprocity_check(
 
     Inverting every denominator factor pulls out a fixed monomial, so the
     functional equation holds iff the reversed numerator x^A y^B N(1/x, 1/y)
-    equals the numerator itself up to a sign and a monomial shift.  The
-    reported exponents absorb the denominator contribution: sign times
-    x^(n(n-1)/2 - A + shift_x) y^(n - B + shift_y).
+    equals the numerator itself up to a sign and a monomial shift.  A shift
+    keeps the order of the exponent pairs, so it must move the lowest pair of
+    N onto the lowest pair of the reversal, and the sign must match their
+    coefficients: the equation holds iff N shifted and signed that way is the
+    reversal, one comparison of term maps.  The reported exponents absorb the
+    denominator contribution: sign times x^(n(n-1)/2 - A + shift_x)
+    y^(n - B + shift_y).
     """
     n = eta.n
     if numerator is None:
         numerator = w_numerator(eta, budget=budget)
     if not numerator:
         raise ValueError("zero numerator")
-    rev = numerator.reversed_xy()
-    fwd_terms = sorted(numerator.terms.items())
-    rev_terms = sorted(rev.terms.items())
-    if len(fwd_terms) != len(rev_terms):
+    terms = numerator.terms
+    rev = numerator.reversed_xy().terms
+    (fa, fb), (ra, rb) = min(terms), min(rev)
+    shift_x, shift_y = ra - fa, rb - fb
+    delta = 1 if rev[ra, rb] == terms[fa, fb] else -1
+    if {(a + shift_x, b + shift_y): delta * c for (a, b), c in terms.items()} != rev:
         return ReciprocityResult(False)
-    (fa, fb), fc = fwd_terms[0]
-    (ra, rb), rc = rev_terms[0]
-    shift_x = ra - fa
-    shift_y = rb - fb
-    if rc == fc:
-        delta = 1
-    elif rc == -fc:
-        delta = -1
-    else:
-        return ReciprocityResult(False)
-    for ((a1, b1), c1), ((a2, b2), c2) in zip(fwd_terms, rev_terms):
-        if a2 != a1 + shift_x or b2 != b1 + shift_y or c2 != delta * c1:
-            return ReciprocityResult(False)
-    big_a = numerator.degree_x()
-    big_b = numerator.degree_y()
     return ReciprocityResult(
         True,
         (-1) ** n * delta,
-        n * (n - 1) // 2 - big_a + shift_x,
-        n - big_b + shift_y,
+        n * (n - 1) // 2 - numerator.degree_x() + shift_x,
+        n - numerator.degree_y() + shift_y,
     )
 
 

@@ -2,14 +2,18 @@
 import errno
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from mzeta import zeta
-from mzeta.cli import main, parse_eta, parse_rational, parse_sequence
+from mzeta.cli import build_parser, main, parse_eta, parse_rational, parse_sequence
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -336,6 +340,52 @@ class TestVerify:
         assert code == 2
 
 
+class TestUnusedTargetFlags:
+    """A target flag the command would not read is refused, not ignored; a
+    missing target keeps its own message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["verify", "--check", "hadamard", "--eta", "2,1", "--all-eta-up-to", "3"],
+                "choose one target, not several: --eta, --n, or --all-eta-up-to",
+            ),
+            (
+                ["verify", "--check", "b-equidistribution", "--n", "3", "--all-eta-up-to", "2"],
+                "choose one target, not several: --eta, --n, or --all-eta-up-to",
+            ),
+            (
+                ["verify", "--check", "hadamard", "--eta", "2,1", "--n", "4"],
+                "check 'hadamard' takes --eta, not --n",
+            ),
+            (
+                ["verify", "--check", "d-equidistribution", "--n", "3", "--eta", "2,1"],
+                "check 'd-equidistribution' takes --n, not --eta",
+            ),
+            (
+                ["dist", "--domain", "words", "--eta", "2,1", "--n", "9", "--pair", "maj,des"],
+                "domain 'words' takes --eta, not --n",
+            ),
+            (
+                ["dist", "--domain", "B", "--n", "3", "--eta", "2,1", "--pair", "maj,des"],
+                "domain 'B' takes --n, not --eta",
+            ),
+            (["stats", "--signed=-2,1", "--eta", "2,1"], "--signed takes no --eta"),
+            (
+                ["dist", "--domain", "words", "--n", "3", "--pair", "maj,des"],
+                "domain 'words' needs --eta",
+            ),
+            (
+                ["dist", "--domain", "D", "--eta", "2,1", "--pair", "dden,dexc"],
+                "domain 'D' needs --n",
+            ),
+        ],
+    )
+    def test_refused(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestUnprintableSizes:
     """Sizes past the digits str() converts still give the budget error."""
 
@@ -645,6 +695,42 @@ class TestParserReuse:
                 capture_output=True, text=True, env=env,
             )
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def readme_commands():
+    """(argv, comment) of every `mzeta ...` line in README's command-line block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        if line.startswith("mzeta "):
+            command, _, comment = line.partition("#")
+            out.append((shlex.split(command)[1:], comment.strip()))
+    return out
+
+
+class TestReadmeCommands:
+    def test_every_command_parses(self):
+        commands = readme_commands()
+        assert len(commands) >= 10
+        parser = build_parser()
+        for argv, _ in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: mzeta {shlex.join(argv)}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--domain", "words", "--eta", "2,1", "--pair", "denh,exc"],
+            ["zeta", "--eta", "2,1", "--q", "2", "--t", "1/8"],
+        ],
+        ids=" ".join,
+    )
+    def test_output_shown_in_comment(self, capsys, argv):
+        comments = {" ".join(a): c for a, c in readme_commands()}
+        assert run(capsys, *argv) == (0, comments[" ".join(argv)] + "\n", "")
 
 
 def test_python_dash_m_matches_in_process(capsys):

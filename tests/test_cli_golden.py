@@ -96,6 +96,12 @@ CORPUS = [
     ["dist", "--domain", "D", "--n", "-2", "--pair", "dden,dexc"],
     # The series is charged its packed slot count (100 terms, span 201).
     ["zeta", "--eta", "2,1", "--series-terms", "100", "--budget", "10"],
+    # A target flag the command does not use is refused, not ignored.
+    ["verify", "--check", "hadamard", "--eta", "2,1", "--all-eta-up-to", "3"],
+    ["verify", "--check", "hadamard", "--eta", "2,1", "--n", "4"],
+    ["dist", "--domain", "words", "--eta", "2,1", "--n", "9", "--pair", "maj,des"],
+    ["dist", "--domain", "B", "--n", "3", "--eta", "2,1", "--pair", "maj,des"],
+    ["stats", "--signed=-2,1", "--eta", "2,1"],
 ]
 
 

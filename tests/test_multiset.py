@@ -1,6 +1,7 @@
 """Word statistics against hand-derived and brute-force oracles."""
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,19 @@ class TestComposition:
         assert ETA.word_count() == 25200
         assert Composition((1, 1, 1)).word_count() == 6
 
+    def test_counts_match_the_multinomial(self):
+        for n in range(1, 11):
+            for eta in compositions_of(n):
+                expected = math.factorial(n) // math.prod(map(math.factorial, eta.parts))
+                assert eta.word_count() == expected, eta
+
+    @pytest.mark.parametrize("parts, count", [((10**6,), 1), ((10**6, 1), 10**6 + 1)])
+    def test_count_of_a_huge_part_is_quick(self, parts, count):
+        # No n! in between: the count of one million letters is immediate.
+        start = time.perf_counter()
+        assert Composition(parts).word_count() == count
+        assert time.perf_counter() - start < 1
+
     def test_rectangle(self):
         assert Composition((3, 3)).is_rectangle() == (3, 2)
         assert Composition((2, 1)).is_rectangle() is None
@@ -130,7 +144,7 @@ class TestInversions:
         assert inv(()) == 0
         assert imv(()) == 0
 
-    @given(st.lists(st.integers(1, 5), max_size=8))
+    @given(st.lists(st.integers(1, 5), max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_weak_minus_strict_counts_equal_pairs(self, seq):
         equal_pairs = sum(
@@ -141,6 +155,9 @@ class TestInversions:
         )
         assert imv(seq) - inv(seq) == equal_pairs
         assert imv(seq) >= inv(seq)
+        pairs = list(itertools.combinations(seq, 2))
+        assert inv(seq) == sum(a > b for a, b in pairs)
+        assert imv(seq) == sum(a >= b for a, b in pairs)
 
 
 class TestExcedances:

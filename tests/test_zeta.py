@@ -19,6 +19,7 @@ from mzeta.zeta import (
     BudgetError,
     InvariantError,
     RationalW,
+    ReciprocityResult,
     ScanBounds,
     conjecture_report,
     default_bounds,
@@ -745,6 +746,56 @@ class TestReciprocity:
     def test_dichotomy(self, eta):
         observed = reciprocity_check(eta)
         assert observed.holds == (eta.is_rectangle() is not None)
+
+    @staticmethod
+    def sorted_walk(eta, numerator):
+        """Oracle: both term lists sorted and walked in pairs against the
+        shift and sign their first terms fix."""
+        n = eta.n
+        fwd_terms = sorted(numerator.terms.items())
+        rev_terms = sorted(numerator.reversed_xy().terms.items())
+        if len(fwd_terms) != len(rev_terms):
+            return ReciprocityResult(False)
+        (fa, fb), fc = fwd_terms[0]
+        (ra, rb), rc = rev_terms[0]
+        shift_x, shift_y = ra - fa, rb - fb
+        if rc == fc:
+            delta = 1
+        elif rc == -fc:
+            delta = -1
+        else:
+            return ReciprocityResult(False)
+        for ((a1, b1), c1), ((a2, b2), c2) in zip(fwd_terms, rev_terms):
+            if a2 != a1 + shift_x or b2 != b1 + shift_y or c2 != delta * c1:
+                return ReciprocityResult(False)
+        return ReciprocityResult(
+            True,
+            (-1) ** n * delta,
+            n * (n - 1) // 2 - numerator.degree_x() + shift_x,
+            n - numerator.degree_y() + shift_y,
+        )
+
+    def test_arbitrary_polynomials_match_sorted_walk(self):
+        # Signed coefficients, supports off (0, 0), both signs of the
+        # equation, and polynomials that miss it by one term or one sign.
+        rng = random.Random(15)
+        deltas = Counter()
+        for trial in range(1500):
+            eta = Composition(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))))
+            f = BiPoly({
+                (rng.randint(0, 4), rng.randint(0, 3)): rng.choice((-3, -2, -1, 1, 2, 3))
+                for _ in range(rng.randint(1, 6))
+            })
+            for g in (f, f + f.reversed_xy(), f - f.reversed_xy()):
+                g = g * BiPoly.monomial(rng.randint(0, 2), rng.randint(0, 2), rng.choice((-1, 1)))
+                if rng.random() < 0.2 and g:
+                    g = g + BiPoly.monomial(rng.randint(0, 5), rng.randint(0, 4))
+                if not g:
+                    continue
+                expected = self.sorted_walk(eta, g)
+                assert reciprocity_check(eta, numerator=g) == expected, (eta, g)
+                deltas[expected.sign * (-1) ** eta.n if expected.holds else None] += 1
+        assert deltas[1] > 100 and deltas[-1] > 100 and deltas[None] > 100, deltas
 
 
 class TestUnitaryScan:
