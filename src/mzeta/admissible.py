@@ -61,11 +61,9 @@ Cell = tuple[int, int]
 
 @lru_cache(maxsize=4096)
 def block_lookup(eta: Composition) -> tuple[int, ...]:
-    """blocks[i] = block index of position i, for i in 1..n (blocks[0] unused)."""
-    out = [0]
-    for k, p in enumerate(eta.parts, start=1):
-        out.extend([k] * p)
-    return tuple(out)
+    """blocks[i] = block index of position i, for i in 1..n (blocks[0] unused):
+    the block map is the trivial word."""
+    return (0,) + eta.trivial_word
 
 
 @lru_cache(maxsize=4096)

@@ -158,7 +158,7 @@ def _stats_for_perm(eta: Composition, perm: tuple[int, ...], verbose: bool) -> d
     if len(perm) != eta.n:
         raise ValueError(f"permutation length {len(perm)} != n={eta.n}")
     admissible = adm.is_admissible(eta, perm)
-    col_sum, exceed, plus, minus = adm.grid_counts(eta, perm)
+    den, col_sum, exceed, plus, minus = adm.block_grid_counts(perm, adm.column_masks(eta))
     out: dict = {
         "is_admissible": admissible,
         "i_sum": col_sum,
@@ -167,7 +167,7 @@ def _stats_for_perm(eta: Composition, perm: tuple[int, ...], verbose: bool) -> d
         "n_minus": minus,
     }
     if admissible:
-        out["den"] = col_sum + plus - minus - exceed
+        out["den"] = den
     if verbose:
         out["I"] = sorted(j for _, j in adm.i_set(eta, perm))
         out["projected_inverse"] = list(adm.project_perm(eta, wd.inverse(perm)))
@@ -254,12 +254,9 @@ def _verify_targets(args: argparse.Namespace):
             raise ValueError("--all-eta-up-to must be >= 1")
         # A sweep is bounded as a whole, before any target is listed or runs.
         count, total = verify.sweep_size(args.check, n_max)
-        if count > 1 and total > args.budget:
-            raise zeta.BudgetError(
-                f"sweep of {zeta.format_count(count)} targets has total domain size "
-                f"{zeta.format_count(total)}, which exceeds the budget of "
-                f"{zeta.format_count(args.budget)}"
-            )
+        if count > 1:
+            what = f"sweep of {zeta.format_count(count)} targets has total domain size {{}}, which"
+            zeta._check_budget(total, args.budget, what)
         if by_eta:
             return list(verify.compositions_up_to(n_max))
         # For the signed-group checks the composition is irrelevant; sweep n.
@@ -337,6 +334,10 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot parse --rect {args.rect!r}; expected r,m")
         if r < 1 or m < 1:
             raise ValueError("--rect needs positive r,m")
+        if r > sys.maxsize:
+            raise ValueError(
+                f"--rect {args.rect!r} asks for {r} parts; a composition holds at most {sys.maxsize}"
+            )
         eta = Composition((m,) * r)
     else:
         eta = parse_eta(args.eta)
@@ -392,14 +393,22 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     return 0 if report.consistent else 1
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("MZETA_BUDGET")
-    if raw is None:
-        return zeta.DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"MZETA_BUDGET={raw!r} is not an integer")
+def _resolve_budget(flag: int | None) -> int:
+    """--budget, else MZETA_BUDGET, else the default; a negative budget is an
+    input error that names its source."""
+    if flag is not None:
+        budget, source = flag, f"--budget {flag}"
+    else:
+        raw = os.environ.get("MZETA_BUDGET")
+        if raw is None:
+            return zeta.DEFAULT_BUDGET
+        try:
+            budget, source = int(raw), f"MZETA_BUDGET={raw!r}"
+        except ValueError:
+            raise ValueError(f"MZETA_BUDGET={raw!r} is not an integer")
+    if budget < 0:
+        raise ValueError(f"{source} is negative; a budget must be 0 or more")
+    return budget
 
 
 # Usage and help text wrap at 80 columns, whatever COLUMNS or the terminal
@@ -493,12 +502,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.budget is None:
-        try:
-            args.budget = _default_budget()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        args.budget = _resolve_budget(args.budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except zeta.BudgetError as exc:

@@ -126,10 +126,12 @@ def format_count(count: int) -> str:
         return f"{sign}{lead // 100}.{lead % 100:02d}e{exponent}"
 
 
-def _check_budget(size: int, budget: int) -> None:
+def _check_budget(size: int, budget: int, what: str = "domain of size {}") -> None:
+    """BudgetError when size exceeds budget; what names the size, with {} for
+    its count.  Every refusal of the package is raised here."""
     if size > budget:
         raise BudgetError(
-            f"domain of size {format_count(size)} exceeds the budget of {format_count(budget)}"
+            f"{what.format(format_count(size))} exceeds the budget of {format_count(budget)}"
         )
 
 
@@ -614,11 +616,7 @@ class RationalW:
         top = terms - 1
         num, exps = self.numerator, self.denom_exponents
         span = max(num.degree_x(), 0) + top * max(exps, default=0) + 1
-        if span * terms > budget:
-            raise BudgetError(
-                f"series of {format_count(terms)} terms packs {format_count(span * terms)} "
-                f"slots, which exceeds the budget of {format_count(budget)}"
-            )
+        _check_budget(span * terms, budget, f"series of {format_count(terms)} terms packs {{}} slots, which")
         w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
         rows = num.y_coefficients().items()
         shifts = [(w * (span + j) << i, add) for j in exps for i in range(top.bit_length())]
@@ -815,17 +813,13 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
         # a polynomial divisor evaluated at (2, 3) divides f(2, 3).
         base = 2**a * 3**b
         for d in passing[cap]:
-            probe = _cyclotomic_at(d, base)
+            probe = poly.cyclotomic(d).evaluate(base)
             if probe and f23 % probe:
                 continue
             candidate = cyclotomic_in_monomial(d, a, b)
             if f.divide_exact(candidate) is not None:
                 found.append(UnitaryFactor(d, a, b, candidate))
     return tuple(found)
-
-
-def _cyclotomic_at(d: int, value: int) -> int:
-    return poly.cyclotomic(d).evaluate(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -865,19 +859,15 @@ def conjecture_report(
         numerator = w_numerator(eta, budget=budget)
     rect = eta.is_rectangle()
     qualifies = rect is not None and rect[0] % 2 == 1 and rect[1] % 2 == 0
+    factor = residual = divides = None
+    scanned = numerator
     if qualifies:
         m, r = rect
         factor = BiPoly({(0, 0): 1, (r * m // 2, 1): 1})
-        residual = numerator.divide_exact(factor)
-        if residual is None:
-            return ConjectureReport(
-                eta, numerator, rect, True, factor, False, None, (), False, bounds
-            )
-        found = unitary_factor_scan(residual, bounds)
-        return ConjectureReport(
-            eta, numerator, rect, True, factor, True, residual, found, not found, bounds
-        )
-    found = unitary_factor_scan(numerator, bounds)
+        residual = scanned = numerator.divide_exact(factor)
+        divides = residual is not None
+    found = unitary_factor_scan(scanned, bounds) if scanned is not None else ()
     return ConjectureReport(
-        eta, numerator, rect, False, None, None, None, found, not found, bounds
+        eta, numerator, rect, qualifies, factor, divides, residual, found,
+        scanned is not None and not found, bounds,
     )

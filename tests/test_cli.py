@@ -12,6 +12,7 @@ import pytest
 
 from mzeta import zeta
 from mzeta.cli import build_parser, main, parse_eta, parse_rational, parse_sequence
+from mzeta.poly import BiPoly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -386,6 +387,44 @@ class TestUnusedTargetFlags:
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+class TestBudgetSource:
+    """A negative MZETA_BUDGET is an input error named with its source, as a
+    negative --budget is (the golden corpus pins the flag's bytes); a budget
+    of 0 is charged like any other."""
+
+    COMMANDS = [
+        ["stats", "--eta", "2,1", "--word", "211"],
+        ["dist", "--domain", "words", "--eta", "2,1", "--pair", "maj,des"],
+        ["verify", "--check", "hadamard", "--eta", "2,1"],
+        ["zeta", "--eta", "2,1", "--q", "2", "--t", "1/8"],
+        ["conjecture", "--eta", "2,1"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_negative_environment(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MZETA_BUDGET", "-1")
+        assert run(capsys, *argv) == (
+            2, "", "error: MZETA_BUDGET='-1' is negative; a budget must be 0 or more\n"
+        )
+        # The flag is the budget's only source when it is given.
+        assert run(capsys, *argv, "--budget", "100")[0] == 0
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_zero_from_either_source(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("MZETA_BUDGET", raising=False)
+        flag = run(capsys, *argv, "--budget", "0")
+        monkeypatch.setenv("MZETA_BUDGET", "0")
+        assert run(capsys, *argv) == flag
+        # stats is charged nothing; every other command here charges 3.
+        assert flag[0] == (0 if argv[0] == "stats" else 3)
+
+    def test_environment_that_is_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("MZETA_BUDGET", "ten")
+        assert run(capsys, "zeta", "--eta", "2,1", "--q", "2", "--t", "1/8") == (
+            2, "", "error: MZETA_BUDGET='ten' is not an integer\n"
+        )
+
+
 class TestUnprintableSizes:
     """Sizes past the digits str() converts still give the budget error."""
 
@@ -517,6 +556,12 @@ class TestConjecture:
         assert out == ""
         assert err.startswith("error: scan bounds need max_a >= 0, max_b >= 0 and max_d >= 1")
 
+    def test_more_parts_than_a_tuple_holds_names_the_input(self, capsys):
+        r = sys.maxsize + 1
+        assert run(capsys, "conjecture", "--rect", f"{r},1") == (
+            2, "", f"error: --rect '{r},1' asks for {r} parts; a composition holds at most {r - 1}\n"
+        )
+
     def test_requires_one_target(self, capsys):
         code, _, _ = run(capsys, "conjecture")
         assert code == 2
@@ -627,6 +672,86 @@ class TestFailureExitCodes:
         assert out == ""
         assert err.startswith("error: dden mismatch")
         assert "Traceback" not in err
+
+
+class TestPlantedCheckFaults:
+    """Planted wrong results reach the failure details of the hadamard,
+    reciprocity and conjecture reports, byte for byte."""
+
+    def test_hadamard_mismatch(self, capsys, monkeypatch):
+        from mzeta.poly import UniPoly
+
+        monkeypatch.setattr(
+            zeta, "hadamard_check",
+            lambda eta, budget: zeta.HadamardResult(False, eta, 4, 2, UniPoly((1, 2)), UniPoly((1, 3))),
+        )
+        assert run(capsys, "verify", "--check", "hadamard", "--eta", "2,1") == (
+            1,
+            "hadamard eta=2,1: FAIL (first mismatch at y^2: numerator side 1 + 2*x, "
+            "product side 1 + 3*x)\nhadamard: FAILED (1 target(s))\n",
+            "",
+        )
+
+    def test_reciprocity_of_a_non_rectangle(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            zeta, "reciprocity_check", lambda eta, budget: zeta.ReciprocityResult(True, 1, 2, 3)
+        )
+        assert run(capsys, "verify", "--check", "reciprocity", "--eta", "2,1") == (
+            1,
+            "reciprocity eta=2,1: FAIL (unexpected functional equation: sign=1, a=2, b=3)\n"
+            "reciprocity: FAILED (1 target(s))\n",
+            "",
+        )
+
+    def test_reciprocity_of_a_rectangle(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            zeta, "reciprocity_check", lambda eta, budget: zeta.ReciprocityResult(False)
+        )
+        assert run(capsys, "verify", "--check", "reciprocity", "--eta", "2,2") == (
+            1,
+            "reciprocity eta=2,2: FAIL (observed ReciprocityResult(holds=False, sign=None, "
+            "x_exponent=None, y_exponent=None), predicted ReciprocityResult(holds=True, "
+            "sign=1, x_exponent=2, y_exponent=2))\nreciprocity: FAILED (1 target(s))\n",
+            "",
+        )
+
+    def test_conjecture_factor_that_does_not_divide(self, capsys, monkeypatch):
+        monkeypatch.setattr(zeta, "w_numerator", lambda eta, budget: BiPoly.one())
+        assert run(capsys, "conjecture", "--rect", "2,1") == (
+            1,
+            "eta: 1,1\nrectangle: m=1, r=2\nqualifies (even copies of an odd part): yes\n"
+            "predicted factor: 1 + x*y\nfactor divides numerator: NO\n"
+            "unitary factors of numerator within bounds (max_a=2, max_b=2, max_d=8): none\n"
+            "verdict: INCONSISTENT\n",
+            "",
+        )
+
+    def test_conjecture_lists_found_factors(self, capsys, monkeypatch):
+        binomial = BiPoly({(0, 0): 1, (1, 1): 1})
+        monkeypatch.setattr(zeta, "w_numerator", lambda eta, budget: binomial * binomial)
+        assert run(capsys, "conjecture", "--rect", "2,1") == (
+            1,
+            "eta: 1,1\nrectangle: m=1, r=2\nqualifies (even copies of an odd part): yes\n"
+            "predicted factor: 1 + x*y\nfactor divides numerator: yes\nresidual: 1 + x*y\n"
+            "unitary factors of residual within bounds (max_a=2, max_b=2, max_d=8):\n"
+            "  cyclotomic(2) at x^1*y^1: 1 + x*y\nverdict: INCONSISTENT\n",
+            "",
+        )
+        monkeypatch.setattr(zeta, "w_numerator", lambda eta, budget: binomial)
+        code, out, err = run(capsys, "conjecture", "--eta", "2,1", "--format", "json")
+        expected = {
+            "eta": [2, 1],
+            "numerator": binomial.to_json_obj(),
+            "rectangle": None,
+            "qualifies": False,
+            "predicted_factor": None,
+            "factor_divides": None,
+            "residual": None,
+            "factors_found": [{"order": 2, "x_power": 1, "y_power": 1, "poly": "1 + x*y"}],
+            "bounds": {"max_a": 3, "max_b": 3, "max_d": 18},
+            "verdict": "INCONSISTENT",
+        }
+        assert (code, out, err) == (1, json.dumps(expected, indent=2) + "\n", "")
 
 
 class TestPlantedLemmaFaults:

@@ -102,6 +102,28 @@ CORPUS = [
     ["dist", "--domain", "words", "--eta", "2,1", "--n", "9", "--pair", "maj,des"],
     ["dist", "--domain", "B", "--n", "3", "--eta", "2,1", "--pair", "maj,des"],
     ["stats", "--signed=-2,1", "--eta", "2,1"],
+    # A negative budget is an input error; a budget of 0 charges as usual.
+    *[
+        [*argv, "--budget", budget]
+        for argv in (
+            ["stats", "--eta", "2,1", "--word", "211"],
+            ["dist", "--domain", "words", "--eta", "2,1", "--pair", "maj,des"],
+            ["verify", "--check", "hadamard", "--eta", "2,1"],
+            ["zeta", "--eta", "2,1", "--q", "2", "--t", "1/8"],
+            ["conjecture", "--eta", "2,1"],
+        )
+        for budget in ("-1", "0")
+    ],
+    # Input errors: --rect that does not parse or cannot be built, a --pair
+    # that is not a pair, no series terms, no verify target.
+    ["conjecture", "--rect", "2"],
+    ["conjecture", "--rect", "2,x"],
+    ["conjecture", "--rect", "0,2"],
+    ["conjecture", "--rect", "100000000000000000000,2"],
+    ["dist", "--domain", "words", "--eta", "2,1", "--pair", "maj"],
+    ["dist", "--domain", "words", "--eta", "2,1", "--pair", "maj,des,exc"],
+    ["zeta", "--eta", "2,1", "--series-terms", "0"],
+    ["verify", "--check", "hadamard"],
 ]
 
 

@@ -14,7 +14,7 @@ from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
 from mzeta.signed import b_stats, d_stats, even_signed_perms, excabs, nden, neg, nsp, signed_perms
 from mzeta.poly import BiPoly, UniPoly, cyclotomic_in_monomial, gaussian_binomial, totient
 from mzeta.verify import compositions_of
-from mzeta import zeta
+from mzeta import poly, zeta
 from mzeta.zeta import (
     BudgetError,
     InvariantError,
@@ -130,7 +130,7 @@ def reference_unitary_scan(f, bounds):
             ph = totient(d)
             if a * ph > dx or b * ph > dy:
                 continue
-            probe = zeta._cyclotomic_at(d, 2**a * 3**b)
+            probe = poly.cyclotomic(d).evaluate(2**a * 3**b)
             if probe and f23 % probe:
                 continue
             candidate = cyclotomic_in_monomial(d, a, b)
@@ -947,6 +947,23 @@ class TestConjecture:
         # and the report would be made without a scan.
         with pytest.raises(ValueError, match="scan bounds need"):
             conjecture_report(Composition((1, 1)), bounds=bounds, numerator=BiPoly.one())
+
+    def test_predicted_factor_that_does_not_divide(self):
+        # 1 + x*y does not divide 1: nothing is scanned and the report fails.
+        eta = Composition((1, 1))
+        bounds = default_bounds(2)
+        report = conjecture_report(eta, numerator=BiPoly.one())
+        assert report == zeta.ConjectureReport(
+            eta, BiPoly.one(), (1, 2), True, BiPoly({(0, 0): 1, (1, 1): 1}),
+            False, None, (), False, bounds,
+        )
+
+    def test_factor_in_the_residual_is_found(self):
+        factor = BiPoly({(0, 0): 1, (1, 1): 1})
+        report = conjecture_report(Composition((1, 1)), numerator=factor * factor)
+        assert (report.factor_divides, report.residual) == (True, factor)
+        assert [(u.order, u.x_power, u.y_power) for u in report.factors_found] == [(2, 1, 1)]
+        assert not report.consistent
 
     def test_non_qualifying_rectangle(self):
         # All parts equal but the part is even: predicted to have no factor.
