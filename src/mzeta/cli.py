@@ -504,20 +504,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         args.budget = _resolve_budget(args.budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args)
-    except zeta.BudgetError as exc:
+    except (
+        zeta.BudgetError, zeta.InvariantError, ValueError, ZeroDivisionError, OverflowError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except zeta.InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, zeta.BudgetError):
+            return 3
+        return 4 if isinstance(exc, zeta.InvariantError) else 2
 
 
 if __name__ == "__main__":

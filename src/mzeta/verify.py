@@ -22,6 +22,7 @@ reference for these counts in the tests.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, Iterator, Sequence
 
 from . import admissible as adm
@@ -47,18 +48,16 @@ class CheckResult:
 
 
 def compositions_of(n: int) -> Iterator[Composition]:
-    """All compositions of n, lexicographically by parts."""
-
-    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(1, remaining + 1):
-            for rest in rec(remaining - first):
-                yield (first,) + rest
-
-    for parts in rec(n):
-        yield Composition(parts)
+    """All compositions of n, lexicographically by parts: a part ends or not
+    after each position 1..n-1, and ending it gives the smaller part, so the
+    cut comes first at every position.  Nothing for n < 0; ValueError for 0."""
+    if n < 1:
+        if n == 0:
+            yield Composition(())  # raises: a composition needs a part
+        return
+    for cuts in itertools.product((True, False), repeat=n - 1):
+        ends = [*itertools.compress(range(1, n), cuts), n]
+        yield Composition(tuple(end - start for start, end in zip([0, *ends], ends)))
 
 
 def compositions_up_to(n_max: int) -> Iterator[Composition]:

@@ -10,10 +10,11 @@ order, which is why everything here is exact: numerators are integer
 polynomials and evaluations are Fractions.
 
 Joint distributions come from one registry, STATS, which names each
-statistic of each domain as an entry of a kernel's value: descent_stats and
-excedance_stats on words, block_grid_counts on admissible permutations,
-b_stats on signed windows, and b_stats and d_stats on even-signed ones;
-window_stats reads every statistic of one signed window from it.
+statistic of each domain as an entry of a kernel's value, and holds the
+kernel functions themselves: descent_stats and excedance_stats on words,
+block_grid_counts on admissible permutations, b_stats on signed windows, and
+b_stats and d_stats on even-signed ones; window_stats reads every statistic
+of one signed window from it.
 joint_distributions is the one counting path: it reads the objects in
 batches, runs each distinct kernel of all its pairs once per object into one
 column per kernel, and counts each pair from two columns.
@@ -46,12 +47,14 @@ _packed_series, which multiplies sum_k G_k y^k by a product of (1 - x^a y^b)
 and truncates: hadamard_series_coefficient (G_k alone), route A and
 hadamard_check (MacMahon's product) and both signed major sides
 ([r+1]_x^n is G_r of 1^n) share it.  RationalW.series divides a packed
-numerator.  Both apply each binomial in _shifted_rows, as masked shift-adds
-of the bits below the last kept row.  Slots are read back as bytes: adding
-2^(w-1) to every slot, masking, and flipping each slot's top bit back leaves
-every balanced digit in two's complement (_slot_bytes).  Slots of 8, 16, 32
-or 64 bits are read by struct a y-row per call, after its trailing zero
-slots are cut off as bytes; wider slots are read one by one.
+numerator.  Both hand their packed rows and binomials to _shifted_rows, which
+owns the layout: it places the rows and applies each binomial as a
+shift-add, under one mask per pass of the bits below the last kept row.
+Slots are read back as bytes: adding 2^(w-1) to every slot, masking, and
+flipping each slot's top bit back leaves every balanced digit in two's
+complement (_slot_bytes).  Slots of 8, 16, 32 or 64 bits are read by struct
+a y-row per call, after its trailing zero slots are cut off as bytes; wider
+slots are read one by one.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -137,15 +140,14 @@ def _check_budget(size: int, budget: int, what: str = "domain of size {}") -> No
 
 # STATS[domain][name] = (kernel, field): the statistic is entry `field` of the
 # kernel's value on an object, or the value itself when field is None.  A
-# kernel is (module, attribute, contextual).  joint_distribution looks it up
-# on its module once per call, so a replaced attribute takes effect, and
-# passes a contextual kernel the domain's context as second argument: the
-# trivial word for words, the column-mask table for admissible permutations.
-_DESCENT = (wd, "descent_stats", False)
-_EXCEDANCE = (wd, "excedance_stats", True)
-_GRID = (adm, "block_grid_counts", True)
-_B = (signed, "b_stats", False)
-_D = (signed, "d_stats", False)
+# kernel is (function, contextual); joint_distribution passes a contextual
+# kernel the domain's context as second argument: the trivial word for
+# words, the column-mask table for admissible permutations.
+_DESCENT = (wd.descent_stats, False)
+_EXCEDANCE = (wd.excedance_stats, True)
+_GRID = (adm.block_grid_counts, True)
+_B = (signed.b_stats, False)
+_D = (signed.d_stats, False)
 
 
 def _entries(kernel: tuple, *names: str | None) -> dict[str, tuple[tuple, int]]:
@@ -159,8 +161,8 @@ _SIGNED_STATS = _entries(_B, *signed.BStats._fields)
 STATS: dict[str, dict[str, tuple[tuple, int | None]]] = {
     "words": {
         **_entries(_DESCENT, "des", "maj"),
-        "inv": ((wd, "inv", False), None),
-        "imv": ((wd, "imv", False), None),
+        "inv": ((wd.inv, False), None),
+        "imv": ((wd.imv, False), None),
         **_entries(_EXCEDANCE, "exc", "denh"),
     },
     "admissible": _entries(_GRID, "den", None, "iexc"),
@@ -183,16 +185,14 @@ def window_stats(domain: str, window: tuple[int, ...]) -> dict[str, int]:
     out = {}
     for name, (kernel, field) in STATS[domain].items():
         if kernel not in values:
-            module, attr, _ = kernel
-            values[kernel] = getattr(module, attr)(window)
+            values[kernel] = kernel[0](window)
         value = values[kernel]
         out[name] = value if field is None else value[field]
     return out
 
 
 def _kernel_values(kernel: tuple, objects: Iterable, context) -> Iterator:
-    module, name, contextual = kernel
-    fn = getattr(module, name)
+    fn, contextual = kernel
     return map(fn, objects, itertools.repeat(context)) if contextual else map(fn, objects)
 
 
@@ -343,16 +343,23 @@ def _slot_width(bound: int) -> int:
     return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else (bits + 7) // 8 * 8
 
 
-def _shifted_rows(value: int, w: int, span: int, count: int, shifts: list) -> list[UniPoly]:
-    """The y^0..y^(count-1) coefficients (x = 2^w, y = x^span) of value times
-    1 + 2^shift or 1 - 2^shift for each (shift, add or sub) of shifts; exact
-    when they fit w-bit balanced digits.  A step adds only the bits that land
-    below y^count, so it is linear in their number.  Callers pass value
-    unnamed: the first step frees it."""
+def _shifted_rows(rows: Iterable, w: int, span: int, count: int, factors: list) -> list[UniPoly]:
+    """The y^0..y^(count-1) coefficients of sum r_k y^k times 1 + x^a y^b or
+    1 - x^a y^b for each (a, b, add or sub) of factors, where rows holds
+    (k, r_k) with r_k a polynomial in x already packed at x = 2^w; exact when
+    the coefficients fit w-bit balanced digits.
+
+    This is the one place the layout is written down: x = 2^w, y = x^span,
+    so r_k sits at bit w*span*k and a factor is a shift by w*(span*b + a).
+    One mask of the bits below y^count is built per call, and each step adds
+    only the shifted bits under it, so a step is linear in the kept bits."""
     bits = w * span * count
-    for shift, step in shifts:
+    value = sum(r << (w * span * k) for k, r in rows)
+    mask = (1 << bits) - 1
+    for a, b, step in factors:
+        shift = w * (span * b + a)
         if shift < bits:
-            value = step(value, (value & ((1 << (bits - shift)) - 1)) << shift)
+            value = step(value, (value << shift) & mask)
     data = _slot_bytes(value, w, span * count)
     del value  # as large as the result: free it before the rows are built
     return _unpack_series(data, w // 8, span, count)
@@ -389,10 +396,8 @@ def _packed_series(
     ks = range(top + 1)
     w = _slot_width(max(sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in ks))
     span = 1 + max(reach[j] + degrees[k - j] for k in ks for j in range(k + 1))
-    shifts = [(w * (span * b + a), sub) for a, b in factors]
     gks = (math.prod(_pack(f.coeffs, w) ** e for f, e in g) for g in gs)
-    packed = (gk << (w * span * k) for k, gk in enumerate(gks))
-    return _shifted_rows(sum(packed), w, span, top + 1, shifts)
+    return _shifted_rows(enumerate(gks), w, span, top + 1, [(a, b, sub) for a, b in factors])
 
 
 def _gaussian_factors(eta: Composition, k: int) -> list[tuple[UniPoly, int]]:
@@ -618,10 +623,9 @@ class RationalW:
         span = max(num.degree_x(), 0) + top * max(exps, default=0) + 1
         _check_budget(span * terms, budget, f"series of {format_count(terms)} terms packs {{}} slots, which")
         w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
-        rows = num.y_coefficients().items()
-        shifts = [(w * (span + j) << i, add) for j in exps for i in range(top.bit_length())]
-        packed = (p.evaluate(1 << w) << (w * span * b) for b, p in rows if b <= top)
-        return _shifted_rows(sum(packed), w, span, terms, shifts)
+        rows = ((b, p.evaluate(1 << w)) for b, p in num.y_coefficients().items() if b <= top)
+        factors = [(j << i, 1 << i, add) for j in exps for i in range(top.bit_length())]
+        return _shifted_rows(rows, w, span, terms, factors)
 
 
 def zeta_eval(

@@ -380,6 +380,10 @@ class TestDen:
         with pytest.raises(ValueError):
             den(ETA, TAU)
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="^permutation length 2 != n=3$"):
+            den(Composition((2, 1)), (1, 2))
+
     def test_definition_from_cell_sets(self):
         col_sum = sum(j for _, j in i_set(ETA, SIGMA))
         value = (

@@ -124,6 +124,11 @@ CORPUS = [
     ["dist", "--domain", "words", "--eta", "2,1", "--pair", "maj,des,exc"],
     ["zeta", "--eta", "2,1", "--series-terms", "0"],
     ["verify", "--check", "hadamard"],
+    # stats input errors: a word that does not parse, a permutation of the
+    # wrong length, and a sequence that is not a permutation.
+    ["stats", "--eta", "2,1", "--word", "abc"],
+    ["stats", "--eta", "2,1", "--perm", "1,2"],
+    ["stats", "--eta", "2,1", "--perm", "1,1,2"],
 ]
 
 

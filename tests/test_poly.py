@@ -90,6 +90,7 @@ class TestUniPoly:
         assert p.div_exact(UniPoly((1, 1))) == UniPoly((-1, 1))
         assert p.div_exact(UniPoly((1, 1, 1))) is None
         assert UniPoly((2, 2)).div_exact(UniPoly((0, 4))) is None  # 2+2x over 4x
+        assert UniPoly((1,)).div_exact(UniPoly((1, 1))) is None  # divisor of higher degree
         with pytest.raises(ZeroDivisionError):
             p.div_exact(UniPoly())
 
@@ -102,6 +103,11 @@ class TestUniPoly:
 
 
 class TestCyclotomic:
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_index_below_one(self, d):
+        with pytest.raises(ValueError, match="^cyclotomic index must be >= 1$"):
+            cyclotomic(d)
+
     def test_small_values(self):
         assert cyclotomic(1) == UniPoly((-1, 1))
         assert cyclotomic(2) == UniPoly((1, 1))

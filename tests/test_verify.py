@@ -6,6 +6,7 @@ import pytest
 from mzeta import admissible as adm
 from mzeta import multiset as wd
 from mzeta import verify, zeta
+from mzeta.poly import BiPoly
 from mzeta.verify import _by_eta, compositions_of
 from test_admissible import reference_m_counts
 from test_multiset import reference_excedance_stats
@@ -177,3 +178,26 @@ def test_euler_mahonian_words_enumerates_once(parts, monkeypatch):
     result = verify.check_euler_mahonian_words(eta)
     assert result.passed, result
     assert calls == [eta]
+
+
+def test_first_coefficient_difference_of_equal_polynomials():
+    p = BiPoly({(0, 0): 1, (2, 1): -3})
+    assert verify.first_coefficient_difference(p, p) == "polynomials agree"
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_compositions_of_are_every_composition_in_lexicographic_order(n):
+    parts = [eta.parts for eta in compositions_of(n)]
+    assert len(parts) == 2 ** (n - 1)
+    assert parts == sorted(set(parts))
+    assert all(min(p) >= 1 and sum(p) == n for p in parts)
+
+
+def test_compositions_of_nothing():
+    assert list(compositions_of(-1)) == []
+    with pytest.raises(ValueError, match="^a composition needs at least one part$"):
+        next(compositions_of(0))
+
+
+def test_compositions_of_a_large_n_need_no_recursion():
+    assert next(compositions_of(1200)).n == 1200

@@ -165,6 +165,8 @@ class TestDomains:
             domain_size("C", n=2)
         with pytest.raises(ValueError):
             domain_size("words")
+        with pytest.raises(ValueError, match="^domain 'B' needs n$"):
+            domain_size("B")
 
     def test_stats_registry(self):
         assert "denh" in domain_stats("words")
@@ -192,14 +194,17 @@ class TestFormatCount:
 
 
 def count_kernel_calls(monkeypatch) -> Counter:
-    """Count the calls of every signed-window kernel the registry can name."""
-    import mzeta.multiset as multiset
-    import mzeta.signed as signed
-
+    """Count the calls of every kernel of the registry, by function name: each
+    entry of zeta.STATS gets one spy per distinct kernel in its place."""
     calls = Counter()
-    for module, name in ((signed, "b_stats"), (signed, "d_stats"), (multiset, "descent_stats")):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda w, fn=fn, name=name: calls.update([name]) or fn(w))
+    spies = {}
+    for table in zeta.STATS.values():
+        for name, (kernel, field) in list(table.items()):
+            if kernel not in spies:
+                fn, contextual = kernel
+                spy = lambda *args, fn=fn: calls.update([fn.__name__]) or fn(*args)
+                spies[kernel] = (spy, contextual)
+            monkeypatch.setitem(table, name, (spies[kernel], field))
     return calls
 
 
@@ -734,6 +739,12 @@ class TestReciprocity:
     def test_examples(self):
         assert reciprocity_check(Composition((1, 1))).triple() == (1, 0, 1)
         assert not reciprocity_check(Composition((2, 1))).holds
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="^no functional equation to report$"):
+            ReciprocityResult(False).triple()
+        with pytest.raises(ValueError, match="^zero numerator$"):
+            reciprocity_check(Composition((2, 1)), numerator=BiPoly())
 
     def test_rectangles(self):
         for m, r in [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (4, 1)]:
