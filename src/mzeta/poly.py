@@ -15,9 +15,10 @@ UniPoly((1, 1, 2, 1, 1))
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Iterable, Mapping
 
 
@@ -342,9 +343,34 @@ class BiPoly:
     def degree_y(self) -> int:
         return max((b for _, b in self.terms), default=-1)
 
-    def evaluate(self, x, y):
-        """Exact value at (x, y); Fractions are welcome."""
-        return sum(c * x**a * y**b for (a, b), c in self.terms.items())
+    def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction | int:
+        """Exact value at (x, y): an int when x and y are ints, else a Fraction.
+        A point that is not an int or a Fraction (a float, a bool) raises
+        ValueError instead of being converted.
+
+        With x = xn/xd, y = yn/yd and (A, B) the bidegree, xd^A yd^B f(x, y)
+        is the integer sum of c * xn^a xd^(A-a) * yn^b yd^(B-b): each y-row
+        sums its coefficients against one table of x-weights, and the rows
+        are summed against the y-weights.  One Fraction is built at the end.
+
+        >>> f = BiPoly({(0, 0): 1, (2, 1): 3})
+        >>> f.evaluate(2, -1)
+        -11
+        >>> f.evaluate(Fraction(1, 2), 3)
+        Fraction(13, 4)
+        """
+        for v in (x, y):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(f"evaluation points must be ints or Fractions, got {v!r}")
+        wx = _homogeneous_powers(x, max(self.degree_x(), 0))
+        wy = _homogeneous_powers(y, max(self.degree_y(), 0))
+        rows = [0] * len(wy)
+        for (a, b), c in self.terms.items():
+            rows[b] += c * wx[a]
+        total = sum(map(mul, rows, wy))
+        if isinstance(x, int) and isinstance(y, int):
+            return total
+        return Fraction(total, wx[0] * wy[0])
 
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         """(x-exp, y-exp, coeff) triples sorted by (y-exp, x-exp)."""
@@ -443,6 +469,15 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.terms!r})"
+
+
+def _homogeneous_powers(v: Fraction | int, top: int) -> list[int]:
+    """[n^k * d^(top - k) for k in 0..top], where v = n/d in lowest terms."""
+    up = list(accumulate(repeat(v.numerator, top), mul, initial=1))
+    if v.denominator == 1:
+        return up
+    down = accumulate(repeat(v.denominator, top), mul, initial=1)
+    return list(map(mul, up, reversed(list(down))))
 
 
 def cyclotomic_in_monomial(d: int, a: int, b: int) -> BiPoly:

@@ -586,19 +586,23 @@ class RationalW:
     def evaluate(self, q: Fraction | int, t: Fraction | int) -> Fraction:
         """Exact value at (q, t); raises ZeroDivisionError on a denominator pole
         and ValueError unless q and t are ints or Fractions (a float or a bool
-        is refused, not converted)."""
-        for v in (q, t):
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise ValueError(f"evaluation points must be ints or Fractions, got {v!r}")
-        denom = Fraction(1)
+        is refused, not converted).
+
+        With q = qn/qd and t = tn/td, each factor 1 - q^j t is
+        (qd^j td - qn^j tn) / (qd^j td), so the denominator is built as two
+        integer products and only the result is a Fraction.
+        """
+        value = self.numerator.evaluate(q, t)
+        qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+        top = bottom = 1
         for j in self.denom_exponents:
-            factor = 1 - Fraction(q) ** j * Fraction(t)
-            if factor == 0:
-                raise ZeroDivisionError(
-                    f"(1 - q^{j} t) vanishes at q={q}, t={t}"
-                )
-            denom *= factor
-        return Fraction(self.numerator.evaluate(Fraction(q), Fraction(t))) / denom
+            scale = qd**j * td
+            factor = scale - qn**j * tn
+            if not factor:
+                raise ZeroDivisionError(f"(1 - q^{j} t) vanishes at q={q}, t={t}")
+            top *= scale
+            bottom *= factor
+        return Fraction(value.numerator * top, value.denominator * bottom)
 
     def series(self, terms: int, *, budget: int = DEFAULT_BUDGET) -> list[UniPoly]:
         """The first y-series coefficients, each an integer polynomial in x.
@@ -788,12 +792,16 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
     with a > deg_x or b > deg_y passes no degree test, so only a <= deg_x and
     b <= deg_y are listed: bounds far past the degrees cost nothing.
 
-    Candidates are pruned by degree and by exact integer divisibility of
-    f(2, 3), so the expensive polynomial divisions are rare.  The degree test
-    needs totient(d) <= max(deg_x, deg_y), and totient(d) >= sqrt(d/2), so no
-    d above 2*max(deg_x, deg_y)^2 can divide and the loop stops there.
-    Bounds that leave a direction or every index out raise ValueError
-    (ScanBounds.check).
+    Candidates are pruned by degree, then by integer divisibility at two
+    points, (2, 3) and (101, 103), so a polynomial division is left only for
+    the few candidates that pass both.  The prune is exact: if g divides f in
+    Z[x, y] then g(P) divides f(P) in Z, and cyclotomic_d(x^a y^b) at a point
+    P is cyclotomic_d(base) with base = P_x^a P_y^b >= 2, which is never 0
+    since every root of cyclotomic_d has modulus 1.  Every hit is confirmed
+    by exact division.  The degree test needs totient(d) <= max(deg_x, deg_y),
+    and totient(d) >= sqrt(d/2), so no d above 2*max(deg_x, deg_y)^2 can
+    divide and the loop stops there.  Bounds that leave a direction or every
+    index out raise ValueError (ScanBounds.check).
     """
     if not f:
         raise ValueError("scan needs a nonzero polynomial")
@@ -801,7 +809,7 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
     dx = f.degree_x()
     dy = f.degree_y()
     max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
-    f23 = f.evaluate(2, 3)
+    near, far = f.evaluate(2, 3), f.evaluate(101, 103)
     top_a, top_b = min(bounds.max_a, dx), min(bounds.max_b, dy)
     directions = [(1, 0)] + [(a, b) for b in range(1, top_b + 1) for a in range(top_a + 1)]
     phis = [(d, totient(d)) for d in range(1, max_d + 1)]
@@ -813,12 +821,10 @@ def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, .
         cap = min(deg // power for deg, power in ((dx, a), (dy, b)) if power)
         if cap not in passing:
             passing[cap] = [d for d, ph in phis if ph <= cap]
-        # base >= 2 whenever (a, b) != (0, 0), so the integer test is exact:
-        # a polynomial divisor evaluated at (2, 3) divides f(2, 3).
-        base = 2**a * 3**b
+        near_base, far_base = 2**a * 3**b, 101**a * 103**b
         for d in passing[cap]:
-            probe = poly.cyclotomic(d).evaluate(base)
-            if probe and f23 % probe:
+            phi = poly.cyclotomic(d)
+            if near % phi.evaluate(near_base) or far % phi.evaluate(far_base):
                 continue
             candidate = cyclotomic_in_monomial(d, a, b)
             if f.divide_exact(candidate) is not None:

@@ -129,6 +129,11 @@ CORPUS = [
     ["stats", "--eta", "2,1", "--word", "abc"],
     ["stats", "--eta", "2,1", "--perm", "1,2"],
     ["stats", "--eta", "2,1", "--perm", "1,1,2"],
+    # Exact evaluation at a rational q, a negative t, q = 0, and a pole.
+    ["zeta", "--eta", "2,1", "--q", "3/2", "--t=-1/5"],
+    ["zeta", "--eta", "3,2", "--q=-2/3", "--t", "7/4", "--format", "json"],
+    ["zeta", "--eta", "2,2", "--q", "1/2", "--t", "2"],
+    ["zeta", "--eta", "2,1", "--q", "0", "--t", "5"],
 ]
 
 

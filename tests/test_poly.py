@@ -2,6 +2,7 @@
 round trips, Gaussian binomials against an independent series oracle."""
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from mzeta.poly import (
     gaussian_binomial,
     totient,
 )
+from mzeta.multiset import Composition
+from mzeta.zeta import RationalW, w_numerator
+from test_multiset import small_compositions
 
 
 def series_binomial_oracle(m, k):
@@ -274,6 +278,70 @@ class TestBiPoly:
         assert p.reversed_xy() == BiPoly({(2, 2): 1, (1, 1): 2, (0, 0): 1})
         q = BiPoly({(0, 0): 1, (2, 1): 1})
         assert q.reversed_xy() == BiPoly({(2, 1): 1, (0, 0): 1})
+
+
+def term_by_term(f, x, y):
+    """The plain evaluator: one product of powers per term, summed."""
+    return sum(c * x**a * y**b for (a, b), c in f.terms.items())
+
+
+def seeded_sparse_polys(count, seed=2024):
+    """BiPolys with a few scattered terms and coefficients of both signs."""
+    rng = random.Random(seed)
+    return [
+        BiPoly({
+            (rng.randrange(12), rng.randrange(8)): rng.randint(-10**6, 10**6)
+            for _ in range(rng.randint(1, 9))
+        })
+        for _ in range(count)
+    ]
+
+
+EVALUATION_POINTS = [0, 1, -1, 3, Fraction(0), Fraction(-3, 4), Fraction(5, 2), Fraction(1, 7)]
+
+
+class TestEvaluate:
+    def test_matches_term_by_term(self):
+        polys = [w_numerator(eta) for eta in small_compositions(6)]
+        polys += seeded_sparse_polys(40) + [BiPoly()]
+        for f in polys:
+            for x in EVALUATION_POINTS:
+                for y in EVALUATION_POINTS:
+                    got = f.evaluate(x, y)
+                    assert got == term_by_term(f, x, y), (f, x, y)
+                    both_int = isinstance(x, int) and isinstance(y, int)
+                    assert type(got) is (int if both_int else Fraction), (f, x, y)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, "2", None], ids=repr)
+    def test_rejects_non_exact_points(self, bad):
+        with pytest.raises(ValueError, match="evaluation points must be ints or Fractions"):
+            BiPoly.one().evaluate(bad, 2)
+        with pytest.raises(ValueError, match="evaluation points must be ints or Fractions"):
+            BiPoly.one().evaluate(Fraction(1, 2), bad)
+
+    def test_rational_form_matches_term_by_term(self):
+        for eta in small_compositions(5):
+            rational = RationalW.for_composition(eta)
+            for q in EVALUATION_POINTS[1:]:
+                for t in (Fraction(-1, 5), Fraction(2, 9), 3):
+                    denom = math.prod(1 - Fraction(q) ** j * t for j in rational.denom_exponents)
+                    if not denom:
+                        continue
+                    value = rational.evaluate(q, t)
+                    assert type(value) is Fraction
+                    assert value == term_by_term(rational.numerator, Fraction(q), Fraction(t)) / denom
+
+    @pytest.mark.parametrize(
+        "q, t, message",
+        [
+            (Fraction(1, 2), 2, r"^\(1 - q\^1 t\) vanishes at q=1/2, t=2$"),
+            (1, 1, r"^\(1 - q\^0 t\) vanishes at q=1, t=1$"),
+        ],
+    )
+    def test_rational_form_names_the_first_vanishing_factor(self, q, t, message):
+        rational = RationalW.for_composition(Composition((2, 2)))
+        with pytest.raises(ZeroDivisionError, match=message):
+            rational.evaluate(q, t)
 
 
 class TestDivision:

@@ -139,6 +139,44 @@ def reference_unitary_scan(f, bounds):
     return found
 
 
+def probe_free_unitary_scan(f, bounds):
+    """The scan with no integer probe: every (direction, d) pair that passes
+    the degree test is decided by exact division."""
+    dx = f.degree_x()
+    dy = f.degree_y()
+    max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
+    found = []
+    for a, b in [(1, 0)] + [(a, b) for b in range(1, bounds.max_b + 1) for a in range(bounds.max_a + 1)]:
+        for d in range(1, max_d + 1):
+            ph = totient(d)
+            if a * ph <= dx and b * ph <= dy:
+                candidate = cyclotomic_in_monomial(d, a, b)
+                if f.divide_exact(candidate) is not None:
+                    found.append((d, a, b, candidate))
+    return found
+
+
+def reference_scan_cases():
+    """(polynomial, bounds) pairs for the scan references: numerators and
+    residuals with n <= 5 at default and wide bounds, products with planted
+    factors, and bounds past both degrees."""
+    cases = []
+    for eta in small_compositions(5):
+        num = w_numerator(eta)
+        n = eta.n
+        cases += [(num, default_bounds(n)), (num, ScanBounds(n, n, 10 * n * n))]
+        report = conjecture_report(eta, numerator=num)
+        if report.residual is not None:
+            cases.append((report.residual, default_bounds(n)))
+    base = w_numerator(Composition((2, 1, 1)))
+    for d, a, b in [(1, 0, 1), (3, 1, 1), (4, 2, 1), (6, 0, 2), (5, 1, 0), (12, 1, 1)]:
+        product = base * cyclotomic_in_monomial(d, a, b) * cyclotomic_in_monomial(2, 1, 1)
+        cases.append((product, ScanBounds(4, 4, 300)))
+    # Bounds past both degrees: the directions beyond them find nothing.
+    cases.append((w_numerator(Composition((2, 1))), ScanBounds(40, 30, 300)))
+    return cases
+
+
 class TestDomains:
     def test_sizes(self):
         assert domain_size("words", eta=Composition((2, 1))) == 3
@@ -852,26 +890,39 @@ class TestUnitaryScan:
         assert [(u.order, u.x_power, u.y_power) for u in wide] == [(2, 2, 1)]
 
     def test_matches_reference_double_loop(self):
-        cases = []
-        for eta in small_compositions(5):
-            num = w_numerator(eta)
-            n = eta.n
-            cases += [(num, default_bounds(n)), (num, ScanBounds(n, n, 10 * n * n))]
-            report = conjecture_report(eta, numerator=num)
-            if report.residual is not None:
-                cases.append((report.residual, default_bounds(n)))
-        base = w_numerator(Composition((2, 1, 1)))
-        for d, a, b in [(1, 0, 1), (3, 1, 1), (4, 2, 1), (6, 0, 2), (5, 1, 0), (12, 1, 1)]:
-            product = base * cyclotomic_in_monomial(d, a, b) * cyclotomic_in_monomial(2, 1, 1)
-            cases.append((product, ScanBounds(4, 4, 300)))
-        # Bounds past both degrees: the directions beyond them find nothing.
-        cases.append((w_numerator(Composition((2, 1))), ScanBounds(40, 30, 300)))
         hits = 0
-        for f, bounds in cases:
+        for f, bounds in reference_scan_cases():
             found = [(u.order, u.x_power, u.y_power, u.poly) for u in unitary_factor_scan(f, bounds)]
             assert found == reference_unitary_scan(f, bounds), (f, bounds)
             hits += len(found)
         assert hits > 10  # the comparison covers hits, not only clean scans
+
+    def test_matches_probe_free_reference(self):
+        # The reference divides every candidate that passes the degree test,
+        # so it shares none of the integer probes that prune the scan.
+        hits = 0
+        for f, bounds in reference_scan_cases():
+            found = [(u.order, u.x_power, u.y_power, u.poly) for u in unitary_factor_scan(f, bounds)]
+            assert found == probe_free_unitary_scan(f, bounds), (f, bounds)
+            hits += len(found)
+        assert hits > 10
+
+    def test_divisions_over_compositions_up_to_seven(self, monkeypatch):
+        # The two-point prune leaves 15 scan divisions, plus one for each of
+        # the 4 qualifying rectangles; one integer probe alone let 414 through.
+        numerators = [(eta, w_numerator(eta)) for n in range(1, 8) for eta in compositions_of(n)]
+        assert len(numerators) == 127
+        divisions = []
+        divide_exact = BiPoly.divide_exact
+
+        def spy(f, g):
+            divisions.append(g)
+            return divide_exact(f, g)
+
+        monkeypatch.setattr(BiPoly, "divide_exact", spy)
+        reports = [conjecture_report(eta, numerator=num) for eta, num in numerators]
+        assert all(report.consistent for report in reports)
+        assert len(divisions) <= 30
 
     def test_matches_sympy_factorisation(self):
         # An oracle that shares no code with the scan: sympy factors each
