@@ -590,7 +590,8 @@ class RationalW:
 
         With q = qn/qd and t = tn/td, each factor 1 - q^j t is
         (qd^j td - qn^j tn) / (qd^j td), so the denominator is built as two
-        integer products and only the result is a Fraction.
+        integer products, and one Fraction combines them with the
+        numerator's value.
         """
         value = self.numerator.evaluate(q, t)
         qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
