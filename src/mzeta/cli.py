@@ -11,6 +11,8 @@ failed, 2 usage, input or output error (such as an unwritable --out file),
 all its targets), 4 an internal invariant failed (two independent
 computations disagreed, which means a bug).  --out is written atomically: a
 temporary file in the same directory replaces FILE only once it is complete.
+A FILE that exists and is not a regular file (a FIFO, a device) is written
+directly instead.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -72,8 +75,18 @@ def parse_sequence(text: str, *, allow_negative: bool = False) -> tuple[int, ...
 
 
 def parse_rational(text: str) -> Fraction:
+    """The rational of text, such as 2, 1/8, 0.25 or 1e3.  An exponent past
+    sys.get_int_max_str_digits(), the most digits str() converts, is refused
+    before Fraction() expands it, and so is a numerator or denominator with
+    more digits than that (a limit of 0 bounds neither)."""
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(text)
+        _, exponent, power = text.lower().partition("e")
+        if limit and exponent and abs(int(power)) > limit:
+            raise ValueError
+        value = Fraction(text)
+        str(value)  # raises ValueError past the limit
+        return value
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse rational {text!r}; expected e.g. 2 or 1/8")
 
@@ -85,23 +98,29 @@ def _write_atomic(path: str, text: str) -> None:
     A symlink at path is followed: the file it points to is replaced and the
     link stays.  A replaced file keeps its permission bits; a new file gets
     the mode a plain open(path, "w") gives it.  Other hard links to a
-    replaced file keep its old contents.  Errors are reported against path,
-    not the temporary name.
+    replaced file keep its old contents.  A target that exists and is not a
+    regular file (a FIFO, a character device) is opened and written
+    directly, never replaced.  Errors are reported against path, not the
+    temporary name.
     """
     target = os.path.realpath(path)
     tmp = None
     try:
         try:
-            mode = os.stat(target).st_mode & 0o7777
+            mode = os.stat(target).st_mode
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
-            mode = 0o666 & ~umask
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, mode)
+            os.fchmod(fd, stat.S_IMODE(mode))
             fh.write(text)
             fh.flush()
             os.fsync(fd)

@@ -155,28 +155,58 @@ class UniPoly:
         return f"UniPoly({self.coeffs!r})"
 
 
+def _primes(d: int) -> list[int]:
+    """The distinct primes of d >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            out.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    if d > 1:
+        out.append(d)
+    return out
+
+
+def _one_minus_x_power(c: list[int], e: int, divide: bool) -> None:
+    """Multiply c by (1 - x^e), or divide it by (1 - x^e) as a power series
+    when divide, in place and modulo x^len(c).  The product subtracts c
+    shifted by e; the quotient is a running sum along each residue class
+    mod e."""
+    if e >= len(c):
+        return  # 1 - x^e is 1 modulo x^len(c)
+    if divide:
+        for r in range(e):
+            c[r::e] = accumulate(c[r::e])
+    else:
+        c[e:] = map(sub, c[e:], c[:len(c) - e])
+
+
 @lru_cache(maxsize=4096)
 def totient(d: int) -> int:
     """Euler's totient by trial factorisation."""
     if d < 1:
         raise ValueError("totient needs a positive argument")
     out = d
-    m = d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for p in _primes(d):
+        out -= out // p
     return out
 
 
 @lru_cache(maxsize=4096)
 def cyclotomic(d: int) -> UniPoly:
-    """The d-th cyclotomic polynomial.
+    """The d-th cyclotomic polynomial, as the Moebius product
+
+        Phi_d(x) = (-1)^[d = 1] * prod over e | d of (1 - x^e)^mu(d/e)
+
+    taken modulo x^(phi(d)+1): one _one_minus_x_power pass for each
+    squarefree divisor s of d, with e = d/s, dividing when s has an odd
+    number of primes.  Every pass is exact in Z[[x]], the product is a
+    polynomial of degree phi(d), so the cut loses nothing, and the sign
+    is (-1)^(sum of mu(d/e)), which is -1 for d = 1 only.  No polynomial
+    is divided and no Phi_e is built on the way.
 
     >>> cyclotomic(2)
     UniPoly((1, 1))
@@ -185,13 +215,13 @@ def cyclotomic(d: int) -> UniPoly:
     """
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    poly = UniPoly((-1,) + (0,) * (d - 1) + (1,))
-    for e in range(1, d):
-        if d % e == 0:
-            quot = poly.div_exact(cyclotomic(e))
-            assert quot is not None
-            poly = quot
-    return poly
+    squarefree = [(1, False)]
+    for p in _primes(d):
+        squarefree += [(s * p, not odd) for s, odd in squarefree]
+    c = [1] + [0] * totient(d)
+    for s, odd in squarefree:
+        _one_minus_x_power(c, d // s, odd)
+    return UniPoly(c) if d > 1 else -UniPoly(c)
 
 
 # Results of degree m*k above this are built on every call, not cached: one
@@ -208,9 +238,10 @@ def gaussian_binomial(m: int, k: int) -> UniPoly:
     (1 - x^j y)^{-1} for j = 0..m.
 
     Built iteratively as the product over i = 1..min(m, k) of
-    (1 - x^(max(m, k)+i)) / (1 - x^i), each factor one pass over the
-    coefficients with exact division.  Each coefficient depends only on lower
-    ones, so only the lower half is built and the palindrome gives the rest.
+    (1 - x^(max(m, k)+i)) / (1 - x^i), each factor two _one_minus_x_power
+    passes over the coefficients, exact over the integers.  Each coefficient
+    depends only on lower ones, so only the lower half is built and the
+    palindrome gives the rest.
     Results of degree m*k up to _CACHED_DEGREE are kept in a bounded cache,
     whose cache_info and cache_clear this function carries.
 
@@ -233,11 +264,8 @@ def _build_gaussian_binomial(m: int, k: int) -> UniPoly:
         # c holds (m+i-1 choose i-1)_x up to x^half; the new one has degree m*i.
         size = min(m * i, half) + 1
         c.extend([0] * (size - len(c)))
-        a = m + i
-        if a < size:
-            c[a:] = map(sub, c[a:], c[:size - a])
-        for r in range(i):
-            c[r::i] = accumulate(c[r::i])
+        _one_minus_x_power(c, m + i, False)
+        _one_minus_x_power(c, i, True)
     return UniPoly(c + c[:top - half][::-1])
 
 

@@ -3,8 +3,10 @@ import errno
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -499,6 +501,41 @@ class TestZeta:
         assert code == 2
 
 
+class TestRationalDigitLimit:
+    """--q and --t are bounded by the digits str() converts, here 4300; each
+    case runs in a subprocess so that an unbounded parse fails the test by
+    its timeout instead of hanging it."""
+
+    @staticmethod
+    def zeta(q, t="1/8", *flags):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONINTMAXSTRDIGITS="4300")
+        done = subprocess.run(
+            [sys.executable, "-m", "mzeta", "zeta", "--eta", "2,1", "--q", q, "--t", t, *flags],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e4300", "1e5000", "1e-5000", "1e1000000", "1e-100000000", "1e" + "9" * 5000,
+         "1" * 4301, "1" * 3000 + "." + "1" * 3000, "1/" + "3" * 4301],
+        ids=lambda text: text[:12] + f"..({len(text)})",
+    )
+    def test_refused_before_it_is_expanded(self, literal):
+        assert self.zeta(literal) == (
+            2, "", f"error: cannot parse rational {literal!r}; expected e.g. 2 or 1/8\n"
+        )
+
+    def test_exponent_notation_within_the_limit(self):
+        assert self.zeta("1e3") == self.zeta("1000") == (0, "250252/27124783\n", "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_too_long_to_print(self, fmt):
+        code, out, err = self.zeta("1e4000", "1/8", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+
 class TestConjecture:
     def test_rect(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--rect", "2,1")
@@ -952,6 +989,20 @@ class TestOutput:
         assert err == f"error: [Errno {errno.ENOSPC}] No space left on device: {str(target)!r}\n"
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_out_writes_into_a_fifo(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, "stats", "--eta", "2,1", "--word", "211", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert (code, out) == (0, "")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert received[0].startswith("des: 1\n")
+        assert os.listdir(tmp_path) == ["pipe"]
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(capsys, "dist", "--domain", "words", "--eta", "2,2", "--pair", "denh,exc")

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: unit values frozen by hand, algebra checked by
 round trips, Gaussian binomials against an independent series oracle."""
+import functools
 import json
 import math
 import random
@@ -21,6 +22,18 @@ from mzeta.poly import (
 from mzeta.multiset import Composition
 from mzeta.zeta import RationalW, w_numerator
 from test_multiset import small_compositions
+
+
+@functools.lru_cache(maxsize=None)
+def long_division_cyclotomic(d):
+    """Phi_d as x^d - 1 divided exactly by every Phi_e with e | d, e < d, each
+    built the same way: the recursive long-division build."""
+    poly = UniPoly((-1,) + (0,) * (d - 1) + (1,))
+    for e in range(1, d):
+        if d % e == 0:
+            poly = poly.div_exact(long_division_cyclotomic(e))
+            assert poly is not None
+    return poly
 
 
 def series_binomial_oracle(m, k):
@@ -138,6 +151,10 @@ class TestCyclotomic:
         assert cyclotomic(8).evaluate(1) == 2
         assert cyclotomic(6).evaluate(1) == 1
         assert cyclotomic(15).evaluate(1) == 1
+
+    def test_matches_long_division(self):
+        for d in range(1, 601):
+            assert cyclotomic(d) == long_division_cyclotomic(d), d
 
 
 class TestGaussianBinomial:
@@ -395,3 +412,7 @@ class TestTotient:
         assert [totient(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
         with pytest.raises(ValueError):
             totient(0)
+
+    def test_counts_coprime_residues(self):
+        for d in range(1, 301):
+            assert totient(d) == sum(math.gcd(k, d) == 1 for k in range(1, d + 1)), d

@@ -10,7 +10,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mzeta"
 
 # The functions allowed to call themselves, each with the bound on its depth.
 BOUNDED = {
-    "poly.cyclotomic": "the longest divisor chain of d; x^d - 1 is built before any recursion",
     "signed._tails": "at most _TAIL_RANK, the length of the avail it is called with",
 }
 
