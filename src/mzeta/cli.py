@@ -78,7 +78,9 @@ def parse_rational(text: str) -> Fraction:
     """The rational of text, such as 2, 1/8, 0.25 or 1e3.  An exponent past
     sys.get_int_max_str_digits(), the most digits str() converts, is refused
     before Fraction() expands it, and so is a numerator or denominator with
-    more digits than that (a limit of 0 bounds neither)."""
+    more digits than that (a limit of 0 bounds neither).  The refusal quotes
+    a literal of up to 80 characters and names a longer one by its length
+    and its first 20 characters."""
     limit = sys.get_int_max_str_digits()
     try:
         _, exponent, power = text.lower().partition("e")
@@ -88,7 +90,8 @@ def parse_rational(text: str) -> Fraction:
         str(value)  # raises ValueError past the limit
         return value
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse rational {text!r}; expected e.g. 2 or 1/8")
+        shown = repr(text) if len(text) <= 80 else f"of {len(text)} characters starting {text[:20]!r}"
+        raise ValueError(f"cannot parse rational {shown}; expected e.g. 2 or 1/8")
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -40,21 +40,22 @@ binomials; the two must agree.  NUMERATOR_ROUTES names every (domain,
 ordered pair) that a route serves, and distribution serves those from the
 route and every other pair by enumeration.
 
-All y-series arithmetic is Kronecker-packed (x = 2^w, y = x^span, balanced
-digits in slots of w bits).  G_k = prod over the parts p of (p+k choose k)_x
-is written down once, in _gaussian_factors, and packed only by
-_packed_series, which multiplies sum_k G_k y^k by a product of (1 - x^a y^b)
-and truncates: hadamard_series_coefficient (G_k alone), route A and
-hadamard_check (MacMahon's product) and both signed major sides
+All y-series arithmetic is Kronecker-packed, one int per y-row (x = 2^w,
+balanced digits in slots of w bits).  G_k = prod over the parts p of
+(p+k choose k)_x is written down once, in _gaussian_factors, and packed only
+by _packed_series, which multiplies sum_k G_k y^k by a product of
+(1 - x^a y^b) and truncates: hadamard_series_coefficient (G_k alone), route A
+and hadamard_check (MacMahon's product) and both signed major sides
 ([r+1]_x^n is G_r of 1^n) share it.  RationalW.series divides a packed
-numerator.  Both hand their packed rows and binomials to _shifted_rows, which
-owns the layout: it places the rows and applies each binomial as a
-shift-add, under one mask per pass of the bits below the last kept row.
-Slots are read back as bytes: adding 2^(w-1) to every slot, masking, and
-flipping each slot's top bit back leaves every balanced digit in two's
-complement (_slot_bytes).  Slots of 8, 16, 32 or 64 bits are read by struct
-a y-row per call, after its trailing zero slots are cut off as bytes; wider
-slots are read one by one.
+numerator.  Both hand their packed rows to _shifted_rows, which owns the
+layout: a factor (1 - x^a y^b) subtracts every row, shifted by w*a, from the
+row b above it, and a divisor (1 - x^a y) is one running sum down the rows.
+No row can carry into another, so nothing is masked and nothing above the
+last kept row is made.  Slots are read back as bytes: adding 2^(w-1) to
+every slot, masking, and flipping each slot's top bit back leaves every
+balanced digit in two's complement (_slot_bytes).  _unpack_row reads a row
+over as many slots as its bit length needs, slots of 8, 16, 32 or 64 bits
+by struct in one call and wider slots one by one.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -71,7 +72,7 @@ import math
 import struct
 from collections import Counter
 from fractions import Fraction
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import admissible as adm
@@ -320,16 +321,12 @@ def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
     return _read_slots(_slot_bytes(value, width, count), width // 8, 0, count)
 
 
-def _unpack_series(data: bytes, size: int, span: int, count: int) -> list[UniPoly]:
-    """The y^0..y^(count-1) coefficients, span slots of size bytes each
-    (y = x^span), from the bytes of _slot_bytes.  A row's trailing zero slots
-    are cut off as bytes, so no int is made for them."""
-    row = span * size
-    out = []
-    for start in range(0, row * count, row):
-        used = len(data[start:start + row].rstrip(b"\0"))
-        out.append(UniPoly(_read_slots(data, size, start, -(-used // size))))
-    return out
+def _unpack_row(value: int, width: int) -> UniPoly:
+    """The polynomial whose balanced digits, width bits each, make up value;
+    see _slot_bytes.  A top digit at slot t puts the bit length of value
+    between width*t and width*(t + 1), so bit_length // width + 1 slots
+    reach slot t and hold at most one zero slot above it."""
+    return UniPoly(_unpack(value, width, value.bit_length() // width + 1))
 
 
 def _slot_width(bound: int) -> int:
@@ -343,26 +340,26 @@ def _slot_width(bound: int) -> int:
     return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else (bits + 7) // 8 * 8
 
 
-def _shifted_rows(rows: Iterable, w: int, span: int, count: int, factors: list) -> list[UniPoly]:
-    """The y^0..y^(count-1) coefficients of sum r_k y^k times 1 + x^a y^b or
-    1 - x^a y^b for each (a, b, add or sub) of factors, where rows holds
-    (k, r_k) with r_k a polynomial in x already packed at x = 2^w; exact when
-    the coefficients fit w-bit balanced digits.
+def _shifted_rows(
+    rows: list[int], w: int, factors: Iterable[tuple[int, int]], divisors: Iterable[int] = ()
+) -> list[UniPoly]:
+    """The y^0..y^(len(rows)-1) coefficients of sum r_k y^k times
+    1 - x^a y^b for each (a, b) of factors and over 1 - x^a y for each a of
+    divisors, where r_k = rows[k] is a polynomial in x already packed at
+    x = 2^w; exact when the coefficients fit w-bit balanced digits.
 
-    This is the one place the layout is written down: x = 2^w, y = x^span,
-    so r_k sits at bit w*span*k and a factor is a shift by w*(span*b + a).
-    One mask of the bits below y^count is built per call, and each step adds
-    only the shifted bits under it, so a step is linear in the kept bits."""
-    bits = w * span * count
-    value = sum(r << (w * span * k) for k, r in rows)
-    mask = (1 << bits) - 1
-    for a, b, step in factors:
-        shift = w * (span * b + a)
-        if shift < bits:
-            value = step(value, (value << shift) & mask)
-    data = _slot_bytes(value, w, span * count)
-    del value  # as large as the result: free it before the rows are built
-    return _unpack_series(data, w // 8, span, count)
+    This is the one place the layout is written down: one int per y-row,
+    x = 2^w within it.  A factor subtracts every old row, shifted by w*a,
+    from the row b above it; a divisor is the running sum
+    s_k = r_k + x^a s_(k-1).  Each is one pass over the kept rows, and no
+    row can carry into another."""
+    count = len(rows)
+    for a, b in factors:
+        rows[b:] = map(sub, rows[b:], [r << w * a for r in rows[:count - b]])
+    for a in divisors:
+        shift = w * a
+        rows = list(itertools.accumulate(rows, lambda acc, r: (acc << shift) + r))
+    return [_unpack_row(r, w) for r in rows]
 
 
 def _packed_series(
@@ -373,31 +370,23 @@ def _packed_series(
     is the product of f^e over the pairs (f, e) of gs[k], each f with
     nonnegative coefficients.
 
-    Each factor is one shift step of _shifted_rows (x = 2^w, y = x^span).
-    The y^k coefficient is sum_j D_j G_(k-j), D_j the y^j coefficient of
-    prod (1 - x^a y^b).  |every coefficient of D_j| is at most ways[j], the
-    number of subsets of factors of y-degree j, and the x-degree of D_j at
-    most reach[j], the largest sum of their a; G_k has coefficients summing
-    to at most the product of f(1)^e.  So sum_j ways[j] * G_(k-j)(1) bounds
-    the y^k coefficients, w holds the largest such bound as a balanced
-    digit, and span exceeds every reach[j] + deg G_(k-j).  Nothing of
-    y-degree above top lands in a kept slot.
+    Each factor is one pass of _shifted_rows over the rows G_k packed at
+    x = 2^w.  The y^k coefficient is sum_j D_j G_(k-j), D_j the y^j
+    coefficient of prod (1 - x^a y^b).  |every coefficient of D_j| is at
+    most ways[j], the number of subsets of factors of y-degree j, and G_k has
+    coefficients summing to at most the product of f(1)^e.  So
+    sum_j ways[j] * G_(k-j)(1) bounds the y^k coefficients, and w holds the
+    largest such bound as a balanced digit.
     """
     top = len(gs) - 1
     ways = [1] + [0] * top
-    reach = [0] * (top + 1)
     for a, b in factors:
         for j in range(top, b - 1, -1):
-            if ways[j - b]:
-                reach[j] = max(reach[j], reach[j - b] + a)
-                ways[j] += ways[j - b]
+            ways[j] += ways[j - b]
     sizes = [math.prod(sum(f.coeffs) ** e for f, e in g) for g in gs]
-    degrees = [sum(f.degree() * e for f, e in g) for g in gs]
-    ks = range(top + 1)
-    w = _slot_width(max(sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in ks))
-    span = 1 + max(reach[j] + degrees[k - j] for k in ks for j in range(k + 1))
-    gks = (math.prod(_pack(f.coeffs, w) ** e for f, e in g) for g in gs)
-    return _shifted_rows(enumerate(gks), w, span, top + 1, [(a, b, sub) for a, b in factors])
+    w = _slot_width(max(sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in range(top + 1)))
+    rows = [math.prod(_pack(f.coeffs, w) ** e for f, e in g) for g in gs]
+    return _shifted_rows(rows, w, factors)
 
 
 def _gaussian_factors(eta: Composition, k: int) -> list[tuple[UniPoly, int]]:
@@ -611,15 +600,15 @@ class RationalW:
         >>> RationalW(BiPoly.one(), (0, 1)).series(3)
         [UniPoly((1,)), UniPoly((1, 1)), UniPoly((1, 1, 1))]
 
-        The numerator is packed once (x = 2^w, y = x^span); dividing by each
-        1 - z, z = x^j y, multiplies by 1 + z + ... + z^top, as shift-adds by
-        z, z^2, z^4, ...  Each adds only the bits that land below y^terms, and
-        nothing above y^top reaches a kept slot.  A kept coefficient has
-        x-degree below span and size at most ||N||_1 * C(top + d, d),
-        d = len(exponents).
+        The numerator is packed once, one int per y-row (x = 2^w), and
+        dividing by each 1 - x^j y is one running sum down the rows
+        (_shifted_rows).  A kept coefficient has size at most
+        ||N||_1 * C(top + d, d), d = len(exponents), and x-degree below
+        span = deg_x N + top * max(exponents) + 1.
 
-        The span * terms slots are charged against the budget before anything
-        is packed; BudgetError if they exceed it.
+        The span * terms slots, which bound the slots of the kept rows, are
+        charged against the budget before anything is packed; BudgetError if
+        they exceed it.
         """
         if terms <= 0:
             return []
@@ -628,9 +617,9 @@ class RationalW:
         span = max(num.degree_x(), 0) + top * max(exps, default=0) + 1
         _check_budget(span * terms, budget, f"series of {format_count(terms)} terms packs {{}} slots, which")
         w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
-        rows = ((b, p.evaluate(1 << w)) for b, p in num.y_coefficients().items() if b <= top)
-        factors = [(j << i, 1 << i, add) for j in exps for i in range(top.bit_length())]
-        return _shifted_rows(rows, w, span, terms, factors)
+        coeffs = num.y_coefficients()
+        rows = [coeffs[b].evaluate(1 << w) if b in coeffs else 0 for b in range(terms)]
+        return _shifted_rows(rows, w, (), exps)
 
 
 def zeta_eval(

@@ -515,15 +515,34 @@ class TestRationalDigitLimit:
         )
         return done.returncode, done.stdout, done.stderr
 
+    # (literal, how the refusal names it): quoted up to 80 characters, by
+    # its length and first 20 characters past that.
+    REFUSED = [
+        ("1e4300", "'1e4300'"),
+        ("1e5000", "'1e5000'"),
+        ("1e-5000", "'1e-5000'"),
+        ("1e1000000", "'1e1000000'"),
+        ("1e-100000000", "'1e-100000000'"),
+        ("1e" + "9" * 5000, "of 5002 characters starting '1e999999999999999999'"),
+        ("1" * 4301, "of 4301 characters starting '11111111111111111111'"),
+        ("1" * 3000 + "." + "1" * 3000, "of 6001 characters starting '11111111111111111111'"),
+        ("1/" + "3" * 4301, "of 4303 characters starting '1/333333333333333333'"),
+    ]
+
     @pytest.mark.parametrize(
-        "literal",
-        ["1e4300", "1e5000", "1e-5000", "1e1000000", "1e-100000000", "1e" + "9" * 5000,
-         "1" * 4301, "1" * 3000 + "." + "1" * 3000, "1/" + "3" * 4301],
-        ids=lambda text: text[:12] + f"..({len(text)})",
+        "literal,shown", REFUSED, ids=[text[:12] + f"..({len(text)})" for text, _ in REFUSED]
     )
-    def test_refused_before_it_is_expanded(self, literal):
+    def test_refused_before_it_is_expanded(self, literal, shown):
         assert self.zeta(literal) == (
-            2, "", f"error: cannot parse rational {literal!r}; expected e.g. 2 or 1/8\n"
+            2, "", f"error: cannot parse rational {shown}; expected e.g. 2 or 1/8\n"
+        )
+
+    def test_refusal_quotes_up_to_eighty_characters(self):
+        quoted = "1/" + "0" * 78
+        assert self.zeta(quoted)[2] == f"error: cannot parse rational {quoted!r}; expected e.g. 2 or 1/8\n"
+        assert self.zeta(quoted + "0")[2] == (
+            "error: cannot parse rational of 81 characters starting '1/000000000000000000'; "
+            "expected e.g. 2 or 1/8\n"
         )
 
     def test_exponent_notation_within_the_limit(self):

@@ -530,7 +530,7 @@ def test_slot_width_is_the_smallest_struct_or_byte_width():
 
 
 class TestSlotCodec:
-    """_pack, _unpack and _unpack_series at every slot width of 1 to 16 bytes:
+    """_pack, _unpack and _unpack_row at every slot width of 1 to 16 bytes:
     the struct widths (1, 2, 4, 8) and int.from_bytes at every other one."""
 
     @pytest.mark.parametrize("size", range(1, 17))
@@ -554,29 +554,29 @@ class TestSlotCodec:
 
     @pytest.mark.parametrize("size", range(1, 17))
     def test_series_rows(self, size):
-        # All-zero rows, runs of zero slots inside and at the end of a row, and
-        # last slots whose high bytes are zero, against UniPoly built by hand.
+        # One packed int per y-row: all-zero rows, runs of zero slots inside
+        # and at the end of a row, top digits of -2^(w-1), and top digits that
+        # the digit below pulls down to a bit length of w or less, against
+        # UniPoly built by hand.
         w = 8 * size
         low, high = -(1 << (w - 1)), (1 << (w - 1)) - 1
-        span = 6
         rows = [
             [],
             [low],
+            [high],
             [0, 0, high],
             [high, 0, 0, 0],
             [0, low, 0, -1],
-            [],
             [0, 0, 0, 0, 0, 1],
             [high, 1],
             [-1, 0, 0, 0, 0, low],
-            [],
+            [0, 0, low],
+            [low, 1],
+            [high, -1],
+            [0, 0, 0],
         ]
-        digits = [d for row in rows for d in row + [0] * (span - len(row))]
-        data = zeta._slot_bytes(balanced_pack(digits, w) + (1 << (w * len(digits))), w, len(digits))
-        assert len(data) == size * len(digits)
-        series = zeta._unpack_series(data, size, span, len(rows))
-        assert [p.coeffs for p in series] == [UniPoly(row).coeffs for row in rows]
-        assert zeta._unpack_series(data, size, span, 0) == []
+        for row in rows:
+            assert zeta._unpack_row(balanced_pack(row, w), w).coeffs == UniPoly(row).coeffs, row
 
 
 class TestSignedNumerator:
@@ -593,6 +593,16 @@ class TestSignedNumerator:
         assert b.evaluate(1, 1) == 2**n * math.factorial(n)
         assert d.evaluate(1, 1) == 2 ** (n - 1) * math.factorial(n)
         assert (b.degree_y(), d.degree_y()) == (2 * n - 1, 2 * n - 2)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_rank_fourteen(self, kind):
+        # The major side packs 80-bit slots here, so its y^2 factors shift
+        # slots wider than 64 bits; the Denert cross-check inside
+        # signed_numerator is the oracle.
+        n = 14
+        num = signed_numerator(kind, n)
+        assert num.evaluate(1, 1) == zeta.domain_size(kind, n=n)
+        assert num.degree_y() == (2 * n - 1 if kind == "B" else 2 * n - 2)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
