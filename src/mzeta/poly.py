@@ -224,12 +224,6 @@ def cyclotomic(d: int) -> UniPoly:
     return UniPoly(c) if d > 1 else -UniPoly(c)
 
 
-# Results of degree m*k above this are built on every call, not cached: one
-# result of degree 1024 takes about 40 KB, so the 1024 cache entries stay
-# near 40 MB at most, where a single (600, 600) result takes about 60 MB.
-_CACHED_DEGREE = 1024
-
-
 def gaussian_binomial(m: int, k: int) -> UniPoly:
     """The Gaussian binomial (m+k choose k)_x.
 
@@ -241,21 +235,15 @@ def gaussian_binomial(m: int, k: int) -> UniPoly:
     (1 - x^(max(m, k)+i)) / (1 - x^i), each factor two _one_minus_x_power
     passes over the coefficients, exact over the integers.  Each coefficient
     depends only on lower ones, so only the lower half is built and the
-    palindrome gives the rest.
-    Results of degree m*k up to _CACHED_DEGREE are kept in a bounded cache,
-    whose cache_info and cache_clear this function carries.
+    palindrome gives the rest.  The package builds its Gaussian binomials
+    from packed columns (zeta._gaussian_rows); this is the independent,
+    list-based builder the tests compare those against.
 
     >>> gaussian_binomial(1, 1)
     UniPoly((1, 1))
     """
     if m < 0 or k < 0:
         raise ValueError("gaussian_binomial needs nonnegative arguments")
-    if m * k > _CACHED_DEGREE:
-        return _build_gaussian_binomial(m, k)
-    return _cached_gaussian_binomial(m, k)
-
-
-def _build_gaussian_binomial(m: int, k: int) -> UniPoly:
     m, k = max(m, k), min(m, k)
     top = m * k
     half = top // 2
@@ -267,11 +255,6 @@ def _build_gaussian_binomial(m: int, k: int) -> UniPoly:
         _one_minus_x_power(c, m + i, False)
         _one_minus_x_power(c, i, True)
     return UniPoly(c + c[:top - half][::-1])
-
-
-_cached_gaussian_binomial = lru_cache(maxsize=1024)(_build_gaussian_binomial)
-gaussian_binomial.cache_info = _cached_gaussian_binomial.cache_info
-gaussian_binomial.cache_clear = _cached_gaussian_binomial.cache_clear
 
 
 def format_terms(terms: Iterable[tuple[int, int, int]]) -> str:

@@ -40,22 +40,19 @@ binomials; the two must agree.  NUMERATOR_ROUTES names every (domain,
 ordered pair) that a route serves, and distribution serves those from the
 route and every other pair by enumeration.
 
-All y-series arithmetic is Kronecker-packed, one int per y-row (x = 2^w,
-balanced digits in slots of w bits).  G_k = prod over the parts p of
-(p+k choose k)_x is written down once, in _gaussian_factors, and packed only
-by _packed_series, which multiplies sum_k G_k y^k by a product of
-(1 - x^a y^b) and truncates: hadamard_series_coefficient (G_k alone), route A
-and hadamard_check (MacMahon's product) and both signed major sides
-([r+1]_x^n is G_r of 1^n) share it.  RationalW.series divides a packed
-numerator.  Both hand their packed rows to _shifted_rows, which owns the
-layout: a factor (1 - x^a y^b) subtracts every row, shifted by w*a, from the
-row b above it, and a divisor (1 - x^a y) is one running sum down the rows.
-No row can carry into another, so nothing is masked and nothing above the
-last kept row is made.  Slots are read back as bytes: adding 2^(w-1) to
-every slot, masking, and flipping each slot's top bit back leaves every
-balanced digit in two's complement (_slot_bytes).  _unpack_row reads a row
-over as many slots as its bit length needs, slots of 8, 16, 32 or 64 bits
-by struct in one call and wider slots one by one.
+All y-series arithmetic is Kronecker-packed by one engine, _shifted_rows:
+one int per y-row, x = 2^w within it, balanced digits in slots of w bits.
+A factor (1 - x^a y^b) subtracts every row, shifted by w*a, from the row b
+above it, and a divisor (1 - x^a y) is one running sum down the rows; no row
+can carry into another.  G_k = prod over the parts p of (p+k choose k)_x is
+the Hadamard product of packed maximal-order columns: p + 1 running sums
+turn the row 1 into prod_{j=0..p} 1/(1 - x^j y), whose y^k row is
+(p+k choose k)_x (_gaussian_rows).  hadamard_series_coefficient is G_k
+alone; _packed_series multiplies sum_k G_k y^k by a product of
+(1 - x^a y^b), for route A and hadamard_check (MacMahon's product) and both
+signed major sides ([r+1]_x^n is G_r of 1^n); RationalW.series divides a
+packed numerator.  _unpack_row reads a row back as bytes (_slot_bytes), over
+as many slots as its bit length needs.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -79,7 +76,7 @@ from . import admissible as adm
 from . import signed
 from . import multiset as wd
 from . import poly
-from .poly import BiPoly, UniPoly, cyclotomic_in_monomial, gaussian_binomial, totient
+from .poly import BiPoly, UniPoly, cyclotomic_in_monomial, totient
 from .multiset import Composition
 
 DEFAULT_BUDGET = 10_000_000
@@ -283,13 +280,6 @@ def joint_distributions(
 _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _pack(coeffs: Iterable[int], width: int) -> int:
-    """The integer sum of c * 2^(width*i): coefficients in slots of width bits
-    (a multiple of 8), each in [0, 2^width)."""
-    size = width // 8
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
-
-
 def _slot_bytes(value: int, width: int, count: int) -> bytes:
     """The lowest count slots of a packed value, width bits each, as bytes in
     which every slot holds its balanced digit in [-2^(width-1), 2^(width-1))
@@ -342,11 +332,12 @@ def _slot_width(bound: int) -> int:
 
 def _shifted_rows(
     rows: list[int], w: int, factors: Iterable[tuple[int, int]], divisors: Iterable[int] = ()
-) -> list[UniPoly]:
+) -> list[int]:
     """The y^0..y^(len(rows)-1) coefficients of sum r_k y^k times
     1 - x^a y^b for each (a, b) of factors and over 1 - x^a y for each a of
     divisors, where r_k = rows[k] is a polynomial in x already packed at
-    x = 2^w; exact when the coefficients fit w-bit balanced digits.
+    x = 2^w; exact when the coefficients fit w-bit balanced digits.  The
+    rows are updated in place and come back packed, for _unpack_row to read.
 
     This is the one place the layout is written down: one int per y-row,
     x = 2^w within it.  A factor subtracts every old row, shifted by w*a,
@@ -357,50 +348,54 @@ def _shifted_rows(
     for a, b in factors:
         rows[b:] = map(sub, rows[b:], [r << w * a for r in rows[:count - b]])
     for a in divisors:
-        shift = w * a
-        rows = list(itertools.accumulate(rows, lambda acc, r: (acc << shift) + r))
-    return [_unpack_row(r, w) for r in rows]
+        for k in range(1, count):
+            rows[k] += rows[k - 1] << w * a
+    return rows
+
+
+def _gaussian_rows(parts: Sequence[int], ks: range, w: int) -> list[int]:
+    """G_k = prod over the parts p of (p+k choose k)_x for each k of ks,
+    packed at x = 2^w, as the Hadamard product of the parts' columns; exact
+    when G_k(1) fits a w-bit balanced digit.  The column of p is the
+    maximal-order series prod_{j=0..p} 1/(1 - x^j y), p + 1 running sums of
+    _shifted_rows, whose y^k row is (p+k choose k)_x."""
+    columns = [
+        (_shifted_rows([1] + [0] * ks[-1], w, (), range(p + 1)), parts.count(p))
+        for p in dict.fromkeys(parts)
+    ]
+    return [math.prod(column[k] ** e for column, e in columns) for k in ks]
 
 
 def _packed_series(
-    gs: Sequence[Sequence[tuple[UniPoly, int]]], factors: Sequence[tuple[int, int]]
+    parts: Sequence[int], top: int, factors: Sequence[tuple[int, int]]
 ) -> list[UniPoly]:
-    """The y^0..y^top coefficients, top = len(gs) - 1, of
-    (sum_k G_k y^k) * prod over (a, b) in factors of (1 - x^a y^b), where G_k
-    is the product of f^e over the pairs (f, e) of gs[k], each f with
-    nonnegative coefficients.
+    """The y^0..y^top coefficients of (sum_k G_k y^k) times the product over
+    (a, b) in factors of (1 - x^a y^b), G_k the product over the parts p of
+    (p+k choose k)_x.
 
-    Each factor is one pass of _shifted_rows over the rows G_k packed at
-    x = 2^w.  The y^k coefficient is sum_j D_j G_(k-j), D_j the y^j
-    coefficient of prod (1 - x^a y^b).  |every coefficient of D_j| is at
+    The rows G_k (_gaussian_rows) and each factor's pass of _shifted_rows
+    share one slot width.  The y^k coefficient is sum_j D_j G_(k-j), D_j the
+    y^j coefficient of prod (1 - x^a y^b).  |every coefficient of D_j| is at
     most ways[j], the number of subsets of factors of y-degree j, and G_k has
-    coefficients summing to at most the product of f(1)^e.  So
+    nonnegative coefficients summing to G_k(1) = prod C(p+k, k).  So
     sum_j ways[j] * G_(k-j)(1) bounds the y^k coefficients, and w holds the
     largest such bound as a balanced digit.
     """
-    top = len(gs) - 1
     ways = [1] + [0] * top
     for a, b in factors:
         for j in range(top, b - 1, -1):
             ways[j] += ways[j - b]
-    sizes = [math.prod(sum(f.coeffs) ** e for f, e in g) for g in gs]
+    sizes = [math.prod(math.comb(p + k, k) for p in parts) for k in range(top + 1)]
     w = _slot_width(max(sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in range(top + 1)))
-    rows = [math.prod(_pack(f.coeffs, w) ** e for f, e in g) for g in gs]
-    return _shifted_rows(rows, w, factors)
-
-
-def _gaussian_factors(eta: Composition, k: int) -> list[tuple[UniPoly, int]]:
-    """G_k = prod over the parts p of (p+k choose k)_x, as the pairs
-    (gaussian_binomial(p, k), multiplicity of p) that _packed_series takes."""
-    return [(gaussian_binomial(p, k), eta.parts.count(p)) for p in dict.fromkeys(eta.parts)]
+    rows = _shifted_rows(_gaussian_rows(parts, range(top + 1), w), w, factors)
+    return [_unpack_row(r, w) for r in rows]
 
 
 def _macmahon_series(eta: Composition, top: int) -> list[UniPoly]:
     """The y^0..y^top coefficients of prod_{j=0..n} (1 - x^j y) times
     sum_{k<=top} G_k y^k: by MacMahon, those of the numerator of W_eta, and
     zero above y^n."""
-    gs = [_gaussian_factors(eta, k) for k in range(top + 1)]
-    return _packed_series(gs, [(j, 1) for j in range(eta.n + 1)])
+    return _packed_series(eta.parts, top, [(j, 1) for j in range(eta.n + 1)])
 
 
 def _maj_des_numerator(eta: Composition) -> BiPoly:
@@ -503,7 +498,7 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
     factors = [(0, 1)] + [(2 * i, 2) for i in powers] + ([(n, 1)] if kind == "D" else [])
     top = 2 * n if kind == "B" else 2 * n - 1
     ones = Composition((1,) * n)  # G_r of 1^n is [r+1]_x^n
-    series = _packed_series([_gaussian_factors(ones, r) for r in range(top + 1)], factors)
+    series = _packed_series(ones.parts, top, factors)
     if series[top]:
         raise InvariantError(
             f"type {kind} numerator for n={n}: "
@@ -600,11 +595,11 @@ class RationalW:
         >>> RationalW(BiPoly.one(), (0, 1)).series(3)
         [UniPoly((1,)), UniPoly((1, 1)), UniPoly((1, 1, 1))]
 
-        The numerator is packed once, one int per y-row (x = 2^w), and
-        dividing by each 1 - x^j y is one running sum down the rows
-        (_shifted_rows).  A kept coefficient has size at most
-        ||N||_1 * C(top + d, d), d = len(exponents), and x-degree below
-        span = deg_x N + top * max(exponents) + 1.
+        The numerator is packed once, one int per y-row (x = 2^w).
+        _shifted_rows divides by each 1 - x^j y as one running sum down the
+        rows, and _unpack_row reads each kept row back.  A kept coefficient
+        has size at most ||N||_1 * C(top + d, d), d = len(exponents), and
+        x-degree below span = deg_x N + top * max(exponents) + 1.
 
         The span * terms slots, which bound the slots of the kept rows, are
         charged against the budget before anything is packed; BudgetError if
@@ -619,7 +614,7 @@ class RationalW:
         w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
         coeffs = num.y_coefficients()
         rows = [coeffs[b].evaluate(1 << w) if b in coeffs else 0 for b in range(terms)]
-        return _shifted_rows(rows, w, (), exps)
+        return [_unpack_row(r, w) for r in _shifted_rows(rows, w, (), exps)]
 
 
 def zeta_eval(
@@ -645,8 +640,10 @@ class HadamardResult:
 
 def hadamard_series_coefficient(eta: Composition, k: int) -> UniPoly:
     """Coefficient of y^k on the termwise-product side, G_k: the product over
-    the parts of the Gaussian binomials (part + k choose k)_x, packed."""
-    return _packed_series([_gaussian_factors(eta, k)], [])[0]
+    the parts of the Gaussian binomials (part + k choose k)_x, as row k of
+    _gaussian_rows in slots sized by G_k(1) alone."""
+    w = _slot_width(math.prod(math.comb(p + k, k) for p in eta.parts))
+    return _unpack_row(_gaussian_rows(eta.parts, range(k, k + 1), w)[0], w)
 
 
 def hadamard_check(
