@@ -294,21 +294,17 @@ def _slot_bytes(value: int, width: int, count: int) -> bytes:
     return raised.to_bytes(size * count, "little")
 
 
-def _read_slots(data: bytes, size: int, start: int, count: int) -> tuple[int, ...]:
-    """The count slots of size bytes at byte offset start of data, written by
-    _slot_bytes, as ints."""
-    if size in _FORMATS:
-        return struct.unpack_from(f"<{count}{_FORMATS[size]}", data, start)
-    return tuple(
-        int.from_bytes(data[i:i + size], "little", signed=True)
-        for i in range(start, start + size * count, size)
-    )
-
-
 def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
     """The lowest count slots of a packed value as balanced digits; see
     _slot_bytes."""
-    return _read_slots(_slot_bytes(value, width, count), width // 8, 0, count)
+    data = _slot_bytes(value, width, count)
+    size = width // 8
+    if size in _FORMATS:
+        return struct.unpack(f"<{count}{_FORMATS[size]}", data)
+    return tuple(
+        int.from_bytes(data[i:i + size], "little", signed=True)
+        for i in range(0, size * count, size)
+    )
 
 
 def _unpack_row(value: int, width: int) -> UniPoly:
@@ -660,7 +656,8 @@ def hadamard_check(
     rational functions.  The product side is route A's packed product, and
     w_numerator already insists that route A equals route B.  So for the
     computed numerator this check certifies two things: that route A equals
-    route B, and that the y^(n+1) coefficient vanishes.  On failure the first
+    route B, and that the y^(n+1) coefficient vanishes.  A numerator row above
+    y^(n+1) is a mismatch against the zero product row.  On failure the first
     mismatching y-degree and both sides are reported.
     """
     trunc = eta.n + 1
@@ -671,6 +668,9 @@ def hadamard_check(
         expected = lhs.get(k, UniPoly())
         if product != expected:
             return HadamardResult(False, eta, trunc, k, expected, product)
+    above = min((k for k in lhs if k > trunc), default=None)
+    if above is not None:
+        return HadamardResult(False, eta, trunc, above, lhs[above], UniPoly())
     return HadamardResult(True, eta, trunc)
 
 

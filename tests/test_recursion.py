@@ -1,17 +1,12 @@
 """No function in the package calls itself by name unless its recursion depth
 has a bound that valid input cannot push past Python's recursion limit."""
 import ast
-import math
 import pathlib
-
-from mzeta import signed
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mzeta"
 
 # The functions allowed to call themselves, each with the bound on its depth.
-BOUNDED = {
-    "signed._tails": "at most _TAIL_RANK, the length of the avail it is called with",
-}
+BOUNDED: dict[str, str] = {}
 
 
 def calls_itself(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -79,18 +74,3 @@ def test_guard_sees_every_kind_of_self_call():
 def test_only_bounded_functions_call_themselves():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert sorted(recursive_functions(sources)) == sorted(BOUNDED)
-
-
-def test_tails_recurse_at_most_tail_rank_deep(monkeypatch):
-    tails = signed._tails
-    lengths = []
-
-    def spy(avail, odd, even):
-        lengths.append(len(avail))
-        return tails(avail, odd, even)
-
-    monkeypatch.setattr(signed, "_tails", spy)
-    for n in range(1, 6):
-        assert len(list(signed.signed_perms(n))) == 2**n * math.factorial(n)
-        assert len(list(signed.even_signed_perms(n))) == 2 ** (n - 1) * math.factorial(n)
-    assert max(lengths) == signed._TAIL_RANK

@@ -786,12 +786,15 @@ class TestHadamard:
         assert result.mismatch_degree == 1
         assert result.product_side != result.numerator_side
 
-    def test_detects_extra_top_degree_term(self):
-        # Both sides must vanish at y^(n+1); a numerator with a term there fails.
+    @pytest.mark.parametrize("extra", [1, 2, 7])
+    def test_detects_extra_top_degree_term(self, extra):
+        # Both sides must vanish at y^(n+1) and above; a numerator with a term
+        # there fails.
         eta = Composition((2, 1))
-        result = hadamard_check(eta, numerator=w_numerator(eta) + BiPoly.monomial(0, eta.n + 1))
+        degree = eta.n + extra
+        result = hadamard_check(eta, numerator=w_numerator(eta) + BiPoly.monomial(0, degree))
         assert not result.ok
-        assert result.mismatch_degree == eta.n + 1
+        assert result.mismatch_degree == degree
         assert result.numerator_side == UniPoly.one()
         assert result.product_side == UniPoly()
 
