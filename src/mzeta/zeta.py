@@ -26,7 +26,10 @@ w_numerator enumerates nothing.  By the paper's main theorem the numerator
 is also the (maj, des) and the (denh, exc) distribution over the multiset
 words.  Route A computes (maj, des) from MacMahon's product formula; route B
 computes (denh, exc) by a transfer-matrix DP over the positions of the
-trivial word, keyed by the unused copies of each letter.  w_numerator
+trivial word, whose state is the unused copies of each letter.  A state is
+keyed by its mixed-radix index, and its copies are read from a table of all
+states that itertools.product lists once per call; route B reads its final
+packed value back only over the slots its bit length reaches.  w_numerator
 returns route A and always insists that route B agrees.  The (den, iexc)
 enumeration in joint_distribution stays the reference they are tested
 against: tests/test_zeta.py compares each route with it for every
@@ -413,35 +416,50 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
     of a smaller letter.  So the state is the unused copies of each letter,
     (rem_1..rem_r), with prod (eta_a + 1) states in all.
 
+    A state is keyed by its mixed-radix index sum rem_a * step_a, where
+    step_a = prod_{b>a} (eta_b + 1), so using a copy of letter a moves from
+    index idx to idx - step_a.  itertools.product over the ranges 0..eta_a
+    lists the states in index order, once per call, and that list gives the
+    rem of an index without decoding it.
+
     Each state carries its polynomial packed into one integer, x^denh y^exc in
     slot denh*(n+1) + exc.  A coefficient counts prefixes of distinct words,
     so it is at most word_count(), which sets the slot width; every increment
-    is below 2i, so denh <= n^2 sets the slot count.
+    is below 2i, so denh <= n^2 bounds the slot count.  Every digit is a
+    non-negative count, so the final value is read back over as many slots
+    as its bit length needs, as in _unpack_row.
     """
     n = eta.n
     parts = eta.parts
     w = _slot_width(eta.word_count())
     stride = n + 1
-    # at_least[a - 1] = eta_a + ... + eta_r, the copies of the letters >= a
+    # at_least[a] = eta_(a+1) + ... + eta_r, the copies of the letters > a
     at_least = tuple(itertools.accumulate(reversed(parts)))[::-1]
-    layer = {parts: 1}
+    # step[a] = (eta_(a+2) + 1) ... (eta_r + 1); states[idx] is the rem of idx
+    radices = [p + 1 for p in parts]
+    step = tuple(itertools.accumulate(reversed(radices[1:]), int.__mul__, initial=1))[::-1]
+    states = list(itertools.product(*map(range, radices)))
+    letters = range(eta.r - 1, -1, -1)  # zero-based, largest first
+    layer = {len(states) - 1: 1}  # the last state: every copy unused
     for i, t in enumerate(eta.trivial_word, start=1):
         left = n - i + 1  # unused copies, this position's included
-        nxt: dict[tuple[int, ...], int] = {}
-        for rem, packed in layer.items():
-            rem_ge = 0  # unused copies of the letters >= a
-            for a in range(eta.r, 0, -1):
-                ra = rem[a - 1]
-                rem_ge += ra
+        nxt: dict[int, int] = {}
+        for idx, packed in layer.items():
+            rem = states[idx]
+            rem_ge = 0  # unused copies of the letters > a
+            for a in letters:
+                ra = rem[a]
                 if ra:
-                    if a > t:
-                        shift = (i + at_least[a - 1] - rem_ge) * stride + 1
+                    rem_ge += ra
+                    if a >= t:  # letter a + 1 exceeds t
+                        shift = (i + at_least[a] - rem_ge) * stride + 1
                     else:
                         shift = (left - rem_ge) * stride
-                    key = rem[:a - 1] + (ra - 1,) + rem[a:]
+                    key = idx - step[a]
                     nxt[key] = nxt.get(key, 0) + (packed << (w * shift))
         layer = nxt
-    digits = _unpack(sum(layer.values()), w, (n * n + 1) * stride)
+    total = layer[0]  # the one state left: no unused copies
+    digits = _unpack(total, w, total.bit_length() // w + 1)
     keys = itertools.product(range(n * n + 1), range(stride))
     return BiPoly(dict(itertools.compress(zip(keys, digits), digits)))
 

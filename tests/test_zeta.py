@@ -504,6 +504,23 @@ def test_rem_state_route_b_matches_position_dp():
         assert zeta._denh_exc_numerator(eta) == positions_route_b(eta), eta
 
 
+ROUTE_B_EDGES = [
+    *((m,) * r for m in range(1, 13) for r in range(1, 12 // m + 1)),
+    (40,),
+    (6, 1, 1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 1, 1, 6),
+]
+
+
+@pytest.mark.parametrize("parts", ROUTE_B_EDGES, ids=lambda parts: ",".join(map(str, parts)))
+def test_route_b_matches_route_a_at_the_edges(parts):
+    # Past the n <= 8 sweep: one part (a single radix) and n parts (n radices
+    # of 2) in the state index, and one large part next to ones, whose top
+    # slot ends the bit-length read-back.
+    eta = Composition(parts)
+    assert zeta._denh_exc_numerator(eta) == zeta._maj_des_numerator(eta)
+
+
 def packed_series_oracle(parts, top, factors):
     """Schoolbook truncated product of sum_k G_k y^k with the factors."""
     series = [schoolbook_gaussian_product(parts, k) for k in range(top + 1)]
