@@ -30,11 +30,13 @@ trivial word, whose state is the unused copies of each letter.  A state is
 keyed by its mixed-radix index, and its copies are read from a table of all
 states that itertools.product lists once per call; route B reads its final
 packed value back only over the slots its bit length reaches.  w_numerator
-returns route A and always insists that route B agrees.  The (den, iexc)
-enumeration in joint_distribution stays the reference they are tested
-against: tests/test_zeta.py compares each route with it for every
-composition of n <= 6, and the acceptance suite compares w_numerator with it
-for every composition of n <= 8.
+returns route A and always insists that route B agrees.  Route A's product
+is built once through y^(n+1) and memoised (_macmahon_rows): w_numerator
+reads rows 0..n and insists that row n+1 vanishes, and hadamard_check
+re-reads the same rows.  The (den, iexc) enumeration in joint_distribution
+stays the reference they are tested against: tests/test_zeta.py compares
+each route with it for every composition of n <= 6, and the acceptance
+suite compares w_numerator with it for every composition of n <= 8.
 
 signed_numerator does the same for the paper's signed Mahonian companions:
 the major side of B_n or D_n from the Adin-Brenti-Roichman or Biagioli
@@ -52,10 +54,11 @@ the Hadamard product of packed maximal-order columns: p + 1 running sums
 turn the row 1 into prod_{j=0..p} 1/(1 - x^j y), whose y^k row is
 (p+k choose k)_x (_gaussian_rows).  hadamard_series_coefficient is G_k
 alone; _packed_series multiplies sum_k G_k y^k by a product of
-(1 - x^a y^b), for route A and hadamard_check (MacMahon's product) and both
-signed major sides ([r+1]_x^n is G_r of 1^n); RationalW.series divides a
-packed numerator.  _unpack_row reads a row back as bytes (_slot_bytes), over
-as many slots as its bit length needs.
+(1 - x^a y^b), for MacMahon's product (_macmahon_rows, one call per
+composition, shared by route A and hadamard_check) and both signed major
+sides ([r+1]_x^n is G_r of 1^n); RationalW.series divides a packed
+numerator.  _unpack_row reads a row back as bytes (_slot_bytes), over as
+many slots as its bit length needs.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -67,6 +70,7 @@ predicts (unitary_factor_scan, conjecture_report).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import struct
@@ -390,16 +394,30 @@ def _packed_series(
     return [_unpack_row(r, w) for r in rows]
 
 
-def _macmahon_series(eta: Composition, top: int) -> list[UniPoly]:
-    """The y^0..y^top coefficients of prod_{j=0..n} (1 - x^j y) times
-    sum_{k<=top} G_k y^k: by MacMahon, those of the numerator of W_eta, and
-    zero above y^n."""
-    return _packed_series(eta.parts, top, [(j, 1) for j in range(eta.n + 1)])
+# Route A's product is read twice per composition: by w_numerator, then by
+# hadamard_check on the same composition.  A few entries serve that reuse;
+# the memo is not sized to hold a workload.
+@functools.lru_cache(maxsize=16)
+def _macmahon_rows(parts: tuple[int, ...]) -> tuple[UniPoly, ...]:
+    """The y^0..y^(n+1) coefficients of prod_{j=0..n} (1 - x^j y) times
+    sum_k G_k y^k, n = sum(parts): by MacMahon, rows 0..n are the numerator
+    of W_eta and row n+1 vanishes.  One _packed_series call, memoised by
+    parts; the rows are immutable, so every reader shares them."""
+    n = sum(parts)
+    return tuple(_packed_series(parts, n + 1, [(j, 1) for j in range(n + 1)]))
 
 
 def _maj_des_numerator(eta: Composition) -> BiPoly:
-    """Route A: the (maj, des) distribution over the words, by MacMahon."""
-    return BiPoly.from_y_coefficients(dict(enumerate(_macmahon_series(eta, eta.n))))
+    """Route A: the (maj, des) distribution over the words, by MacMahon, read
+    from rows 0..n of _macmahon_rows.  Row n+1 must vanish, otherwise
+    InvariantError is raised."""
+    rows = _macmahon_rows(eta.parts)
+    if rows[-1]:
+        raise InvariantError(
+            f"numerator for eta={eta}: the y^{eta.n + 1} coefficient {rows[-1]} "
+            f"of MacMahon's product does not vanish"
+        )
+    return BiPoly.from_y_coefficients(dict(enumerate(rows[:-1])))
 
 
 def _denh_exc_numerator(eta: Composition) -> BiPoly:
@@ -473,7 +491,9 @@ def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
     enumeration: route A computes (maj, des) from MacMahon's product formula
     and is returned; route B computes (denh, exc) by a DP over positions and
     must coincide, otherwise one of the two routes is broken and
-    InvariantError is raised.
+    InvariantError is raised.  Route A's product is built through y^(n+1)
+    (_macmahon_rows), and its y^(n+1) row must vanish, or InvariantError is
+    raised too; hadamard_check on the same composition re-reads that product.
 
     The budget still bounds the number of words, as for enumeration, and
     raises BudgetError beyond it.
@@ -671,18 +691,21 @@ def hadamard_check(
 
     Both sides, cleared to the common denominator, are polynomials of y-degree
     at most n + 1, so agreement through y^(n+1) proves the identity of
-    rational functions.  The product side is route A's packed product, and
-    w_numerator already insists that route A equals route B.  So for the
-    computed numerator this check certifies two things: that route A equals
-    route B, and that the y^(n+1) coefficient vanishes.  A numerator row above
-    y^(n+1) is a mismatch against the zero product row.  On failure the first
-    mismatching y-degree and both sides are reported.
+    rational functions.  The product side is route A's packed product
+    through y^(n+1), _macmahon_rows, the very rows w_numerator reads: it
+    already insists that route A equals route B and that the y^(n+1) row
+    vanishes, so for the computed numerator this check re-reads that product
+    from the memo and its cost is the comparison.  A given numerator is
+    compared with route A alone (built here on a memo miss); route B never
+    runs.  A numerator row above y^(n+1) is a mismatch against the zero
+    product row.  On failure the first mismatching y-degree and both sides
+    are reported.
     """
     trunc = eta.n + 1
     if numerator is None:
         numerator = w_numerator(eta, budget=budget)
     lhs = numerator.y_coefficients()
-    for k, product in enumerate(_macmahon_series(eta, trunc)):
+    for k, product in enumerate(_macmahon_rows(eta.parts)):
         expected = lhs.get(k, UniPoly())
         if product != expected:
             return HadamardResult(False, eta, trunc, k, expected, product)

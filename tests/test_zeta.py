@@ -14,7 +14,7 @@ from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
 from mzeta.signed import b_stats, d_stats, even_signed_perms, excabs, nden, neg, nsp, signed_perms
 from mzeta.poly import BiPoly, UniPoly, cyclotomic_in_monomial, gaussian_binomial, totient
 from mzeta.verify import compositions_of
-from mzeta import poly, zeta
+from mzeta import cli, poly, zeta
 from mzeta.zeta import (
     BudgetError,
     InvariantError,
@@ -38,6 +38,15 @@ from mzeta.zeta import (
     zeta_eval,
 )
 from test_multiset import small_compositions
+
+
+@pytest.fixture
+def cold_macmahon():
+    """Route A's memo, empty before the test and again after it, so that no
+    planted or spied product outlives the test."""
+    zeta._macmahon_rows.cache_clear()
+    yield
+    zeta._macmahon_rows.cache_clear()
 
 
 # Every statistic of every domain through its public function.
@@ -394,6 +403,17 @@ class TestJointDistributions:
             joint_distributions("B", [("nmaj", "ndes"), ("dden", "dexc")], n=2)
 
 
+def plant_top_row(monkeypatch) -> None:
+    """Make _packed_series add 1 to the top row it returns."""
+    packed = zeta._packed_series
+
+    def extra_top(*args):
+        series = packed(*args)
+        return series[:-1] + [series[-1] + UniPoly.one()]
+
+    monkeypatch.setattr(zeta, "_packed_series", extra_top)
+
+
 class TestNumerator:
     def test_frozen(self):
         assert w_numerator(Composition((1, 1))) == BiPoly({(0, 0): 1, (1, 1): 1})
@@ -418,10 +438,11 @@ class TestNumerator:
         assert w_numerator(Composition((40,))) == BiPoly.one()
         assert time.perf_counter() - t0 < 1.0
 
-    def test_two_parts_of_twelve_pack_slots_wider_than_64_bits(self, monkeypatch):
+    def test_two_parts_of_twelve_pack_slots_wider_than_64_bits(self, monkeypatch, cold_macmahon):
         # Route A's slot bound for (12, 12) passes 2^63, so its columns and
         # binomials shift slots of more than 64 bits; route B, run inside
-        # w_numerator, is the oracle.
+        # w_numerator, is the oracle.  A warm memo would leave only route B's
+        # width to see.
         widths = []
         slot_width = zeta._slot_width
         monkeypatch.setattr(zeta, "_slot_width", lambda bound: widths.append(slot_width(bound)) or widths[-1])
@@ -448,6 +469,13 @@ class TestNumerator:
         with pytest.raises(InvariantError, match="numerator mismatch"):
             w_numerator(Composition((2, 1)))
 
+    def test_nonvanishing_top_row_raises(self, monkeypatch, cold_macmahon):
+        # Route A's product runs through y^(n+1), where MacMahon's numerator
+        # has no term; w_numerator checks that row.
+        plant_top_row(monkeypatch)
+        with pytest.raises(InvariantError, match=r"y\^4 coefficient 1 of MacMahon's product does not vanish"):
+            w_numerator(Composition((2, 1)))
+
 
 # Neither route enumerates; each must reproduce the (den, iexc) enumeration,
 # which is the numerator's definition.
@@ -460,12 +488,55 @@ def test_route_matches_den_iexc_enumeration(route):
         assert route(eta) == joint_distribution("admissible", ("den", "iexc"), eta=eta), eta
 
 
-def test_macmahon_series_matches_schoolbook():
+def test_macmahon_series_matches_schoolbook(cold_macmahon):
     # The packed product that route A and hadamard_check share, through
-    # y^(n+1), where the coefficients must vanish.
+    # y^(n+1), where the coefficients must vanish; every truncation is a
+    # prefix of the one product.
     for eta in small_compositions(6):
+        rows = zeta._macmahon_rows(eta.parts)
+        assert len(rows) == eta.n + 2 and not rows[-1], eta
         for top in range(eta.n + 2):
-            assert zeta._macmahon_series(eta, top) == macmahon_oracle(eta, top), (eta, top)
+            assert list(rows[: top + 1]) == macmahon_oracle(eta, top), (eta, top)
+
+
+def test_macmahon_memo_is_bounded():
+    # Process-wide caches must not grow for the life of the process.
+    assert zeta._macmahon_rows.cache_info().maxsize is not None
+
+
+def count_packed_series(monkeypatch) -> list:
+    """Spy on _packed_series: one entry per call."""
+    calls = []
+    packed = zeta._packed_series
+    monkeypatch.setattr(zeta, "_packed_series", lambda *args: calls.append(args) or packed(*args))
+    return calls
+
+
+class TestOneProductPerComposition:
+    def test_verify_hadamard_builds_one_product(self, monkeypatch, capsys, cold_macmahon):
+        calls = count_packed_series(monkeypatch)
+        assert cli.main(["verify", "--check", "hadamard", "--eta", "2,1,2"]) == 0
+        assert "hadamard eta=2,1,2: pass" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_hadamard_check_rereads_the_numerators_product(self, monkeypatch, cold_macmahon):
+        calls = count_packed_series(monkeypatch)
+        eta = Composition((2, 1, 2))
+        assert hadamard_check(eta, numerator=w_numerator(eta)).ok
+        assert len(calls) == 1
+
+    def test_committed_numerator_never_runs_route_b(self, monkeypatch, cold_macmahon):
+        eta = Composition((3, 1, 2))
+        num = w_numerator(eta)
+        zeta._macmahon_rows.cache_clear()
+        calls = count_packed_series(monkeypatch)
+
+        def no_route_b(eta):
+            raise AssertionError("hadamard_check ran route B")
+
+        monkeypatch.setattr(zeta, "_denh_exc_numerator", no_route_b)
+        assert hadamard_check(eta, numerator=num).ok
+        assert len(calls) == 1
 
 
 def positions_route_b(eta):
@@ -648,13 +719,7 @@ class TestSignedNumerator:
 
     @pytest.mark.parametrize("kind", ["B", "D"])
     def test_nonvanishing_top_coefficient_raises(self, kind, monkeypatch):
-        packed = zeta._packed_series
-
-        def extra_top(*args):
-            series = packed(*args)
-            return series[:-1] + [series[-1] + UniPoly.one()]
-
-        monkeypatch.setattr(zeta, "_packed_series", extra_top)
+        plant_top_row(monkeypatch)
         with pytest.raises(InvariantError, match="does not vanish"):
             signed_numerator(kind, 3)
 
