@@ -124,9 +124,9 @@ def descent_stats(w: Sequence[int]) -> tuple[int, int]:
     """(des, maj): the number of descents and the sum of their positions.
 
     The descent scan of words, and of signed windows through
-    signed.type_a_stats; signed._scan runs the same scan inline, in the pass
-    that also reads the signs and the excedances of |sigma| for b_stats and
-    d_stats.
+    signed.type_a_stats.  signed._scan reads des and maj of a window the same
+    way, in its one pass that also reads the signs and the excedances of
+    |sigma| for b_stats and d_stats.
 
     >>> descent_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1))
     (5, 25)
@@ -231,13 +231,14 @@ def excedance_stats(w: Sequence[int], triv: Sequence[int]) -> tuple[int, int]:
     """(exc, denh) of w against the letterwise bound triv.
 
     An excedance is a position where w strictly exceeds triv.  With triv the
-    trivial word of eta these are exc(w, eta) and denh(w, eta); signed
-    windows pass their absolute values with triv = 1..n.
+    trivial word of eta these are exc(w, eta) and denh(w, eta).
 
     One pass over w builds no subword: it keeps the exceeding and the
     non-exceeding letters read so far as two sorted lists, and a bisect into
     them counts the earlier exceeding letters >= a (the weak inversions a
     closes) or the earlier non-exceeding letters > a (the inversions).
+    signed._scan counts the same pair for |sigma| against 1..n on bit masks
+    in place of the lists, which it can as no letter of |sigma| repeats.
 
     >>> excedance_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1), (1, 1, 1, 2, 2, 3, 3, 4, 4, 4))
     (5, 27)

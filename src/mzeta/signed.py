@@ -14,21 +14,23 @@ nden on all signed permutations; dneg, ddes, dmaj, dexc, nsp, dden on the
 even-signed ones).
 
 One loop, _scan, reads a window: its descents, its negative entries and the
-excedance scan of |sigma|, written inline rather than through the multiset
-kernels.  b_stats (every statistic defined on all signed permutations) and
-d_stats are read from it; nsp, the independent second form of dden, is one
-bisect pass of its own.  signed_perms and even_signed_perms take the sign
+excedances of |sigma|, which it counts on two bit masks of the absolute
+values read so far.  b_stats (every statistic defined on all signed
+permutations) and d_stats are read from it; nsp, the independent second form
+of dden, is one pass of its own over a bit mask of the signed values.  The
+public functions check their window; b_kernel and d_kernel, the kernels of
+zeta.STATS, do not.  signed_perms and even_signed_perms take the sign
 vectors of 1..n in turn and yield the permutations of each set of signed
 values with itertools.permutations.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from itertools import permutations, product
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .multiset import descent_stats
+
 
 def is_signed_window(window: Sequence[int]) -> bool:
     """True iff every entry is an int (not a bool or a float), no entry is 0,
@@ -78,14 +80,15 @@ def type_a_stats(window: Sequence[int]) -> tuple[int, int]:
 def _scan(window: Sequence[int]) -> tuple[int, int, int, int, int, int, int, int]:
     """One pass over a window: (des, maj, neg, the sum of the negative
     entries, the count and the sum of the entries below -1, exc and denh of
-    |sigma| against 1..n).
+    |sigma| against 1..n).  The window is not checked.
 
-    The descent scan is that of multiset.descent_stats on the window, the
-    excedance scan that of multiset.excedance_stats on |sigma|.
+    The descents are read as in multiset.descent_stats.  exc and denh are
+    those of multiset.excedance_stats on |sigma|, counted on bit masks: the
+    absolute values read so far are two ints, `big` for the excedances and
+    `rest` for the others, with bit a set for the value a.  As |sigma| is a
+    permutation, the earlier values above a are the set bits of mask >> a.
     """
-    d = m = k = neg_sum = low = low_sum = total = 0
-    exceeding: list[int] = []
-    rest: list[int] = []
+    d = m = k = neg_sum = low = low_sum = total = big = rest = 0
     # i is the index of a until the step (a descent window[i - 1] > a sits at
     # position i), and a's 1-based position after it.
     i = 0
@@ -104,12 +107,12 @@ def _scan(window: Sequence[int]) -> tuple[int, int, int, int, int, int, int, int
                 low_sum += a
             a = -a
         if a > i:
-            total += i + len(exceeding) - bisect_left(exceeding, a)
-            insort(exceeding, a)
+            total += i + (big >> a).bit_count()
+            big |= 1 << a
         else:
-            total += len(rest) - bisect_right(rest, a)
-            insort(rest, a)
-    return d, m, k, neg_sum, low, low_sum, len(exceeding), total
+            total += (rest >> a).bit_count()
+            rest |= 1 << a
+    return d, m, k, neg_sum, low, low_sum, big.bit_count(), total
 
 
 class BStats(NamedTuple):
@@ -124,6 +127,19 @@ class BStats(NamedTuple):
     nden: int
 
 
+# The named tuples are built from one positional tuple: their keyword
+# __new__ costs about four times as much per window.
+_new = tuple.__new__
+
+
+def b_kernel(window: Sequence[int]) -> BStats:
+    """b_stats without the window check: the kernel of the registry
+    (zeta.STATS), whose windows are signed windows by construction."""
+    d, m, k, neg_sum, _, _, exc, total = _scan(window)
+    first = 1 if window and window[0] < 0 else 0
+    return _new(BStats, (d, m, k, d + k, m - neg_sum, 2 * d + first, 2 * m + k, exc + k, total - neg_sum))
+
+
 def b_stats(window: Sequence[int]) -> BStats:
     """Descent, negative, flag, and excedance statistics of a signed
     permutation, from one scan.
@@ -133,14 +149,14 @@ def b_stats(window: Sequence[int]) -> BStats:
     negative], fmaj = 2*maj + neg; excabs = excedances of |sigma| plus neg,
     and nden = denh(|sigma|) - (sum of negative entries).
 
+    Raises ValueError when the window is not a signed window.
+
     >>> b_stats((-2, 1))
     BStats(des=0, maj=0, neg=1, ndes=1, nmaj=2, fdes=1, fmaj=1, excabs=2, nden=3)
     >>> b_stats((2, -3, 1))
     BStats(des=1, maj=1, neg=1, ndes=2, nmaj=4, fdes=2, fmaj=3, excabs=3, nden=6)
     """
-    d, m, k, neg_sum, _, _, exc, total = _scan(window)
-    first = 1 if window and window[0] < 0 else 0
-    return BStats(d, m, k, d + k, m - neg_sum, 2 * d + first, 2 * m + k, exc + k, total - neg_sum)
+    return b_kernel(check_window(window))
 
 
 def excabs(window: Sequence[int]) -> int:
@@ -153,23 +169,32 @@ def nden(window: Sequence[int]) -> int:
     return b_stats(window).nden
 
 
+def _pairs(window: Sequence[int]) -> int:
+    """nsp of a window that is not checked.  The signed values read so far
+    are one int over the 2n + 1 values -n..n, with bit n - v set for the
+    value v; the earlier entries below -a are its set bits above bit n + a."""
+    n = len(window)
+    top = n + 1
+    total = seen = 0
+    for a in window:
+        total += (seen >> (top + a)).bit_count()
+        seen |= 1 << (n - a)
+    return total
+
+
 def nsp(window: Sequence[int]) -> int:
     """Number of pairs i < j with sigma(i) + sigma(j) < 0.
 
     Each entry a closes one pair with every earlier entry below -a, counted
-    by a bisect into the sorted entries read so far.
+    as the set bits of a mask of the signed values read so far.  Raises
+    ValueError when the window is not a signed window.
 
     >>> nsp((-3, 1, 2))
     2
     >>> nsp((-1, -2))
     1
     """
-    total = 0
-    seen: list[int] = []
-    for a in window:
-        total += bisect_left(seen, -a)
-        insort(seen, a)
-    return total
+    return _pairs(check_window(window))
 
 
 class DStats(NamedTuple):
@@ -179,6 +204,25 @@ class DStats(NamedTuple):
     dexc: int
     nsp: int
     dden: int
+
+
+def d_kernel(window: Sequence[int]) -> DStats:
+    """d_stats without the window check: the kernel of the registry
+    (zeta.STATS), whose windows are signed windows by construction."""
+    d, m, k, _, dneg, low_sum, exc, base = _scan(window)
+    if k % 2:
+        raise ValueError(f"{tuple(window)} has an odd number of negative entries")
+    pairs = _pairs(window)
+    via_pairs = base + pairs
+    via_descents = base - low_sum - dneg
+    if via_pairs != via_descents:
+        from .zeta import InvariantError  # zeta imports this module
+
+        raise InvariantError(
+            f"dden mismatch on {tuple(window)}: "
+            f"{via_pairs} (pair form) != {via_descents} (descent form)"
+        )
+    return _new(DStats, (dneg, d + dneg, m - low_sum - dneg, exc + dneg, pairs, via_pairs))
 
 
 def d_stats(window: Sequence[int]) -> DStats:
@@ -192,7 +236,8 @@ def d_stats(window: Sequence[int]) -> DStats:
     raised.  The descents, the sign parity, the entries below -1 and the
     excedance scan of |sigma| come from _scan; nsp is its own pass.
 
-    Raises ValueError when the window has an odd number of negative entries.
+    Raises ValueError when the window is not a signed window, or has an odd
+    number of negative entries.
 
     >>> d_stats((-2, -1))
     DStats(dneg=1, ddes=1, dmaj=1, dexc=2, nsp=1, dden=2)
@@ -201,27 +246,7 @@ def d_stats(window: Sequence[int]) -> DStats:
     ...
     ValueError: (-1, 2) has an odd number of negative entries
     """
-    d, m, k, _, dneg, low_sum, exc, base = _scan(window)
-    if k % 2:
-        raise ValueError(f"{tuple(window)} has an odd number of negative entries")
-    pairs = nsp(window)
-    via_pairs = base + pairs
-    via_descents = base - low_sum - dneg
-    if via_pairs != via_descents:
-        from .zeta import InvariantError  # zeta imports this module
-
-        raise InvariantError(
-            f"dden mismatch on {tuple(window)}: "
-            f"{via_pairs} (pair form) != {via_descents} (descent form)"
-        )
-    return DStats(
-        dneg=dneg,
-        ddes=d + dneg,
-        dmaj=m - low_sum - dneg,
-        dexc=exc + dneg,
-        nsp=pairs,
-        dden=via_pairs,
-    )
+    return d_kernel(check_window(window))
 
 
 def _windows(n: int, even: bool) -> Iterator[tuple[int, ...]]:

@@ -12,9 +12,10 @@ polynomials and evaluations are Fractions.
 Joint distributions come from one registry, STATS, which names each
 statistic of each domain as an entry of a kernel's value, and holds the
 kernel functions themselves: descent_stats and excedance_stats on words,
-block_grid_counts on admissible permutations, b_stats on signed windows, and
-b_stats and d_stats on even-signed ones; window_stats reads every statistic
-of one signed window from it.
+block_grid_counts on admissible permutations, b_kernel on signed windows, and
+b_kernel and d_kernel on even-signed ones (signed.b_stats and signed.d_stats
+without their window check); window_stats reads every statistic of one
+signed window from it.
 joint_distributions is the one counting path: it reads the objects in
 batches, runs each distinct kernel of all its pairs once per object into one
 column per kernel, and counts each pair from two columns.
@@ -151,8 +152,8 @@ def _check_budget(size: int, budget: int, what: str = "domain of size {}") -> No
 _DESCENT = (wd.descent_stats, False)
 _EXCEDANCE = (wd.excedance_stats, True)
 _GRID = (adm.block_grid_counts, True)
-_B = (signed.b_stats, False)
-_D = (signed.d_stats, False)
+_B = (signed.b_kernel, False)
+_D = (signed.d_kernel, False)
 
 
 def _entries(kernel: tuple, *names: str | None) -> dict[str, tuple[tuple, int]]:
@@ -183,7 +184,8 @@ def domain_stats(domain: str) -> tuple[str, ...]:
 
 def window_stats(domain: str, window: tuple[int, ...]) -> dict[str, int]:
     """Every statistic of the signed domain ("B" or "D") on one window, by
-    name in the order of STATS; each kernel runs once.  ValueError otherwise."""
+    name in the order of STATS; each kernel runs once.  ValueError otherwise.
+    The window is not checked: pass it through signed.check_window first."""
     if domain not in ("B", "D"):
         raise ValueError(f"window_stats needs a signed domain, 'B' or 'D'; got {domain!r}")
     values = {}

@@ -722,7 +722,7 @@ class TestFailureExitCodes:
     def test_dden_forms_mismatch_exit_four(self, capsys, monkeypatch):
         import mzeta.signed as signed
 
-        monkeypatch.setattr(signed, "nsp", lambda window: -1)
+        monkeypatch.setattr(signed, "_pairs", lambda window: -1)
         code, out, err = run(capsys, "stats", "--signed=-2,-1", "--type", "D")
         assert code == 4
         assert out == ""

@@ -1,6 +1,7 @@
-"""One untraced benchmark pass per numerator pipeline, judged against the
-committed reference digests (perfbench/data/reference.json): every op of the
-numerator and algebra workloads must reproduce its recorded output."""
+"""One untraced benchmark pass per workload that runs the numerator pipelines
+or the signed kernels, judged against the committed reference digests
+(perfbench/data/reference.json): every op of the numerator, algebra and
+signed workloads must reproduce its recorded output."""
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload", ["numerator", "algebra"])
+@pytest.mark.parametrize("workload", ["numerator", "algebra", "signed"])
 def test_worker_pass_matches_reference(workload):
     # Untraced, the worker writes no file; its result is one JSON line.
     done = subprocess.run(

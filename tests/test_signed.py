@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzeta.multiset import des, descent_stats, excedance_stats, maj
 from mzeta.signed import (
@@ -61,6 +61,15 @@ class TestValidation:
         assert not is_signed_window(window)
         with pytest.raises(ValueError):
             check_window(window)
+
+    # An entry far above n would index a bit far above n in a kernel's masks.
+    @pytest.mark.parametrize(
+        "kernel,window", [(b_stats, (10**6,)), (nsp, (10**6,)), (d_stats, (2, 2))],
+        ids=["b_stats", "nsp", "d_stats"],
+    )
+    def test_public_kernels_check_the_window(self, kernel, window):
+        with pytest.raises(ValueError, match="is not a signed permutation window"):
+            kernel(window)
 
     @pytest.mark.parametrize("n", [True, False, 2.0, Fraction(2), "2"], ids=repr)
     def test_rank_must_be_an_int(self, n):
@@ -288,7 +297,15 @@ class TestAgainstReference:
         for w in even_signed_perms(n):
             assert d_stats(w) == reference_d_stats(w)
 
+    # The extreme bits of the masks: the first entry -n or n, the values in
+    # increasing and decreasing order, and a window of each parity at n = 14.
     @given(random_windows(n_max=14, n_min=8))
+    @example(tuple(range(-14, 0)))
+    @example(tuple(range(14, 0, -1)))
+    @example(tuple(range(1, 9)))
+    @example(tuple(range(-1, -10, -1)))
+    @example((-14, *range(2, 14), -1))
+    @example((14, *range(-13, 0)))
     @settings(max_examples=200, deadline=None)
     def test_kernels_on_wide_windows(self, window):
         assert b_stats(window) == reference_all_b_stats(window)

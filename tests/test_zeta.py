@@ -263,7 +263,7 @@ class TestWindowStats:
             assert tuple(stats) == domain_stats(domain)
             assert stats == {name: funcs[name](window) for name in stats}
 
-    @pytest.mark.parametrize("domain,kernels", [("B", {"b_stats": 1}), ("D", {"b_stats": 1, "d_stats": 1})])
+    @pytest.mark.parametrize("domain,kernels", [("B", {"b_kernel": 1}), ("D", {"b_kernel": 1, "d_kernel": 1})])
     def test_one_call_per_kernel(self, monkeypatch, domain, kernels):
         calls = count_kernel_calls(monkeypatch)
         zeta.window_stats(domain, (-2, 3, -1, 4))
@@ -357,7 +357,7 @@ class TestJointDistributions:
     def test_each_kernel_once_per_object(self, monkeypatch):
         calls = count_kernel_calls(monkeypatch)
         joint_distributions("B", [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes"), ("maj", "des")], n=4)
-        assert calls == {"b_stats": 384}
+        assert calls == {"b_kernel": 384}
 
     # A scalar pair and a pair across two kernels, against a plain Counter.
     REFERENCE = {
