@@ -34,13 +34,15 @@ from .multiset import descent_stats
 
 def is_signed_window(window: Sequence[int]) -> bool:
     """True iff every entry is an int (not a bool or a float), no entry is 0,
-    and the absolute values form a permutation of [n]."""
+    and the absolute values form a permutation of [n]: one pass that sets bit
+    |v| of a mask only once 0 < |v| <= n, so no entry builds a huge int."""
     n = len(window)
-    return (
-        all(type(v) is int for v in window)
-        and 0 not in window
-        and sorted(abs(v) for v in window) == list(range(1, n + 1))
-    )
+    seen = 0
+    for v in window:
+        if type(v) is not int or not 0 < abs(v) <= n:
+            return False
+        seen |= 1 << abs(v)
+    return seen == (2 << n) - 2
 
 
 def check_window(window: Sequence[int]) -> tuple[int, ...]:

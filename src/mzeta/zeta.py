@@ -66,7 +66,9 @@ numerator over the extended denominator is the termwise product of Gaussian
 binomials (hadamard_check), that the numerator is self-reciprocal exactly for
 rectangle compositions (reciprocity_check), and that cyclotomic factors in a
 single monomial direction appear exactly where the rectangle factorisation
-predicts (unitary_factor_scan, conjecture_report).
+predicts (unitary_factor_scan, conjecture_report).  The scan tries only the
+directions parallel to two opposite edges of the numerator's Newton polygon,
+and every factor it reports is confirmed by exact division.
 """
 from __future__ import annotations
 
@@ -812,45 +814,93 @@ class UnitaryFactor:
         return f"cyclotomic({self.order}) at x^{self.x_power}*y^{self.y_power}: {self.poly}"
 
 
+def _edge_lengths(f: BiPoly) -> dict[tuple[int, int], int]:
+    """Map each primitive edge direction (p, q) of f's Newton polygon, taken
+    with q > 0 or as (1, 0), to the lattice length of the shorter of its two
+    edges.  A direction with one edge is left out; a segment is two edges,
+    there and back, and a point has none.  The hull is a monotone chain over
+    the least and greatest x-degree of each y-row."""
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for a, b in f.terms:
+        if a < lo.get(b, a + 1):
+            lo[b] = a
+        if a > hi.get(b, -1):
+            hi[b] = a
+    points = sorted({(a, b) for row in (lo, hi) for b, a in row.items()})
+    hull: list[tuple[int, int]] = []
+    for chain in (points, points[::-1]):
+        start = len(hull)
+        for x, y in chain:
+            while len(hull) >= start + 2 and (
+                (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append((x, y))
+        hull.pop()
+    once: dict[tuple[int, int], int] = {}
+    lengths: dict[tuple[int, int], int] = {}
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        g = math.gcd(x1 - x0, y1 - y0)
+        p, q = (x1 - x0) // g, (y1 - y0) // g
+        if q < 0 or (q == 0 and p < 0):
+            p, q = -p, -q
+        if (p, q) in once:
+            lengths[p, q] = min(once[p, q], g)
+        else:
+            once[p, q] = g
+    return lengths
+
+
 def unitary_factor_scan(f: BiPoly, bounds: ScanBounds) -> tuple[UnitaryFactor, ...]:
     """Search for divisors of the form cyclotomic_d(x^a y^b) within bounds.
 
     Candidates are the directions a in 0..max_a with b in 1..max_b, plus the
     pure-x direction (1, 0), against every cyclotomic index d <= max_d.  A hit
     certifies a unitary factor; an empty result only says no cyclotomic
-    candidate within the bounds divides f, nothing stronger.  A direction
-    with a > deg_x or b > deg_y passes no degree test, so only a <= deg_x and
-    b <= deg_y are listed: bounds far past the degrees cost nothing.
+    candidate within the bounds divides f, nothing stronger.
 
-    Candidates are pruned by degree, then by integer divisibility at two
-    points, (2, 3) and (101, 103), so a polynomial division is left only for
-    the few candidates that pass both.  The prune is exact: if g divides f in
-    Z[x, y] then g(P) divides f(P) in Z, and cyclotomic_d(x^a y^b) at a point
-    P is cyclotomic_d(base) with base = P_x^a P_y^b >= 2, which is never 0
-    since every root of cyclotomic_d has modulus 1.  Every hit is confirmed
-    by exact division.  The degree test needs totient(d) <= max(deg_x, deg_y),
-    and totient(d) >= sqrt(d/2), so no d above 2*max(deg_x, deg_y)^2 can
-    divide and the loop stops there.  Bounds that leave a direction or every
-    index out raise ValueError (ScanBounds.check).
+    Candidates are pruned by f's Newton polygon NP(f), the convex hull of its
+    exponents.  By Ostrowski's theorem NP(gh) = NP(g) + NP(h) in Z[x, y],
+    and NP(cyclotomic_d(x^a y^b)) is the segment from 0 to totient(d)*(a, b).
+    So with (a, b) = k*(p, q), (p, q) primitive, the factor can divide f only
+    if NP(f) has two antiparallel edges parallel to (p, q), each of lattice
+    length at least totient(d)*k (_edge_lengths).  Only those directions are
+    listed, each with the cap totient(d) <= length // k, and totient(d) >=
+    sqrt(d/2), so no d above 2*cap^2 is tried: bounds far past the polygon
+    cost nothing.
+
+    The candidates left are pruned by integer divisibility at two points,
+    (2, 3) and (101, 103), so a polynomial division is left only for the few
+    that pass both.  That prune is exact too: if g divides f in Z[x, y] then
+    g(P) divides f(P) in Z, and cyclotomic_d(x^a y^b) at a point P is
+    cyclotomic_d(base) with base = P_x^a P_y^b >= 2, which is never 0 since
+    every root of cyclotomic_d has modulus 1.  Every hit is confirmed by exact
+    division.  Bounds that leave a direction or every index out raise
+    ValueError (ScanBounds.check).
     """
     if not f:
         raise ValueError("scan needs a nonzero polynomial")
     bounds.check()
-    dx = f.degree_x()
-    dy = f.degree_y()
-    max_d = min(bounds.max_d, 2 * max(dx, dy) ** 2)
+    directions = []
+    for (p, q), length in _edge_lengths(f).items():
+        if q == 0:
+            directions.append((1, 0, length))
+        elif p >= 0:
+            top = min(length, bounds.max_b // q, bounds.max_a // p if p else length)
+            directions += [(k * p, k * q, length // k) for k in range(1, top + 1)]
+    if not directions:
+        return ()
+    directions.sort(key=lambda t: (t[1], t[0]))
     near, far = f.evaluate(2, 3), f.evaluate(101, 103)
-    top_a, top_b = min(bounds.max_a, dx), min(bounds.max_b, dy)
-    directions = [(1, 0)] + [(a, b) for b in range(1, top_b + 1) for a in range(top_a + 1)]
-    phis = [(d, totient(d)) for d in range(1, max_d + 1)]
     passing: dict[int, list[int]] = {}
     found: list[UnitaryFactor] = []
-    for a, b in directions:
-        # The degree test, a*totient(d) <= dx and b*totient(d) <= dy, as one
-        # cap on totient(d); directions that share a cap share its list of d.
-        cap = min(deg // power for deg, power in ((dx, a), (dy, b)) if power)
+    for a, b, cap in directions:
+        # Directions that share a cap share its list of d.
         if cap not in passing:
-            passing[cap] = [d for d, ph in phis if ph <= cap]
+            top_d = min(bounds.max_d, 2 * cap * cap)
+            passing[cap] = [d for d in range(1, top_d + 1) if totient(d) <= cap]
         near_base, far_base = 2**a * 3**b, 101**a * 103**b
         for d in passing[cap]:
             phi = poly.cyclotomic(d)

@@ -587,7 +587,7 @@ class TestConjecture:
         assert_poly_schema(obj["numerator"])
 
     def test_huge_max_d_is_bounded(self, capsys):
-        # The scan stops at the degree bound; the report keeps the bound given.
+        # The scan stops at the Newton-polygon bound; the report keeps the bound given.
         code, out, _ = run(capsys, "conjecture", "--eta", "2,1", "--max-d", "3000000")
         assert code == 0
         assert "max_d=3000000" in out

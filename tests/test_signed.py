@@ -56,6 +56,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_window((3, 1))
 
+    # A repeated or missing absolute value, 0, an entry above n, a bool and a
+    # float; 10**12 is refused before any bit is set for it.
+    @pytest.mark.parametrize(
+        "window", [(1, 1), (0,), (2,), (True,), (1.0,), (-1, -1), (3, 1, 3), (10**12,)], ids=repr
+    )
+    def test_refuses_bad_windows(self, window):
+        assert not is_signed_window(window)
+        with pytest.raises(ValueError, match="is not a signed permutation window"):
+            check_window(window)
+
     @pytest.mark.parametrize("window", [(1.0, 2), (True, 2), (-1, 2.0), (Fraction(1), 2)], ids=repr)
     def test_rejects_non_int_entries(self, window):
         assert not is_signed_window(window)

@@ -183,6 +183,24 @@ def reference_scan_cases():
         cases.append((product, ScanBounds(4, 4, 300)))
     # Bounds past both degrees: the directions beyond them find nothing.
     cases.append((w_numerator(Composition((2, 1))), ScanBounds(40, 30, 300)))
+    # The Newton-polygon prune: a monomial shift moves the polygon and keeps
+    # its edges; non-primitive directions (2, 2) and (0, 2), with Phi_1, ask
+    # for edges of lattice length 2k; a point has no edge and a segment is two.
+    shifted = base * cyclotomic_in_monomial(3, 1, 1) * BiPoly.monomial(2, 1, -3)
+    cases.append((shifted, ScanBounds(4, 4, 60)))
+    for d, a, b in [(1, 2, 2), (2, 2, 2), (1, 0, 2), (4, 0, 2)]:
+        planted = base * cyclotomic_in_monomial(d, a, b) * cyclotomic_in_monomial(1, 1, 1)
+        cases.append((planted, ScanBounds(4, 4, 60)))
+    cases.append((BiPoly.monomial(3, 2, 5), ScanBounds(4, 4, 60)))
+    diagonal = cyclotomic_in_monomial(2, 1, 1) * cyclotomic_in_monomial(6, 2, 2) * BiPoly.monomial(1, 0)
+    cases += [(diagonal, ScanBounds(6, 6, 60)), (cyclotomic_in_monomial(4, 0, 2), ScanBounds(2, 6, 60))]
+    # The pure-x direction is scanned whatever max_a says.
+    cases.append((base * cyclotomic_in_monomial(3, 1, 0), ScanBounds(0, 0, 20)))
+    # Bounds that cut a multiple k*(p, q) of an edge direction: (2, 2) by
+    # max_a, (2, 2) by max_b and (0, 3) by max_b.
+    square = cyclotomic_in_monomial(1, 2, 2) * cyclotomic_in_monomial(2, 2, 2) * base
+    cases += [(square, ScanBounds(1, 4, 40)), (square, ScanBounds(4, 1, 40))]
+    cases.append((cyclotomic_in_monomial(1, 0, 3) * base, ScanBounds(3, 2, 40)))
     return cases
 
 
@@ -997,6 +1015,39 @@ class TestUnitaryScan:
         assert wide == unitary_factor_scan(num, ScanBounds(4, 4, 72))
         assert [(u.order, u.x_power, u.y_power) for u in wide] == [(2, 2, 1)]
 
+    @pytest.mark.parametrize(
+        "terms,lengths",
+        [
+            # (x^2 y^2 - 1)(1 + x): a parallelogram, two edges in each direction.
+            ({(0, 0): -1, (1, 0): -1, (2, 2): 1, (3, 2): 1}, {(1, 0): 1, (1, 1): 2}),
+            # (1 + x)(1 + x + y): the shorter of the two x-edges counts.
+            ({(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 1}, {(1, 0): 1}),
+            # A triangle has no antiparallel pair; a point has no edge.
+            ({(0, 0): 1, (2, 0): 1, (0, 3): 1}, {}),
+            ({(3, 2): 5}, {}),
+            # A segment is two edges, there and back.
+            ({(0, 0): 1, (0, 4): -1}, {(0, 1): 4}),
+            ({(1, 0): 1, (2, 1): 2, (4, 3): 1}, {(1, 1): 3}),
+        ],
+    )
+    def test_edge_lengths(self, terms, lengths):
+        assert zeta._edge_lengths(BiPoly(terms)) == lengths
+
+    def test_candidates_follow_the_edges(self, monkeypatch):
+        # (x^2 y^2 - 1)(1 + x): (1, 0) with cap 1, (1, 1) with cap 2 and
+        # (2, 2) = 2*(1, 1) with cap 2 // 2, in (b, a) order; every d with
+        # totient(d) <= cap is looked up once, and no other direction is.
+        # Each hit is looked up once more, by cyclotomic_in_monomial.
+        f = BiPoly({(0, 0): -1, (1, 0): -1, (2, 2): 1, (3, 2): 1})
+        lookups = []
+        cyclotomic = poly.cyclotomic
+        monkeypatch.setattr(poly, "cyclotomic", lambda d: lookups.append(d) or cyclotomic(d))
+        found = unitary_factor_scan(f, ScanBounds(4, 4, 60))
+        assert lookups == [1, 2, 2, 1, 1, 2, 2, 3, 4, 6, 1, 1, 2]
+        assert [(u.order, u.x_power, u.y_power) for u in found] == [
+            (2, 1, 0), (1, 1, 1), (2, 1, 1), (1, 2, 2),
+        ]
+
     def test_matches_reference_double_loop(self):
         hits = 0
         for f, bounds in reference_scan_cases():
@@ -1018,19 +1069,30 @@ class TestUnitaryScan:
     def test_divisions_over_compositions_up_to_seven(self, monkeypatch):
         # The two-point prune leaves 15 scan divisions, plus one for each of
         # the 4 qualifying rectangles; one integer probe alone let 414 through.
+        # The Newton-polygon prune leaves 440 lookups of poly.cyclotomic
+        # through the module, one per candidate and one per scan division;
+        # the degree test left 13,537.
         numerators = [(eta, w_numerator(eta)) for n in range(1, 8) for eta in compositions_of(n)]
         assert len(numerators) == 127
         divisions = []
+        lookups = []
         divide_exact = BiPoly.divide_exact
+        cyclotomic = poly.cyclotomic
 
         def spy(f, g):
             divisions.append(g)
             return divide_exact(f, g)
 
+        def lookup(d):
+            lookups.append(d)
+            return cyclotomic(d)
+
         monkeypatch.setattr(BiPoly, "divide_exact", spy)
+        monkeypatch.setattr(poly, "cyclotomic", lookup)
         reports = [conjecture_report(eta, numerator=num) for eta, num in numerators]
         assert all(report.consistent for report in reports)
         assert len(divisions) <= 30
+        assert 0 < len(lookups) <= 600
 
     def test_matches_sympy_factorisation(self):
         # An oracle that shares no code with the scan: sympy factors each
