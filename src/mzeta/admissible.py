@@ -109,10 +109,15 @@ def is_admissible(eta: Composition, perm: Sequence[int]) -> bool:
     return descent_set(perm) <= eta.descent_set
 
 
-def check_admissible(eta: Composition, perm: Sequence[int]) -> tuple[int, ...]:
+def check_permutation_of(eta: Composition, perm: Sequence[int]) -> tuple[int, ...]:
     perm = check_permutation(perm)
     if len(perm) != eta.n:
         raise ValueError(f"permutation length {len(perm)} != n={eta.n}")
+    return perm
+
+
+def check_admissible(eta: Composition, perm: Sequence[int]) -> tuple[int, ...]:
+    perm = check_permutation_of(eta, perm)
     if not is_admissible(eta, perm):
         raise ValueError(f"{perm} is not admissible for eta={eta}")
     return perm

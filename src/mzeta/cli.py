@@ -176,9 +176,7 @@ def _stats_for_word(eta: Composition, w: tuple[int, ...], verbose: bool) -> dict
 
 
 def _stats_for_perm(eta: Composition, perm: tuple[int, ...], verbose: bool) -> dict:
-    perm = wd.check_permutation(perm)
-    if len(perm) != eta.n:
-        raise ValueError(f"permutation length {len(perm)} != n={eta.n}")
+    perm = adm.check_permutation_of(eta, perm)
     admissible = adm.is_admissible(eta, perm)
     den, col_sum, exceed, plus, minus = adm.block_grid_counts(perm, adm.column_masks(eta))
     out: dict = {

@@ -5,7 +5,10 @@ UniPoly is a dense tuple of coefficients, constant term first; BiPoly is a
 sparse map from exponent pairs (x-degree, y-degree) to nonzero integer
 coefficients.  Both are canonical (no stored zeros, no trailing zeros) and
 treated as immutable, and all arithmetic is exact over the integers; no
-floating point enters anywhere.
+floating point enters anywhere.  The public constructors (UniPoly(...),
+BiPoly(...), monomial, BiPoly.from_json_obj) refuse a non-int coefficient or
+exponent; arithmetic and the package's own builders go through _from_ints,
+each type's one canonicaliser, which checks nothing.
 
 >>> gaussian_binomial(2, 2)
 UniPoly((1, 1, 2, 1, 1))
@@ -17,8 +20,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul, sub
+from itertools import accumulate, repeat, starmap, zip_longest
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping
 
 
@@ -37,21 +40,31 @@ class UniPoly:
         if not {int}.issuperset(map(type, c)):
             bad = next(v for v in c if type(v) is not int)
             raise ValueError(f"coefficients must be ints, got {bad!r}")
+        self.coeffs = self._from_ints(c).coeffs
+
+    @classmethod
+    def _from_ints(cls, coeffs: Iterable[int]) -> UniPoly:
+        """The canonical form of int coefficients; nothing is checked."""
+        p = object.__new__(cls)
+        c = tuple(coeffs)
         end = len(c)
         while end and c[end - 1] == 0:
             end -= 1
-        self.coeffs = c if end == len(c) else c[:end]
+        p.coeffs = c if end == len(c) else c[:end]
+        return p
 
     @classmethod
     def zero(cls) -> UniPoly:
-        return cls(())
+        return cls._from_ints(())
 
     @classmethod
     def one(cls) -> UniPoly:
-        return cls((1,))
+        return cls._from_ints((1,))
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> UniPoly:
+        if type(power) is not int or power < 0:
+            raise ValueError(f"exponents must be nonnegative ints, got {power!r}")
         return cls((0,) * power + (coeff,))
 
     def degree(self) -> int:
@@ -72,51 +85,40 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: UniPoly | int) -> UniPoly:
-        if isinstance(other, int):
-            other = UniPoly((int(other),))  # int(): a bool is a constant too
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        b = (int(other),) if isinstance(other, int) else other.coeffs  # a bool is a constant too
+        return UniPoly._from_ints(starmap(add, zip_longest(self.coeffs, b, fillvalue=0)))
 
     __radd__ = __add__
 
     def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._from_ints(map(neg, self.coeffs))
 
     def __sub__(self, other: UniPoly | int) -> UniPoly:
         return self + (-other)  # -other of an int (or a bool) is an int
 
     def __mul__(self, other: UniPoly | int) -> UniPoly:
         if isinstance(other, int):
-            return UniPoly(tuple(c * other for c in self.coeffs))
+            return UniPoly._from_ints(c * other for c in self.coeffs)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:
                 for j, d in enumerate(b):
                     out[i + j] += c * d
-        return UniPoly(out)
+        return UniPoly._from_ints(out)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> UniPoly:
         """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return UniPoly((0,) * k + self.coeffs)
+        return UniPoly._from_ints((0,) * k + self.coeffs)
 
     def div_exact(self, other: UniPoly) -> UniPoly | None:
         """The quotient self/other over the integers, or None if not divisible."""
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
-            return UniPoly()
+            return UniPoly.zero()
         rem = list(self.coeffs)
         div = other.coeffs
         dd = len(div) - 1
@@ -136,7 +138,7 @@ class UniPoly:
                 rem[top - dd + j] -= q * div[j]
         if any(rem):
             return None
-        return UniPoly(out)
+        return UniPoly._from_ints(out)
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction)."""
@@ -221,7 +223,7 @@ def cyclotomic(d: int) -> UniPoly:
     c = [1] + [0] * totient(d)
     for s, odd in squarefree:
         _one_minus_x_power(c, d // s, odd)
-    return UniPoly(c) if d > 1 else -UniPoly(c)
+    return UniPoly._from_ints(c) if d > 1 else -UniPoly._from_ints(c)
 
 
 def gaussian_binomial(m: int, k: int) -> UniPoly:
@@ -254,7 +256,7 @@ def gaussian_binomial(m: int, k: int) -> UniPoly:
         c.extend([0] * (size - len(c)))
         _one_minus_x_power(c, m + i, False)
         _one_minus_x_power(c, i, True)
-    return UniPoly(c + c[:top - half][::-1])
+    return UniPoly._from_ints(c + c[:top - half][::-1])
 
 
 def format_terms(terms: Iterable[tuple[int, int, int]]) -> str:
@@ -288,26 +290,33 @@ class BiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()) -> None:
-        data = {}
-        for key, v in dict(terms).items():
+        data = dict(terms)
+        for key, v in data.items():
             if type(v) is not int:
                 raise ValueError(f"coefficients must be ints, got {v!r}")
-            if v:
-                a, b = key
-                if type(a) is not int or type(b) is not int:
-                    raise ValueError(f"exponents must be ints, got {key!r}")
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent pair ({a}, {b})")
-                data[key] = v
-        self.terms = data
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise ValueError(f"exponents must be (x, y) pairs, got {key!r}")
+            a, b = key
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"exponents must be ints, got {key!r}")
+            if a < 0 or b < 0:
+                raise ValueError(f"negative exponent pair ({a}, {b})")
+        self.terms = self._from_ints(data.items()).terms
+
+    @classmethod
+    def _from_ints(cls, items: Iterable[tuple[tuple[int, int], int]]) -> BiPoly:
+        """The canonical form of ((x, y), int) items; nothing is checked."""
+        p = object.__new__(cls)
+        p.terms = {k: v for k, v in items if v}
+        return p
 
     @classmethod
     def zero(cls) -> BiPoly:
-        return cls()
+        return cls._from_ints(())
 
     @classmethod
     def one(cls) -> BiPoly:
-        return cls({(0, 0): 1})
+        return cls._from_ints((((0, 0), 1),))
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff: int = 1) -> BiPoly:
@@ -328,23 +337,23 @@ class BiPoly:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
-        return BiPoly(out)
+        return BiPoly._from_ints(out.items())
 
     def __neg__(self) -> BiPoly:
-        return BiPoly({k: -v for k, v in self.terms.items()})
+        return BiPoly._from_ints((k, -v) for k, v in self.terms.items())
 
     def __sub__(self, other: BiPoly) -> BiPoly:
         return self + (-other)
 
     def __mul__(self, other: BiPoly | int) -> BiPoly:
         if isinstance(other, int):
-            return BiPoly({k: v * other for k, v in self.terms.items()})
+            return BiPoly._from_ints((k, v * other) for k, v in self.terms.items())
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return BiPoly(out)
+        return BiPoly._from_ints(out.items())
 
     __rmul__ = __mul__
 
@@ -398,23 +407,20 @@ class BiPoly:
             coeffs = [0] * (top + 1)
             for a, c in pairs:
                 coeffs[a] = c
-            out[b] = UniPoly(coeffs)
+            out[b] = UniPoly._from_ints(coeffs)
         return out
 
     @classmethod
     def from_y_coefficients(cls, coeffs: Mapping[int, UniPoly]) -> BiPoly:
-        terms: dict[tuple[int, int], int] = {}
-        for b, poly in coeffs.items():
-            for a, c in enumerate(poly.coeffs):
-                if c:
-                    terms[(a, b)] = c
-        return cls(terms)
+        """The polynomial sum of coeffs[b] y^b; the degrees b are not checked."""
+        items = (((a, b), c) for b, poly in coeffs.items() for a, c in enumerate(poly.coeffs))
+        return cls._from_ints(items)
 
     def reversed_xy(self) -> BiPoly:
         """x^A y^B f(1/x, 1/y) where (A, B) is the bidegree of f."""
         big_a = self.degree_x()
         big_b = self.degree_y()
-        return BiPoly({(big_a - a, big_b - b): c for (a, b), c in self.terms.items()})
+        return BiPoly._from_ints(((big_a - a, big_b - b), c) for (a, b), c in self.terms.items())
 
     def divide_exact(self, other: BiPoly) -> BiPoly | None:
         """The quotient self/other over the integers, or None if not divisible.
@@ -424,8 +430,6 @@ class BiPoly:
         """
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return BiPoly()
         num = self.y_coefficients()
         den = other.y_coefficients()
         dy = max(den)
@@ -442,7 +446,7 @@ class BiPoly:
             quot[ny - dy] = q
             for k, dpoly in den.items():
                 tgt = ny - dy + k
-                updated = cur.get(tgt, UniPoly()) - dpoly * q
+                updated = cur.get(tgt, UniPoly.zero()) - dpoly * q
                 if updated:
                     cur[tgt] = updated
                 else:
@@ -464,10 +468,11 @@ class BiPoly:
         if obj.get("vars") != ["x", "y"]:
             raise ValueError("polynomial object must declare vars ['x', 'y']")
         terms: dict[tuple[int, int], int] = {}
-        for a, b, c in obj["terms"]:
+        for term in obj["terms"]:
+            if not isinstance(term, (list, tuple)) or len(term) != 3:
+                raise ValueError(f"terms must be [x, y, coefficient], got {term!r}")
+            a, b, c = term
             key = (a, b)
-            if type(a) is not int or type(b) is not int:
-                raise ValueError(f"exponents must be ints, got {key!r}")
             if type(c) is not int and not (type(c) is str and re.fullmatch(r"-?[0-9]+", c)):
                 raise ValueError(f"coefficients must be ints or decimal strings, got {c!r}")
             if key in terms:
@@ -497,7 +502,9 @@ def cyclotomic_in_monomial(d: int, a: int, b: int) -> BiPoly:
     >>> print(cyclotomic_in_monomial(2, 1, 1))
     1 + x*y
     """
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"exponents must be ints, got {(a, b)!r}")
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError(f"monomial direction ({a}, {b}) must be nonzero and nonnegative")
     base = cyclotomic(d)
-    return BiPoly({(a * e, b * e): c for e, c in enumerate(base.coeffs) if c})
+    return BiPoly._from_ints(((a * e, b * e), c) for e, c in enumerate(base.coeffs))

@@ -275,11 +275,10 @@ def check_exceeding_weak_inversions(eta: Composition, budget: int = zeta.DEFAULT
     return _each_admissible("lemma43", exceeding_weak_inversions_failure, eta, budget)
 
 
-def _signed_equidistribution(
-    check: str, kind: str, pairs: list[tuple[str, str]], n: int, budget: int
-) -> CheckResult:
-    """The pairs agree over the domain, in one pass of it, and agree with
-    signed_numerator."""
+def _signed_equidistribution(check: str, pairs: list[tuple[str, str]], n: int, budget: int) -> CheckResult:
+    """The pairs agree over the domain of check, in one pass of it, and agree
+    with signed_numerator."""
+    kind = _SIGNED_DOMAINS[check]
     named = _named_distributions(kind, pairs, n=n, budget=budget)
     named.append(("signed_numerator", zeta.signed_numerator(kind, n)))
     return _poly_equality(check, f"n={n}", domain_size(check, n), named)
@@ -289,13 +288,13 @@ def check_b_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> Check
     """(nden, excabs), (nmaj, ndes), and (fmaj, fdes) agree over the signed
     permutations."""
     pairs = [("fmaj", "fdes"), ("nden", "excabs"), ("nmaj", "ndes")]
-    return _signed_equidistribution("b-equidistribution", "B", pairs, n, budget)
+    return _signed_equidistribution("b-equidistribution", pairs, n, budget)
 
 
 def check_d_equidistribution(n: int, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:
     """(dden, dexc) and (dmaj, ddes) agree over the even-signed permutations."""
     pairs = [("dden", "dexc"), ("dmaj", "ddes")]
-    return _signed_equidistribution("d-equidistribution", "D", pairs, n, budget)
+    return _signed_equidistribution("d-equidistribution", pairs, n, budget)
 
 
 def check_hadamard(eta: Composition, budget: int = zeta.DEFAULT_BUDGET) -> CheckResult:

@@ -284,7 +284,7 @@ def joint_distributions(
         columns = [list(_kernel_values(kernel, batch, context)) for kernel in kernels]
         for count, ((i, f), (j, g)) in zip(counts, slots):
             count.update(zip(_field(columns[i], f), _field(columns[j], g)))
-    return [BiPoly(count) for count in counts]
+    return [BiPoly._from_ints(count.items()) for count in counts]
 
 
 # Slots of 1, 2, 4 or 8 bytes are read by struct one row per call.
@@ -323,7 +323,7 @@ def _unpack_row(value: int, width: int) -> UniPoly:
     see _slot_bytes.  A top digit at slot t puts the bit length of value
     between width*t and width*(t + 1), so bit_length // width + 1 slots
     reach slot t and hold at most one zero slot above it."""
-    return UniPoly(_unpack(value, width, value.bit_length() // width + 1))
+    return UniPoly._from_ints(_unpack(value, width, value.bit_length() // width + 1))
 
 
 def _slot_width(bound: int) -> int:
@@ -483,7 +483,7 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
     total = layer[0]  # the one state left: no unused copies
     digits = _unpack(total, w, total.bit_length() // w + 1)
     keys = itertools.product(range(n * n + 1), range(stride))
-    return BiPoly(dict(itertools.compress(zip(keys, digits), digits)))
+    return BiPoly._from_ints(zip(keys, digits))
 
 
 def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:

@@ -1,7 +1,9 @@
 """One untraced benchmark pass per workload that runs the numerator pipelines
 or the signed kernels, judged against the committed reference digests
 (perfbench/data/reference.json): every op of the numerator, algebra and
-signed workloads must reproduce its recorded output."""
+signed workloads must reproduce its recorded output.  One traced pass shows
+that the tracer still finds every package name it patches."""
+import contextlib
 import json
 import subprocess
 import sys
@@ -22,3 +24,23 @@ def test_worker_pass_matches_reference(workload):
     result = json.loads(done.stdout)
     assert result["attempted"] > 0
     assert (result["failed"], result["problems"]) == (0, [])
+
+
+def test_traced_pass_reports_layers():
+    # The tracer replaces package functions by name (BiPoly.__init__,
+    # UniPoly.__mul__, cyclotomic, ...), so a rename in src/ breaks it.
+    # Traced, the worker also writes a spans file, removed here with its
+    # directory when nothing else is in it.
+    spans = WORKER.parent.parent / ".perfbench" / "algebra-seed0-pass0.spans.json"
+    try:
+        done = subprocess.run(
+            [sys.executable, str(WORKER), "--workload", "algebra", "--seed", "0", "--trace"],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+    finally:
+        spans.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):
+            spans.parent.rmdir()
+    result = json.loads(done.stdout)
+    assert result["failed"] == 0, result["problems"]
+    assert "poly.BiPoly.init.busy_s" in result["layers"]

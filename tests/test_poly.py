@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from mzeta.poly import (
     totient,
 )
 from mzeta.multiset import Composition
-from mzeta.zeta import RationalW, w_numerator
+from mzeta.zeta import RationalW, _unpack_row, w_numerator
 from test_multiset import small_compositions
 
 
@@ -280,6 +281,120 @@ class TestBiPoly:
         assert p.reversed_xy() == BiPoly({(2, 2): 1, (1, 1): 2, (0, 0): 1})
         q = BiPoly({(0, 0): 1, (2, 1): 1})
         assert q.reversed_xy() == BiPoly({(2, 1): 1, (0, 0): 1})
+
+
+def from_json_term(a, b, c):
+    return BiPoly.from_json_obj({"vars": ["x", "y"], "terms": [[a, b, c]]})
+
+
+# Every public constructor, and cyclotomic_in_monomial's direction, with the
+# value v in one coefficient or exponent place.  A zero coefficient does not
+# let a bad exponent through.
+PUBLIC_EDGE = {
+    "UniPoly coefficient": lambda v: UniPoly((1, v, 2)),
+    "UniPoly.monomial coefficient": lambda v: UniPoly.monomial(2, v),
+    "UniPoly.monomial exponent": lambda v: UniPoly.monomial(v),
+    "BiPoly coefficient": lambda v: BiPoly({(0, 0): 1, (1, 2): v}),
+    "BiPoly x exponent": lambda v: BiPoly({(v, 0): 1}),
+    "BiPoly y exponent of a zero term": lambda v: BiPoly({(0, v): 0}),
+    "BiPoly.monomial coefficient": lambda v: BiPoly.monomial(1, 1, v),
+    "BiPoly.monomial x exponent": lambda v: BiPoly.monomial(v, 1),
+    "BiPoly.monomial y exponent": lambda v: BiPoly.monomial(1, v),
+    "from_json_obj coefficient": lambda v: from_json_term(0, 0, v),
+    "from_json_obj x exponent": lambda v: from_json_term(v, 0, "1"),
+    "from_json_obj y exponent": lambda v: from_json_term(0, v, 0),
+    "cyclotomic_in_monomial direction": lambda v: cyclotomic_in_monomial(2, 1, v),
+}
+
+
+def assert_canonical_unipoly(p):
+    assert type(p) is UniPoly
+    assert all(type(c) is int for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p == UniPoly(p.coeffs)
+
+
+def assert_canonical_bipoly(p):
+    assert type(p) is BiPoly
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert p == BiPoly(p.terms)
+
+
+def packed(f, width=8):
+    """f's coefficients as balanced digits of one int, width bits each."""
+    return sum(c << (width * i) for i, c in enumerate(f.coeffs))
+
+
+class TestBoundary:
+    """The public constructors check their input; the package's own builders
+    go through the unchecked canonicaliser and still give canonical
+    polynomials."""
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, Fraction(1), "1"], ids=repr)
+    @pytest.mark.parametrize("where", PUBLIC_EDGE)
+    def test_public_constructors_refuse_non_ints(self, where, bad):
+        if (where, bad) == ("from_json_obj coefficient", "1"):
+            # A decimal string is the interchange form of a coefficient.
+            assert PUBLIC_EDGE[where](bad) == BiPoly.one()
+            return
+        with pytest.raises(ValueError, match="must be"):
+            PUBLIC_EDGE[where](bad)
+
+    @pytest.mark.parametrize("key", [5, (1,), (1, 2, 3), "xy", None], ids=repr)
+    def test_bipoly_refuses_keys_that_are_not_pairs(self, key):
+        message = rf"^exponents must be \(x, y\) pairs, got {re.escape(repr(key))}$"
+        for coeff in (1, 0):
+            with pytest.raises(ValueError, match=message):
+                BiPoly({key: coeff})
+
+    def test_bipoly_checks_the_keys_of_zero_terms(self):
+        with pytest.raises(ValueError, match=r"^negative exponent pair \(-1, 0\)$"):
+            BiPoly({(-1, 0): 0})
+        with pytest.raises(ValueError, match=r"^exponents must be ints, got \(1.5, 0\)$"):
+            BiPoly({(1.5, 0): 0})
+
+    @pytest.mark.parametrize("term", [5, [1, 2], [1, 2, "3", 4], "123", None], ids=repr)
+    def test_from_json_refuses_terms_that_are_not_triples(self, term):
+        with pytest.raises(ValueError, match=r"^terms must be \[x, y, coefficient\], got "):
+            BiPoly.from_json_obj({"vars": ["x", "y"], "terms": [[0, 0, "1"], term]})
+
+    def test_monomial_refuses_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            UniPoly.monomial(-1)
+        with pytest.raises(ValueError, match="negative exponent pair"):
+            BiPoly.monomial(0, -1)
+
+    def test_bool_scalars_give_int_coefficients(self):
+        p = UniPoly((1, -2, 3))
+        q = BiPoly({(0, 0): 1, (2, 1): -3})
+        for r in (p * True, True * p, p + True, True + p, p - True, p * False):
+            assert_canonical_unipoly(r)
+        for r in (q * True, True * q, q * False):
+            assert_canonical_bipoly(r)
+        assert p * True == p and q * True == q
+
+    @given(unipolys, unipolys, st.integers(-3, 3), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_unipoly_builders_are_canonical(self, f, g, k, s):
+        built = [f + g, f - g, f * g, -f, f * k, k * f, f + k, f.shift(s), _unpack_row(packed(f), 8)]
+        if g:
+            built.append((f * g).div_exact(g))
+        for p in built:
+            assert_canonical_unipoly(p)
+        assert _unpack_row(packed(f), 8) == f
+
+    @given(bipolys, bipolys, st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_bipoly_builders_are_canonical(self, f, g, k):
+        rows = f.y_coefficients()
+        built = [f + g, f - g, f * g, -f, f * k, k * f, BiPoly.from_y_coefficients(rows), f.reversed_xy()]
+        if g:
+            built.append((f * g).divide_exact(g))
+        for p in built:
+            assert_canonical_bipoly(p)
+        for row in rows.values():
+            assert_canonical_unipoly(row)
+            assert row
 
 
 def term_by_term(f, x, y):
