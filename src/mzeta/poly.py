@@ -1,14 +1,20 @@
 """
 Exact integer polynomial arithmetic in one and two variables.
 
-UniPoly is a dense tuple of coefficients, constant term first; BiPoly is a
-sparse map from exponent pairs (x-degree, y-degree) to nonzero integer
-coefficients.  Both are canonical (no stored zeros, no trailing zeros) and
-treated as immutable, and all arithmetic is exact over the integers; no
-floating point enters anywhere.  The public constructors (UniPoly(...),
-BiPoly(...), monomial, BiPoly.from_json_obj) refuse a non-int coefficient or
-exponent; arithmetic and the package's own builders go through _from_ints,
-each type's one canonicaliser, which checks nothing.
+UniPoly is a dense tuple of coefficients, constant term first.  BiPoly is
+the tuple of its y-rows: rows[b] is the coefficient of y^b, a UniPoly in x,
+so a BiPoly's memory grows with its x-degree, not with its count of nonzero
+terms.  Both are canonical (no trailing zero coefficient in a UniPoly, no
+trailing zero row in a BiPoly) and treated as immutable, and all arithmetic
+is exact over the integers; no floating point enters anywhere.  BiPoly.terms,
+the map from exponent pairs (x-degree, y-degree) to nonzero coefficients, is
+built from the rows when it is read; in the package only repr reads it.
+
+The public constructors (UniPoly(...), BiPoly(...), monomial,
+BiPoly.from_json_obj) refuse a non-int coefficient or exponent, and
+evaluate refuses a point that is not an int or a Fraction.  Arithmetic and
+the package's own builders go through each type's one canonicaliser,
+UniPoly._from_ints and BiPoly._from_rows, which check nothing.
 
 >>> gaussian_binomial(2, 2)
 UniPoly((1, 1, 2, 1, 1))
@@ -140,8 +146,10 @@ class UniPoly:
             return None
         return UniPoly._from_ints(out)
 
-    def evaluate(self, x):
-        """Exact value at x (int or Fraction)."""
+    def evaluate(self, x: Fraction | int) -> Fraction | int:
+        """Exact value at x.  A point that is not an int or a Fraction (a
+        float, a bool) raises ValueError instead of being converted."""
+        _check_point(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -155,6 +163,15 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self.coeffs!r})"
+
+
+_ZERO = UniPoly.zero()
+
+
+def _check_point(v: object) -> None:
+    """ValueError unless v is an int or a Fraction; a bool is refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise ValueError(f"evaluation points must be ints or Fractions, got {v!r}")
 
 
 def _primes(d: int) -> list[int]:
@@ -285,9 +302,12 @@ def format_terms(terms: Iterable[tuple[int, int, int]]) -> str:
 
 
 class BiPoly:
-    """Integer polynomial in x and y, sparse on exponent pairs."""
+    """Integer polynomial in x and y, held as its y-rows: rows[b] is the
+    coefficient of y^b, a canonical UniPoly in x, and the tuple has no
+    trailing zero row.  terms is the same polynomial as a map from exponent
+    pairs (x-degree, y-degree) to nonzero coefficients, built on each read."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("rows",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()) -> None:
         data = dict(terms)
@@ -301,67 +321,91 @@ class BiPoly:
                 raise ValueError(f"exponents must be ints, got {key!r}")
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent pair ({a}, {b})")
-        self.terms = self._from_ints(data.items()).terms
+        self.rows = self._from_terms(data.items()).rows
 
     @classmethod
-    def _from_ints(cls, items: Iterable[tuple[tuple[int, int], int]]) -> BiPoly:
-        """The canonical form of ((x, y), int) items; nothing is checked."""
+    def _from_rows(cls, rows: Iterable[UniPoly]) -> BiPoly:
+        """The canonical form of canonical UniPoly rows, rows[b] the
+        coefficient of y^b: trailing zero rows are trimmed, nothing is
+        checked."""
         p = object.__new__(cls)
-        p.terms = {k: v for k, v in items if v}
+        r = tuple(rows)
+        end = len(r)
+        while end and not r[end - 1]:
+            end -= 1
+        p.rows = r if end == len(r) else r[:end]
         return p
 
     @classmethod
+    def _from_terms(cls, items: Iterable[tuple[tuple[int, int], int]]) -> BiPoly:
+        """The polynomial of ((x, y), int) items with distinct nonnegative
+        exponent pairs; zero coefficients are dropped, nothing is checked."""
+        grid: list[list[int]] = []
+        for (a, b), c in items:
+            if b >= len(grid):
+                grid += [[] for _ in range(b + 1 - len(grid))]
+            row = grid[b]
+            if a >= len(row):
+                row += [0] * (a + 1 - len(row))
+            row[a] = c
+        return cls._from_rows(map(UniPoly._from_ints, grid))
+
+    @classmethod
     def zero(cls) -> BiPoly:
-        return cls._from_ints(())
+        return cls._from_rows(())
 
     @classmethod
     def one(cls) -> BiPoly:
-        return cls._from_ints((((0, 0), 1),))
+        return cls._from_rows((UniPoly.one(),))
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff: int = 1) -> BiPoly:
         return cls({(a, b): coeff})
 
+    @property
+    def terms(self) -> dict[tuple[int, int], int]:
+        """{(x-degree, y-degree): coefficient} over the nonzero terms, in
+        (y, x) order; a new dict on each read."""
+        return {(a, b): c for b, row in enumerate(self.rows) for a, c in enumerate(row.coeffs) if c}
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(self.rows)
 
     def __add__(self, other: BiPoly) -> BiPoly:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BiPoly._from_ints(out.items())
+        return BiPoly._from_rows(starmap(add, zip_longest(self.rows, other.rows, fillvalue=_ZERO)))
 
     def __neg__(self) -> BiPoly:
-        return BiPoly._from_ints((k, -v) for k, v in self.terms.items())
+        return BiPoly._from_rows(map(neg, self.rows))
 
     def __sub__(self, other: BiPoly) -> BiPoly:
         return self + (-other)
 
     def __mul__(self, other: BiPoly | int) -> BiPoly:
         if isinstance(other, int):
-            return BiPoly._from_ints((k, v * other) for k, v in self.terms.items())
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BiPoly._from_ints(out.items())
+            return BiPoly._from_rows(row * other for row in self.rows)
+        out = [_ZERO] * (len(self.rows) + len(other.rows) - 1)
+        for i, f in enumerate(self.rows):
+            if f:
+                for j, g in enumerate(other.rows):
+                    if g:
+                        out[i + j] += f * g
+        return BiPoly._from_rows(out)
 
     __rmul__ = __mul__
 
     def degree_x(self) -> int:
-        return max((a for a, _ in self.terms), default=-1)
+        return max((len(row.coeffs) for row in self.rows), default=0) - 1
 
     def degree_y(self) -> int:
-        return max((b for _, b in self.terms), default=-1)
+        return len(self.rows) - 1
 
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction | int:
         """Exact value at (x, y): an int when x and y are ints, else a Fraction.
@@ -379,79 +423,70 @@ class BiPoly:
         >>> f.evaluate(Fraction(1, 2), 3)
         Fraction(13, 4)
         """
-        for v in (x, y):
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise ValueError(f"evaluation points must be ints or Fractions, got {v!r}")
+        _check_point(x)
+        _check_point(y)
         wx = _homogeneous_powers(x, max(self.degree_x(), 0))
         wy = _homogeneous_powers(y, max(self.degree_y(), 0))
-        rows = [0] * len(wy)
-        for (a, b), c in self.terms.items():
-            rows[b] += c * wx[a]
-        total = sum(map(mul, rows, wy))
+        total = sum(map(mul, [sum(map(mul, row.coeffs, wx)) for row in self.rows], wy))
         if isinstance(x, int) and isinstance(y, int):
             return total
         return Fraction(total, wx[0] * wy[0])
 
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         """(x-exp, y-exp, coeff) triples sorted by (y-exp, x-exp)."""
-        return [(a, b, self.terms[(a, b)]) for a, b in sorted(self.terms, key=lambda k: (k[1], k[0]))]
+        return [(a, b, c) for b, row in enumerate(self.rows) for a, c in enumerate(row.coeffs) if c]
 
     def y_coefficients(self) -> dict[int, UniPoly]:
-        """The polynomial as a map y-degree -> coefficient in x."""
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for (a, b), c in self.terms.items():
-            buckets.setdefault(b, []).append((a, c))
-        out: dict[int, UniPoly] = {}
-        for b, pairs in buckets.items():
-            top = max(a for a, _ in pairs)
-            coeffs = [0] * (top + 1)
-            for a, c in pairs:
-                coeffs[a] = c
-            out[b] = UniPoly._from_ints(coeffs)
-        return out
+        """The nonzero rows as a map y-degree -> coefficient in x."""
+        return {b: row for b, row in enumerate(self.rows) if row}
 
     @classmethod
     def from_y_coefficients(cls, coeffs: Mapping[int, UniPoly]) -> BiPoly:
-        """The polynomial sum of coeffs[b] y^b; the degrees b are not checked."""
-        items = (((a, b), c) for b, poly in coeffs.items() for a, c in enumerate(poly.coeffs))
-        return cls._from_ints(items)
+        """The polynomial sum of coeffs[b] y^b.  A degree b that is not a
+        nonnegative int raises ValueError."""
+        for b in coeffs:
+            if type(b) is not int or b < 0:
+                raise ValueError(f"y-degrees must be nonnegative ints, got {b!r}")
+        rows = [_ZERO] * (max(coeffs, default=-1) + 1)
+        for b, row in coeffs.items():
+            rows[b] = row
+        return cls._from_rows(rows)
 
     def reversed_xy(self) -> BiPoly:
-        """x^A y^B f(1/x, 1/y) where (A, B) is the bidegree of f."""
-        big_a = self.degree_x()
-        big_b = self.degree_y()
-        return BiPoly._from_ints(((big_a - a, big_b - b), c) for (a, b), c in self.terms.items())
+        """x^A y^B f(1/x, 1/y) where (A, B) is the bidegree of f: the rows in
+        reverse, each reversed in x and raised to x-degree A."""
+        top = self.degree_x() + 1
+        return BiPoly._from_rows(
+            UniPoly._from_ints((0,) * (top - len(row.coeffs)) + row.coeffs[::-1])
+            for row in reversed(self.rows)
+        )
 
     def divide_exact(self, other: BiPoly) -> BiPoly | None:
         """The quotient self/other over the integers, or None if not divisible.
 
         Division happens in y-major order with exact one-variable divisions of
-        the coefficients, so a None return certifies indivisibility over Z.
+        the rows, so a None return certifies indivisibility over Z.
         """
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        num = self.y_coefficients()
-        den = other.y_coefficients()
-        dy = max(den)
+        den = other.rows
+        dy = len(den) - 1
         lead = den[dy]
-        quot: dict[int, UniPoly] = {}
-        cur = dict(num)
-        while cur:
-            ny = max(cur)
-            if ny < dy:
-                return None
-            q = cur[ny].div_exact(lead)
+        cur = list(self.rows)
+        quot = [_ZERO] * max(len(cur) - dy, 0)
+        for top in range(len(cur) - 1, dy - 1, -1):
+            if not cur[top]:
+                continue
+            q = cur[top].div_exact(lead)
             if q is None:
                 return None
-            quot[ny - dy] = q
-            for k, dpoly in den.items():
-                tgt = ny - dy + k
-                updated = cur.get(tgt, UniPoly.zero()) - dpoly * q
-                if updated:
-                    cur[tgt] = updated
-                else:
-                    cur.pop(tgt, None)
-        return BiPoly.from_y_coefficients(quot)
+            quot[top - dy] = q
+            for k, dpoly in enumerate(den):
+                if dpoly:
+                    cur[top - dy + k] -= dpoly * q
+        if any(cur[:dy]):
+            return None
+        return BiPoly._from_rows(quot)
 
     def to_json_obj(self) -> dict:
         """The interchange form: decimal-string coefficients, sorted by (y, x)."""
@@ -464,9 +499,14 @@ class BiPoly:
     def from_json_obj(cls, obj: Mapping) -> BiPoly:
         """The polynomial of an interchange object.  Exponents must be ints and
         coefficients ints or decimal strings; a float or a bool raises
-        ValueError instead of being truncated."""
+        ValueError instead of being truncated, and so does an object that is
+        not a mapping or has no list of terms."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"polynomial object must be a mapping, got {obj!r}")
         if obj.get("vars") != ["x", "y"]:
             raise ValueError("polynomial object must declare vars ['x', 'y']")
+        if not isinstance(obj.get("terms"), (list, tuple)):
+            raise ValueError(f"polynomial object must have a list of terms, got {obj.get('terms')!r}")
         terms: dict[tuple[int, int], int] = {}
         for term in obj["terms"]:
             if not isinstance(term, (list, tuple)) or len(term) != 3:
@@ -507,4 +547,4 @@ def cyclotomic_in_monomial(d: int, a: int, b: int) -> BiPoly:
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError(f"monomial direction ({a}, {b}) must be nonzero and nonnegative")
     base = cyclotomic(d)
-    return BiPoly._from_ints(((a * e, b * e), c) for e, c in enumerate(base.coeffs))
+    return BiPoly._from_terms(((a * e, b * e), c) for e, c in enumerate(base.coeffs))

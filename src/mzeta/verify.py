@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 from . import admissible as adm
 from . import multiset as wd
 from . import zeta
-from .poly import BiPoly
+from .poly import BiPoly, UniPoly
 from .multiset import Composition
 
 
@@ -67,12 +67,11 @@ def compositions_up_to(n_max: int) -> Iterator[Composition]:
 
 def first_coefficient_difference(lhs: BiPoly, rhs: BiPoly) -> str:
     """Describe the earliest (y, x)-ordered exponent where two polynomials differ."""
-    keys = sorted(set(lhs.terms) | set(rhs.terms), key=lambda k: (k[1], k[0]))
-    for a, b in keys:
-        cl = lhs.terms.get((a, b), 0)
-        cr = rhs.terms.get((a, b), 0)
-        if cl != cr:
-            return f"coefficient of x^{a}*y^{b}: {cl} vs {cr}"
+    empty = UniPoly()
+    for b, (left, right) in enumerate(itertools.zip_longest(lhs.rows, rhs.rows, fillvalue=empty)):
+        for a, (cl, cr) in enumerate(itertools.zip_longest(left.coeffs, right.coeffs, fillvalue=0)):
+            if cl != cr:
+                return f"coefficient of x^{a}*y^{b}: {cl} vs {cr}"
     return "polynomials agree"
 
 

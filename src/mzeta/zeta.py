@@ -30,10 +30,11 @@ computes (denh, exc) by a transfer-matrix DP over the positions of the
 trivial word, whose state is the unused copies of each letter.  A state is
 keyed by its mixed-radix index, and its copies are read from a table of all
 states that itertools.product lists once per call; route B reads its final
-packed value back only over the slots its bit length reaches.  w_numerator
-returns route A and always insists that route B agrees.  Route A's product
-is built once through y^(n+1) and memoised (_macmahon_rows): w_numerator
-reads rows 0..n and insists that row n+1 vanishes, and hadamard_check
+packed value back only over the slots its bit length reaches, and its y^b
+row is every (n+1)-th digit from digit b.  w_numerator returns route A and
+always insists that route B agrees.  Route A's product is built once through
+y^(n+1) and memoised (_macmahon_rows): w_numerator takes rows 0..n as the
+BiPoly's rows and insists that row n+1 vanishes, and hadamard_check
 re-reads the same rows.  The (den, iexc) enumeration in joint_distribution
 stays the reference they are tested against: tests/test_zeta.py compares
 each route with it for every composition of n <= 6, and the acceptance
@@ -42,9 +43,10 @@ suite compares w_numerator with it for every composition of n <= 8.
 signed_numerator does the same for the paper's signed Mahonian companions:
 the major side of B_n or D_n from the Adin-Brenti-Roichman or Biagioli
 product formula, and the Denert side from route B on 1^n times a product of
-binomials; the two must agree.  NUMERATOR_ROUTES names every (domain,
-ordered pair) that a route serves, and distribution serves those from the
-route and every other pair by enumeration.
+binomials 1 + x^k y, each one shift-add of the rows; the two must agree.
+NUMERATOR_ROUTES names every (domain, ordered pair) that a route serves, and
+distribution serves those from the route and every other pair by
+enumeration.
 
 All y-series arithmetic is Kronecker-packed by one engine, _shifted_rows:
 one int per y-row, x = 2^w within it, balanced digits in slots of w bits.
@@ -59,7 +61,8 @@ alone; _packed_series multiplies sum_k G_k y^k by a product of
 composition, shared by route A and hadamard_check) and both signed major
 sides ([r+1]_x^n is G_r of 1^n); RationalW.series divides a packed
 numerator.  _unpack_row reads a row back as bytes (_slot_bytes), over as
-many slots as its bit length needs.
+many slots as its bit length needs.  A BiPoly is the tuple of its y-rows, so
+every route and check reads and writes rows; none converts to exponent pairs.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -79,7 +82,7 @@ import math
 import struct
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter, sub
+from operator import add, itemgetter, neg, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import admissible as adm
@@ -284,7 +287,7 @@ def joint_distributions(
         columns = [list(_kernel_values(kernel, batch, context)) for kernel in kernels]
         for count, ((i, f), (j, g)) in zip(counts, slots):
             count.update(zip(_field(columns[i], f), _field(columns[j], g)))
-    return [BiPoly._from_ints(count.items()) for count in counts]
+    return [BiPoly._from_terms(count.items()) for count in counts]
 
 
 # Slots of 1, 2, 4 or 8 bytes are read by struct one row per call.
@@ -421,7 +424,7 @@ def _maj_des_numerator(eta: Composition) -> BiPoly:
             f"numerator for eta={eta}: the y^{eta.n + 1} coefficient {rows[-1]} "
             f"of MacMahon's product does not vanish"
         )
-    return BiPoly.from_y_coefficients(dict(enumerate(rows[:-1])))
+    return BiPoly._from_rows(rows[:-1])
 
 
 def _denh_exc_numerator(eta: Composition) -> BiPoly:
@@ -449,7 +452,8 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
     so it is at most word_count(), which sets the slot width; every increment
     is below 2i, so denh <= n^2 bounds the slot count.  Every digit is a
     non-negative count, so the final value is read back over as many slots
-    as its bit length needs, as in _unpack_row.
+    as its bit length needs, as in _unpack_row, and the y^b row of the
+    result is every stride-th digit from digit b.
     """
     n = eta.n
     parts = eta.parts
@@ -482,8 +486,7 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
         layer = nxt
     total = layer[0]  # the one state left: no unused copies
     digits = _unpack(total, w, total.bit_length() // w + 1)
-    keys = itertools.product(range(n * n + 1), range(stride))
-    return BiPoly._from_ints(zip(keys, digits))
+    return BiPoly._from_rows(UniPoly._from_ints(digits[b::stride]) for b in range(stride))
 
 
 def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
@@ -526,8 +529,9 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
     for D; the coefficient one degree above must vanish.  The Denert side,
     the (nden, excabs) or (dden, dexc) distribution, is A_n prod_{k=1..n}
     (1 + x^k y) for B and A_n prod_{k=2..n} (1 + x^(k-1) y) for D, where A_n
-    is route B's numerator for eta = 1^n.  The two sides must coincide,
-    otherwise InvariantError is raised.  Nothing is charged against a budget.
+    is route B's numerator for eta = 1^n; a binomial 1 + x^j y adds to every
+    row the row below it times x^j.  The two sides must coincide, otherwise
+    InvariantError is raised.  Nothing is charged against a budget.
     """
     if kind not in ("B", "D"):
         raise ValueError(f"unknown signed kind {kind!r}; expected 'B' or 'D'")
@@ -542,10 +546,12 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
             f"type {kind} numerator for n={n}: "
             f"the y^{top} coefficient {series[top]} does not vanish"
         )
-    major = BiPoly.from_y_coefficients(dict(enumerate(series[:top])))
-    denert = _denh_exc_numerator(ones)
-    for k in powers:
-        denert = denert * BiPoly({(0, 0): 1, (k, 1): 1})
+    major = BiPoly._from_rows(series[:top])
+    rows = list(_denh_exc_numerator(ones).rows)
+    zero = UniPoly.zero()
+    for k in powers:  # times 1 + x^k y
+        rows = list(map(add, rows + [zero], [zero] + [row.shift(k) for row in rows]))
+    denert = BiPoly._from_rows(rows)
     if major != denert:
         raise InvariantError(
             f"type {kind} numerator mismatch for n={n}: the major side by the product formula "
@@ -649,9 +655,10 @@ class RationalW:
         num, exps = self.numerator, self.denom_exponents
         span = max(num.degree_x(), 0) + top * max(exps, default=0) + 1
         _check_budget(span * terms, budget, f"series of {format_count(terms)} terms packs {{}} slots, which")
-        w = _slot_width(sum(map(abs, num.terms.values())) * math.comb(top + len(exps), top))
-        coeffs = num.y_coefficients()
-        rows = [coeffs[b].evaluate(1 << w) if b in coeffs else 0 for b in range(terms)]
+        norm = sum(sum(map(abs, row.coeffs)) for row in num.rows)
+        w = _slot_width(norm * math.comb(top + len(exps), top))
+        rows = [row.evaluate(1 << w) for row in num.rows[:terms]]
+        rows += [0] * (terms - len(rows))
         return [_unpack_row(r, w) for r in _shifted_rows(rows, w, (), exps)]
 
 
@@ -708,13 +715,13 @@ def hadamard_check(
     trunc = eta.n + 1
     if numerator is None:
         numerator = w_numerator(eta, budget=budget)
-    lhs = numerator.y_coefficients()
+    lhs = numerator.rows
     for k, product in enumerate(_macmahon_rows(eta.parts)):
-        expected = lhs.get(k, UniPoly())
+        expected = lhs[k] if k < len(lhs) else UniPoly()
         if product != expected:
             return HadamardResult(False, eta, trunc, k, expected, product)
-    above = min((k for k in lhs if k > trunc), default=None)
-    if above is not None:
+    if len(lhs) > trunc + 1:
+        above = next(k for k in range(trunc + 1, len(lhs)) if lhs[k])
         return HadamardResult(False, eta, trunc, above, lhs[above], UniPoly())
     return HadamardResult(True, eta, trunc)
 
@@ -753,25 +760,24 @@ def reciprocity_check(
 
     Inverting every denominator factor pulls out a fixed monomial, so the
     functional equation holds iff the reversed numerator x^A y^B N(1/x, 1/y)
-    equals the numerator itself up to a sign and a monomial shift.  A shift
-    keeps the order of the exponent pairs, so it must move the lowest pair of
-    N onto the lowest pair of the reversal, and the sign must match their
-    coefficients: the equation holds iff N shifted and signed that way is the
-    reversal, one comparison of term maps.  The reported exponents absorb the
-    denominator contribution: sign times x^(n(n-1)/2 - A + shift_x)
-    y^(n - B + shift_y).
+    equals the numerator itself up to a sign and a monomial shift.  So it
+    holds iff N and the reversal, each divided by its greatest monomial
+    factor (_monomial_free), have the same rows up to one sign, that of their
+    first coefficients; the shift is the quotient of the two monomials.  The
+    reported exponents absorb the denominator contribution: sign times
+    x^(n(n-1)/2 - A + shift_x) y^(n - B + shift_y).
     """
     n = eta.n
     if numerator is None:
         numerator = w_numerator(eta, budget=budget)
     if not numerator:
         raise ValueError("zero numerator")
-    terms = numerator.terms
-    rev = numerator.reversed_xy().terms
-    (fa, fb), (ra, rb) = min(terms), min(rev)
+    (fa, fb, fwd), (ra, rb, rev) = map(_monomial_free, (numerator, numerator.reversed_xy()))
     shift_x, shift_y = ra - fa, rb - fb
-    delta = 1 if rev[ra, rb] == terms[fa, fb] else -1
-    if {(a + shift_x, b + shift_y): delta * c for (a, b), c in terms.items()} != rev:
+    delta = 1 if next(filter(None, rev[0])) == next(filter(None, fwd[0])) else -1
+    if delta == -1:
+        fwd = [tuple(map(neg, row)) for row in fwd]
+    if fwd != rev:
         return ReciprocityResult(False)
     return ReciprocityResult(
         True,
@@ -779,6 +785,23 @@ def reciprocity_check(
         n * (n - 1) // 2 - numerator.degree_x() + shift_x,
         n - numerator.degree_y() + shift_y,
     )
+
+
+def _row_ends(f: BiPoly) -> list[tuple[int, int, int]]:
+    """(b, least x-degree, greatest x-degree) of each nonzero y-row b of f."""
+    return [
+        (b, row.coeffs.index(next(filter(None, row.coeffs))), len(row.coeffs) - 1)
+        for b, row in enumerate(f.rows)
+        if row
+    ]
+
+
+def _monomial_free(f: BiPoly) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(a, b, rows) where x^a y^b is the greatest monomial dividing the
+    nonzero f and rows are the coefficient tuples of the quotient's y-rows."""
+    ends = _row_ends(f)
+    a, b = min(lo for _, lo, _ in ends), ends[0][0]
+    return a, b, [row.coeffs[a:] for row in f.rows[b:]]
 
 
 class ScanBounds(NamedTuple):
@@ -819,15 +842,8 @@ def _edge_lengths(f: BiPoly) -> dict[tuple[int, int], int]:
     with q > 0 or as (1, 0), to the lattice length of the shorter of its two
     edges.  A direction with one edge is left out; a segment is two edges,
     there and back, and a point has none.  The hull is a monotone chain over
-    the least and greatest x-degree of each y-row."""
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for a, b in f.terms:
-        if a < lo.get(b, a + 1):
-            lo[b] = a
-        if a > hi.get(b, -1):
-            hi[b] = a
-    points = sorted({(a, b) for row in (lo, hi) for b, a in row.items()})
+    the least and greatest x-degree of each y-row (_row_ends)."""
+    points = sorted({(a, b) for b, lo, hi in _row_ends(f) for a in (lo, hi)})
     hull: list[tuple[int, int]] = []
     for chain in (points, points[::-1]):
         start = len(hull)

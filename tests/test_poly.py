@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from mzeta.poly import (
     BiPoly,
@@ -102,6 +102,13 @@ class TestUniPoly:
     def test_evaluate(self):
         assert UniPoly((1, 2, 1)).evaluate(3) == 16
         assert UniPoly((1, 2, 1)).evaluate(Fraction(1, 2)) == Fraction(9, 4)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "2", None], ids=repr)
+    def test_evaluate_rejects_non_exact_points(self, bad):
+        # As BiPoly.evaluate: a float is not evaluated at its binary value,
+        # and a bool is not taken as 0 or 1.
+        with pytest.raises(ValueError, match="evaluation points must be ints or Fractions"):
+            UniPoly((1, 1)).evaluate(bad)
 
     def test_div_exact(self):
         p = UniPoly((-1, 0, 1))
@@ -276,6 +283,12 @@ class TestBiPoly:
         assert coeffs[2] == UniPoly((0, -1, 0, 4))
         assert BiPoly.from_y_coefficients(coeffs) == p
 
+    @pytest.mark.parametrize("degree", [-1, 1.0, True, "2"], ids=repr)
+    def test_from_y_coefficients_refuses_bad_degrees(self, degree):
+        # A negative degree would index the rows from the end.
+        with pytest.raises(ValueError, match="y-degrees must be nonnegative ints"):
+            BiPoly.from_y_coefficients({degree: UniPoly((1,)), 2: UniPoly((0, 1))})
+
     def test_reversed_xy(self):
         p = BiPoly({(0, 0): 1, (1, 1): 2, (2, 2): 1})
         assert p.reversed_xy() == BiPoly({(2, 2): 1, (1, 1): 2, (0, 0): 1})
@@ -316,6 +329,10 @@ def assert_canonical_unipoly(p):
 
 def assert_canonical_bipoly(p):
     assert type(p) is BiPoly
+    assert type(p.rows) is tuple
+    assert not p.rows or p.rows[-1]
+    for row in p.rows:
+        assert_canonical_unipoly(row)
     assert all(type(c) is int and c for c in p.terms.values())
     assert p == BiPoly(p.terms)
 
@@ -357,6 +374,15 @@ class TestBoundary:
     def test_from_json_refuses_terms_that_are_not_triples(self, term):
         with pytest.raises(ValueError, match=r"^terms must be \[x, y, coefficient\], got "):
             BiPoly.from_json_obj({"vars": ["x", "y"], "terms": [[0, 0, "1"], term]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"vars": ["x", "y"]}, {"vars": ["x", "y"], "terms": 5}, [["x", "y"], [[0, 0, "1"]]]],
+        ids=["no terms", "terms not a list", "a list in place of the object"],
+    )
+    def test_from_json_refuses_malformed_objects(self, obj):
+        with pytest.raises(ValueError, match="^polynomial object must "):
+            BiPoly.from_json_obj(obj)
 
     def test_monomial_refuses_a_negative_exponent(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -516,3 +542,133 @@ class TestTotient:
     def test_counts_coprime_residues(self):
         for d in range(1, 301):
             assert totient(d) == sum(math.gcd(k, d) == 1 for k in range(1, d + 1)), d
+
+
+class DictBiPoly:
+    """The reference: BiPoly as a sparse map {(x-degree, y-degree): nonzero
+    coefficient}, with the dict-based arithmetic the row layout replaced."""
+
+    def __init__(self, terms):
+        self.terms = {k: v for k, v in dict(terms).items() if v}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return DictBiPoly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                k = (a1 + a2, b1 + b2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return DictBiPoly(out)
+
+    def degree_x(self):
+        return max((a for a, _ in self.terms), default=-1)
+
+    def degree_y(self):
+        return max((b for _, b in self.terms), default=-1)
+
+    def evaluate(self, x, y):
+        def powers(v, top):
+            v = Fraction(v)
+            return [v.numerator**k * v.denominator ** (top - k) for k in range(top + 1)]
+
+        wx = powers(x, max(self.degree_x(), 0))
+        wy = powers(y, max(self.degree_y(), 0))
+        rows = [0] * len(wy)
+        for (a, b), c in self.terms.items():
+            rows[b] += c * wx[a]
+        total = sum(r * w for r, w in zip(rows, wy))
+        if isinstance(x, int) and isinstance(y, int):
+            return total
+        return Fraction(total, wx[0] * wy[0])
+
+    def sorted_terms(self):
+        return [(a, b, self.terms[(a, b)]) for a, b in sorted(self.terms, key=lambda k: (k[1], k[0]))]
+
+    def y_coefficients(self):
+        buckets = {}
+        for (a, b), c in self.terms.items():
+            buckets.setdefault(b, []).append((a, c))
+        out = {}
+        for b, pairs in buckets.items():
+            coeffs = [0] * (max(a for a, _ in pairs) + 1)
+            for a, c in pairs:
+                coeffs[a] = c
+            out[b] = UniPoly(coeffs)
+        return out
+
+    def reversed_xy(self):
+        big_a, big_b = self.degree_x(), self.degree_y()
+        return DictBiPoly({(big_a - a, big_b - b): c for (a, b), c in self.terms.items()})
+
+    def divide_exact(self, other):
+        num = self.y_coefficients()
+        den = other.y_coefficients()
+        dy = max(den)
+        lead = den[dy]
+        quot = {}
+        cur = dict(num)
+        while cur:
+            ny = max(cur)
+            if ny < dy:
+                return None
+            q = cur[ny].div_exact(lead)
+            if q is None:
+                return None
+            quot[ny - dy] = q
+            for k, dpoly in den.items():
+                tgt = ny - dy + k
+                updated = cur.get(tgt, UniPoly()) - dpoly * q
+                if updated:
+                    cur[tgt] = updated
+                else:
+                    cur.pop(tgt, None)
+        return DictBiPoly({(a, b): c for b, poly in quot.items() for a, c in enumerate(poly.coeffs)})
+
+
+# Term maps whose y-degrees leave zero rows between nonzero ones, whose rows
+# have gaps in x, with small and big coefficients of both signs; the empty map
+# and all-zero maps are the zero polynomial.
+term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.sampled_from([0, 1, 3, 4, 7])),
+    st.one_of(st.integers(-3, 3), st.integers(-(2**90), 2**90)),
+    max_size=8,
+)
+
+REFERENCE_POINTS = [(0, 0), (1, -1), (3, 2), (Fraction(-3, 4), 5), (2, Fraction(1, 7))]
+
+
+def same(poly, ref):
+    """poly, a BiPoly or None, equals the reference ref, a DictBiPoly or None."""
+    if ref is None:
+        return poly is None
+    return poly is not None and poly.terms == ref.terms and poly.sorted_terms() == ref.sorted_terms()
+
+
+class TestAgainstDictReference:
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(term_maps, term_maps)
+    @example({}, {(0, 0): 1})
+    @example({(2, 0): 5, (0, 3): -(2**100)}, {(0, 4): 0, (1, 1): 1})
+    def test_rows_match_the_dict_reference(self, f_terms, g_terms):
+        f, g = BiPoly(f_terms), BiPoly(g_terms)
+        rf, rg = DictBiPoly(f_terms), DictBiPoly(g_terms)
+        for poly in (f, g, f + g, f * g, f.reversed_xy()):
+            assert_canonical_bipoly(poly)
+        assert same(f, rf) and same(g, rg)
+        assert same(f + g, rf + rg)
+        assert same(f * g, rf * rg)
+        assert same(f.reversed_xy(), rf.reversed_xy())
+        assert f.y_coefficients() == rf.y_coefficients()
+        assert (f.degree_x(), f.degree_y()) == (rf.degree_x(), rf.degree_y())
+        for x, y in REFERENCE_POINTS:
+            got, want = f.evaluate(x, y), rf.evaluate(x, y)
+            assert got == want and type(got) is type(want)
+        if g:
+            assert same((f * g).divide_exact(g), (rf * rg).divide_exact(rg))
+            assert same(f.divide_exact(g), rf.divide_exact(rg))

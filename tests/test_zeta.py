@@ -557,6 +557,27 @@ class TestOneProductPerComposition:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("parts", [(2, 1, 2), (1,) * 5, (1,) * 4], ids=str)
+def test_numerator_pipeline_never_reads_terms(parts, monkeypatch, cold_macmahon):
+    # A BiPoly is its y-rows; BiPoly.terms is built from them on each read.
+    # The pipeline works in rows throughout, so a spy on terms sees no read.
+    # (1^4 qualifies for the conjecture, so its report divides as well.)
+    reads = []
+    terms = BiPoly.terms
+    monkeypatch.setattr(BiPoly, "terms", property(lambda self: reads.append(1) or terms.fget(self)))
+    eta = Composition(parts)
+    num = w_numerator(eta)
+    rational = RationalW(num, tuple(range(eta.n)))
+    assert hadamard_check(eta, numerator=num).ok
+    expected = expected_reciprocity(eta) or ReciprocityResult(False)
+    assert reciprocity_check(eta, numerator=num) == expected
+    assert rational.series(8) == series_oracle(rational, 8)
+    rational.evaluate(Fraction(2), Fraction(1, 7))
+    assert conjecture_report(eta, numerator=num).consistent
+    assert reads == []
+    assert num.terms and reads == [1]  # the spy does see a read
+
+
 def positions_route_b(eta):
     """The earlier route B, kept as a reference for the rem-state DP: the state
     is how many copies of each letter sit in E and how many in N."""
