@@ -36,7 +36,9 @@ both share one column-mask table per eta, column_masks, which gives each
 row the columns of the blocks at least and below its own.  cut_counts gives
 the sizes of the per-cut cell sets without building them.  The lemma checks
 of verify read column_masks directly, in scans of their own that count the
-cells of each row, and take the per-cut counts from cut_counts.
+cells of each row, and take the per-cut counts from the word side,
+multiset.excedance_parts on the projected inverse word; cut_counts is their
+reference in the tests.
 
 Everything here is a pure function of (eta, sigma); cell sets are returned
 as frozensets of (row, column) pairs.

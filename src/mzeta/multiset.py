@@ -8,6 +8,14 @@ permutations are plain tuples of ints.  All positions reported by the
 statistics below are 1-based, so that e.g. maj(w) is literally the sum of the
 descent positions.
 
+The statistics of one word (excedance_stats, denh, exc, inv, imv) keep the
+letters read so far in sorted lists, one bisect per letter however many
+letters eta has.  The words of an enumerated domain are many and short, so
+they are counted on packed ints instead: letter_fields(eta) is the per-eta
+context, and excedance_kernel (the (exc, denh) kernel of the statistic
+registry in zeta) and excedance_parts (the word side of the lemma checks in
+verify) count with one shift and mask per letter, on ints of O(r log n) bits.
+
 >>> eta = Composition((3, 2, 2, 3))
 >>> w = (4, 2, 3, 2, 3, 1, 4, 1, 4, 1)
 >>> sorted(descent_set(w)), des(w), maj(w)
@@ -22,8 +30,8 @@ import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right, insort
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,7 +246,9 @@ def excedance_stats(w: Sequence[int], triv: Sequence[int]) -> tuple[int, int]:
     them counts the earlier exceeding letters >= a (the weak inversions a
     closes) or the earlier non-exceeding letters > a (the inversions).
     signed._scan counts the same pair for |sigma| against 1..n on bit masks
-    in place of the lists, which it can as no letter of |sigma| repeats.
+    in place of the lists, which it can as no letter of |sigma| repeats, and
+    excedance_kernel counts it on packed letter counts for the words of an
+    enumerated domain.
 
     >>> excedance_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1), (1, 1, 1, 2, 2, 3, 3, 4, 4, 4))
     (5, 27)
@@ -272,6 +282,100 @@ def denh(w: Sequence[int], eta: Composition) -> int:
     0
     """
     return excedance_stats(w, eta.trivial_word)[1]
+
+
+class LetterFields(NamedTuple):
+    """The packed letter counts of the words over one eta (letter_fields).
+
+    A count is an int with one field of width = n.bit_length() bits per
+    letter f = 1..r + 2, field f at bit width*f, that counts the letters >= f
+    read so far.  No field counts more than n letters, so none carries into
+    the next.  The tables take the letters 0..r + 1: a projection through a
+    wrong block map can raise a letter to r + 1, and the lemma checks of
+    verify then report the fault instead of raising IndexError.
+    """
+
+    trivial_word: tuple[int, ...]
+    up: tuple[int, ...]  # up[a] reads letter a: one more in each field 1..a
+    ge: tuple[int, ...]  # ge[a] = width*a: count >> ge[a] & mask, the letters >= a
+    gt: tuple[int, ...]  # gt[a] = width*(a + 1): the letters > a
+    mask: int
+    crossings: int  # the sum of up[t] over the letters t of the trivial word
+
+
+@lru_cache(maxsize=4096)
+def letter_fields(eta: Composition) -> LetterFields:
+    """The per-eta context of excedance_kernel and excedance_parts.
+
+    >>> f = letter_fields(Composition((2, 1)))
+    >>> f.up, f.ge, f.gt, f.mask
+    ((0, 4, 20, 84), (0, 2, 4, 6), (2, 4, 6, 8), 3)
+    """
+    width = eta.n.bit_length()
+    shifts = range(0, width * (eta.r + 3), width)
+    up = tuple(itertools.accumulate((1 << s for s in shifts[1:-1]), initial=0))
+    crossings = sum(p * u for p, u in zip(eta.parts, up[1:]))
+    return LetterFields(
+        eta.trivial_word, up, tuple(shifts[:-1]), tuple(shifts[1:]), (1 << width) - 1, crossings
+    )
+
+
+def excedance_kernel(w: Sequence[int], fields: LetterFields) -> tuple[int, int]:
+    """excedance_stats(w, fields.trivial_word) for a word w over the eta of
+    fields, with two packed counts in place of the sorted lists.
+
+    The exceeding letters read so far are one count and the non-exceeding
+    ones another, so the earlier exceeding letters >= a are one field of the
+    first and the earlier non-exceeding letters > a one field of the second;
+    exc is field 1 of the first.  Each letter costs O(r log n) bits, so keep
+    excedance_stats for a word over many letters.
+
+    >>> excedance_kernel((4, 2, 3, 2, 3, 1, 4, 1, 4, 1), letter_fields(Composition((3, 2, 2, 3))))
+    (5, 27)
+    """
+    triv, up, ge, gt, mask, _ = fields
+    exceeding = rest = total = i = 0
+    for a, t in zip(w, triv):
+        i += 1
+        if a > t:
+            total += i + (exceeding >> ge[a] & mask)
+            exceeding += up[a]
+        else:
+            total += rest >> gt[a] & mask
+            rest += up[a]
+    return exceeding >> ge[1] & mask, total
+
+
+def excedance_parts(w: Sequence[int], fields: LetterFields) -> tuple[int, int, int, int]:
+    """(imv of the exceeding subword, inv of the non-exceeding subword, u,
+    u_inv) of a word w over the eta of fields, in one pass that builds no
+    subword.
+
+    u and u_inv are packed counts: field l of u counts the excedances a > t
+    (a the letter of w, t that of the trivial word) with t < l <= a, and
+    field l of u_inv the positions with a < l <= t, read as
+    u >> fields.ge[l] & fields.mask.  On the projected inverse word of an
+    admissible permutation these are admissible.cut_counts.  An excedance
+    adds up[a] - up[t] to u, and a non-excedance up[t] - up[a] to u_inv, so
+    u is the count of the exceeding letters less the up[t] of their
+    positions, and u_inv is crossings less those and the count of the
+    non-exceeding letters.
+
+    >>> weak, strict, u, u_inv = excedance_parts((2, 1, 1), letter_fields(Composition((2, 1))))
+    >>> weak, strict, u >> 4 & 3, u_inv >> 4 & 3
+    (0, 0, 1, 1)
+    """
+    triv, up, ge, gt, mask, crossings = fields
+    exceeding = rest = weak = strict = below = 0
+    for a, t in zip(w, triv):
+        if a > t:
+            weak += exceeding >> ge[a] & mask
+            exceeding += up[a]
+            below += up[t]
+        else:
+            strict += rest >> gt[a] & mask
+            rest += up[a]
+    return weak, strict, exceeding - below, crossings - below - rest
 
 
 def standardize(w: Sequence[int], eta: Composition) -> tuple[int, ...]:

@@ -88,7 +88,9 @@ class UniPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # A constant equals its int, so it hashes as that int.
+        c = self.coeffs
+        return hash(c) if len(c) > 1 else hash(c[0] if c else 0)
 
     def __add__(self, other: UniPoly | int) -> UniPoly:
         b = (int(other),) if isinstance(other, int) else other.coeffs  # a bool is a constant too
@@ -101,6 +103,9 @@ class UniPoly:
 
     def __sub__(self, other: UniPoly | int) -> UniPoly:
         return self + (-other)  # -other of an int (or a bool) is an int
+
+    def __rsub__(self, other: int) -> UniPoly:
+        return -self + other
 
     def __mul__(self, other: UniPoly | int) -> UniPoly:
         if isinstance(other, int):
@@ -305,7 +310,9 @@ class BiPoly:
     """Integer polynomial in x and y, held as its y-rows: rows[b] is the
     coefficient of y^b, a canonical UniPoly in x, and the tuple has no
     trailing zero row.  terms is the same polynomial as a map from exponent
-    pairs (x-degree, y-degree) to nonzero coefficients, built on each read."""
+    pairs (x-degree, y-degree) to nonzero coefficients, built on each read.
+    As for UniPoly, an int (or a bool) operand of +, -, * and == is a
+    constant, and a constant hashes as its int."""
 
     __slots__ = ("rows",)
 
@@ -372,21 +379,31 @@ class BiPoly:
         return bool(self.rows)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return self.rows == ((UniPoly._from_ints((other,)),) if other else ())
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        r = self.rows
+        return hash(r) if len(r) > 1 else hash(r[0] if r else 0)
 
-    def __add__(self, other: BiPoly) -> BiPoly:
+    def __add__(self, other: BiPoly | int) -> BiPoly:
+        if isinstance(other, int):
+            other = BiPoly._from_rows((UniPoly._from_ints((int(other),)),))
         return BiPoly._from_rows(starmap(add, zip_longest(self.rows, other.rows, fillvalue=_ZERO)))
+
+    __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
         return BiPoly._from_rows(map(neg, self.rows))
 
-    def __sub__(self, other: BiPoly) -> BiPoly:
+    def __sub__(self, other: BiPoly | int) -> BiPoly:
         return self + (-other)
+
+    def __rsub__(self, other: int) -> BiPoly:
+        return -self + other
 
     def __mul__(self, other: BiPoly | int) -> BiPoly:
         if isinstance(other, int):

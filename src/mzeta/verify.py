@@ -13,11 +13,13 @@ permutation, which returns the failure detail or None.  Each reads the grid
 rows top down with the column_masks table of admissible, as grid_rows does,
 and takes the cell side of its identity from bit counts of the row masks
 without collecting them or building any cell set; in the same pass it writes
-the projected inverse word.  The word side is inv on the non-exceeding or
-imv on the exceeding subword of that word, and the per-cut counts of Lemma
-4.3 come from cut_counts of admissible, both computed independently of the
-grid.  The cell-set functions stay the
-reference for these counts in the tests.
+the projected inverse word.  The word side is one excedance_parts pass of
+multiset over that word, against letter_fields(eta): the inversions of its
+non-exceeding subword, the weak inversions of its exceeding subword, and the
+per-cut counts of Lemma 4.3 as packed crossing counts.  It reads only the
+word and the trivial word, so it is computed independently of the grid.  The
+cell-set functions, and inv, imv and cut_counts, stay the reference for
+these counts in the tests.
 """
 from __future__ import annotations
 
@@ -156,17 +158,21 @@ def check_euler_mahonian_den(eta: Composition, budget: int = zeta.DEFAULT_BUDGET
 
 
 def nonexceeding_inversions_failure(
-    eta: Composition, blocks: Sequence[int], masks: Sequence[tuple[int, int]], perm: Sequence[int]
+    blocks: Sequence[int],
+    masks: Sequence[tuple[int, int]],
+    fields: wd.LetterFields,
+    perm: Sequence[int],
 ) -> str | None:
     """Lemma 4.2 for one admissible permutation: the failure detail, or None
     when the low part of n_plus_split has exactly as many cells as the
     non-exceeding subword of the projected inverse has inversions.
 
-    blocks and masks are block_lookup(eta) and column_masks(eta).  One top
-    down pass reads the rows as grid_rows does, adds the n_plus mask bit
-    counts of the rows with block(i) <= block(sigma(i)), and writes the
-    projected inverse word, word[sigma(i) - 1] = block(i).  The word side is
-    inv on its non-exceeding subword, computed independently of the grid.
+    blocks, masks and fields are block_lookup(eta), column_masks(eta) and
+    letter_fields(eta).  One top down pass reads the rows as grid_rows does,
+    adds the n_plus mask bit counts of the rows with
+    block(i) <= block(sigma(i)), and writes the projected inverse word,
+    word[sigma(i) - 1] = block(i).  The word side is the inversion count of
+    excedance_parts on that word, computed independently of the grid.
     """
     word = [0] * len(perm)
     seen = low = 0
@@ -177,32 +183,36 @@ def nonexceeding_inversions_failure(
             low += (-2 << v & seen & ge).bit_count()
         seen |= 1 << v
         word[v - 1] = blocks[i]
-    expected = wd.inv(wd.nonexceeding_subword(word, eta))
+    expected = wd.excedance_parts(word, fields)[1]
     if low != expected:
         return f"sigma={perm}: |low cells|={low}, inversions={expected}"
     return None
 
 
 def exceeding_weak_inversions_failure(
-    eta: Composition, blocks: Sequence[int], masks: Sequence[tuple[int, int]], perm: Sequence[int]
+    blocks: Sequence[int],
+    masks: Sequence[tuple[int, int]],
+    fields: wd.LetterFields,
+    perm: Sequence[int],
 ) -> str | None:
     """Lemma 4.3 for one admissible permutation: the failure detail, or None
     when the high part of n_plus_split is accounted for by the weak
     inversions of the exceeding subword plus n_minus plus iexc, and the same
     identity holds row by row through the u-set counts.
 
-    blocks and masks are block_lookup(eta) and column_masks(eta).  A high
-    row is a row j0 of i_set.  One top down pass reads the rows as grid_rows
-    does, writes the projected inverse word, and keeps by_block[b], the mask
-    of the values of the high rows of block b seen so far.  For each high
-    row it takes the n_plus and n_minus mask bit counts and |meq| of m_sets,
-    the bits of by_block[block(j0)] below sigma(j0).  Once the whole-grid
-    identity holds, suffix ORs turn by_block[b] into the values of the high
-    rows of the blocks after b, and |mgt| is its bits below sigma(j0).  The
-    word side is imv on the exceeding subword and the per-cut counts come
-    from cut_counts, both computed independently of the grid.  The failures
-    are reported in order: the whole grid, the first failing row, the row
-    total.
+    blocks, masks and fields are block_lookup(eta), column_masks(eta) and
+    letter_fields(eta).  A high row is a row j0 of i_set.  One top down pass
+    reads the rows as grid_rows does, writes the projected inverse word, and
+    keeps by_block[b], the mask of the values of the high rows of block b
+    seen so far.  For each high row it takes the n_plus and n_minus mask bit
+    counts and |meq| of m_sets, the bits of by_block[block(j0)] below
+    sigma(j0).  One excedance_parts pass over the word, computed
+    independently of the grid, gives the weak inversions of the exceeding
+    subword and the per-cut counts |u_set| and |u_inv_set| as packed fields.
+    Once the whole-grid identity holds, and when some row is high, suffix ORs
+    turn by_block[b] into the values of the high rows of the blocks after b,
+    and |mgt| is its bits below sigma(j0).  The failures are reported in
+    order: the whole grid, the first failing row, the row total.
     """
     top = max(blocks)
     by_block = [0] * (top + 1)
@@ -226,22 +236,26 @@ def exceeding_weak_inversions_failure(
             high_rows.append((i, v, b, (by_block[b] & (bit - 1)).bit_count(), row_minus, row_high))
             by_block[b] |= bit
         seen |= bit
-    target = wd.imv(wd.exceeding_subword(word, eta))
+    target, _, u, u_inv = wd.excedance_parts(word, fields)
     exceed = len(high_rows)
     if high != target + minus + exceed:
         return f"sigma={perm}: |high cells|={high}, imv+minus+iexc={target}+{minus}+{exceed}"
-    u, u_inv = adm.cut_counts(blocks, perm)
+    if not high_rows:
+        return None  # then high = 0, so the counts target and minus are 0 too
     later = 0
     for b in range(top, -1, -1):
         by_block[b], later = later, later | by_block[b]
+    shifts, mask = fields.ge, fields.mask
     row_total = 0
     for j0, v, cut, meq, row_minus, n_high in high_rows:
         m = meq + (by_block[cut] & ((1 << v) - 1)).bit_count()
         lhs = m + row_minus + 1
-        if not lhs == u[cut] == u_inv[cut] == n_high:
+        u_cut = u >> shifts[cut] & mask
+        u_inv_cut = u_inv >> shifts[cut] & mask
+        if not lhs == u_cut == u_inv_cut == n_high:
             return (
                 f"sigma={perm}, row {j0}: "
-                f"m+m+minus+1={lhs}, |u|={u[cut]}, |u_inv|={u_inv[cut]}, |row high|={n_high}"
+                f"m+m+minus+1={lhs}, |u|={u_cut}, |u_inv|={u_inv_cut}, |row high|={n_high}"
             )
         row_total += m
     if row_total != target:
@@ -257,8 +271,9 @@ def _each_admissible(
     zeta._check_budget(eta.word_count(), budget)
     blocks = adm.block_lookup(eta)
     masks = adm.column_masks(eta)
+    fields = wd.letter_fields(eta)
     for perm in adm.admissible_perms(eta):
-        detail = failure(eta, blocks, masks, perm)
+        detail = failure(blocks, masks, fields, perm)
         if detail is not None:
             return _by_eta(check, eta, False, detail)
     return _by_eta(check, eta, True, f"domain size {eta.word_count()}")

@@ -11,11 +11,11 @@ polynomials and evaluations are Fractions.
 
 Joint distributions come from one registry, STATS, which names each
 statistic of each domain as an entry of a kernel's value, and holds the
-kernel functions themselves: descent_stats and excedance_stats on words,
-block_grid_counts on admissible permutations, b_kernel on signed windows, and
-b_kernel and d_kernel on even-signed ones (signed.b_stats and signed.d_stats
-without their window check); window_stats reads every statistic of one
-signed window from it.
+kernel functions themselves: descent_stats and excedance_kernel (the
+packed form of excedance_stats) on words, block_grid_counts on admissible
+permutations, b_kernel on signed windows, and b_kernel and d_kernel on
+even-signed ones (signed.b_stats and signed.d_stats without their window
+check); window_stats reads every statistic of one signed window from it.
 joint_distributions is the one counting path: it reads the objects in
 batches, runs each distinct kernel of all its pairs once per object into one
 column per kernel, and counts each pair from two columns.
@@ -152,10 +152,10 @@ def _check_budget(size: int, budget: int, what: str = "domain of size {}") -> No
 # STATS[domain][name] = (kernel, field): the statistic is entry `field` of the
 # kernel's value on an object, or the value itself when field is None.  A
 # kernel is (function, contextual); joint_distribution passes a contextual
-# kernel the domain's context as second argument: the trivial word for
+# kernel the domain's context as second argument: letter_fields(eta) for
 # words, the column-mask table for admissible permutations.
 _DESCENT = (wd.descent_stats, False)
-_EXCEDANCE = (wd.excedance_stats, True)
+_EXCEDANCE = (wd.excedance_kernel, True)
 _GRID = (adm.block_grid_counts, True)
 _B = (signed.b_kernel, False)
 _D = (signed.d_kernel, False)
@@ -228,7 +228,7 @@ def _domain_objects(
 ) -> tuple[Iterator, object]:
     """The objects of a domain, and the context its contextual kernels take."""
     if domain == "words":
-        return wd.words(eta), eta.trivial_word
+        return wd.words(eta), wd.letter_fields(eta)
     if domain == "admissible":
         return adm.admissible_perms(eta), adm.column_masks(eta)
     if domain == "B":

@@ -528,13 +528,21 @@ class TestLargeRandom:
             assert meq + mgt + len(row_minus) + 1 == u[cut] == u_inv[cut] == len(row_high)
             total += meq + mgt
         assert total == target
-        # The per-permutation functions of the lemma checks pass, and with imv
-        # one too high lemma43 fails the whole-grid identity first.
-        assert nonexceeding_inversions_failure(eta, blocks, masks, sigma) is None
-        assert exceeding_weak_inversions_failure(eta, blocks, masks, sigma) is None
+        # The per-permutation functions of the lemma checks pass, and with the
+        # word side's imv one too high lemma43 fails the whole-grid identity
+        # first.
+        fields = wd.letter_fields(eta)
+        assert nonexceeding_inversions_failure(blocks, masks, fields, sigma) is None
+        assert exceeding_weak_inversions_failure(blocks, masks, fields, sigma) is None
+        parts = wd.excedance_parts
+
+        def imv_one_high(w, fields):
+            weak, *rest = parts(w, fields)
+            return weak + 1, *rest
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(wd, "imv", lambda seq: imv(seq) + 1)
-            detail = exceeding_weak_inversions_failure(eta, blocks, masks, sigma)
+            patch.setattr(wd, "excedance_parts", imv_one_high)
+            detail = exceeding_weak_inversions_failure(blocks, masks, fields, sigma)
         assert detail == (
             f"sigma={sigma}: |high cells|={len(high)}, "
             f"imv+minus+iexc={target + 1}+{len(minus)}+{len(exceeding)}"

@@ -822,24 +822,33 @@ class TestPlantedLemmaFaults:
         ],
     )
     def test_word_side_off_by_one(self, capsys, monkeypatch, stat, check, detail):
+        """excedance_parts with its inv or imv one too high."""
         import mzeta.multiset as wd
 
-        real = getattr(wd, stat)
-        monkeypatch.setattr(wd, stat, lambda seq: real(seq) + 1)
+        real = wd.excedance_parts
+        part = {"imv": 0, "inv": 1}[stat]
+
+        def shifted(w, fields):
+            out = list(real(w, fields))
+            out[part] += 1
+            return tuple(out)
+
+        monkeypatch.setattr(wd, "excedance_parts", shifted)
         code, out, err = run(capsys, "verify", "--check", check, "--eta", "2,1,1")
         assert (code, err) == (1, "")
         assert out == f"{check} eta=2,1,1: FAIL ({detail})\n{check}: FAILED (1 target(s))\n"
 
     def test_row_count_off_by_one(self, capsys, monkeypatch):
-        import mzeta.admissible as adm
+        """excedance_parts with every field of its packed u one too high."""
+        import mzeta.multiset as wd
 
-        real = adm.cut_counts
+        real = wd.excedance_parts
 
-        def shifted(blocks, perm):
-            u, u_inv = real(blocks, perm)
-            return [c + 1 for c in u], u_inv
+        def shifted(w, fields):
+            weak, strict, u, u_inv = real(w, fields)
+            return weak, strict, u + fields.up[-1], u_inv
 
-        monkeypatch.setattr(adm, "cut_counts", shifted)
+        monkeypatch.setattr(wd, "excedance_parts", shifted)
         code, out, _ = run(capsys, "verify", "--check", "lemma43", "--eta", "1,1")
         assert code == 1
         assert out.startswith(

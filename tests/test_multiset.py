@@ -1,6 +1,7 @@
 """Word statistics against hand-derived and brute-force oracles."""
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -20,12 +21,16 @@ from mzeta.multiset import (
     inverse,
     is_permutation,
     check_word,
+    excedance_kernel,
+    excedance_parts,
     is_word,
+    letter_fields,
     maj,
     nonexceeding_subword,
     standardize,
     words,
 )
+from mzeta.admissible import block_lookup, cut_counts, word_to_admissible
 from mzeta.signed import abs_window, signed_perms
 from mzeta.verify import compositions_of
 
@@ -263,6 +268,75 @@ class TestExcedanceStatsAgainstReference:
         for window in signed_perms(n):
             absolute = abs_window(window)
             assert excedance_stats(absolute, triv) == reference_excedance_stats(absolute, triv)
+
+
+def assert_packed_counts_match(w, eta):
+    """excedance_kernel and excedance_parts on w against the bisect forms, the
+    subwords and cut_counts of the admissible permutation of w.  The packed
+    u and u_inv must be exactly the cut counts placed in their fields, so no
+    field carried into the next."""
+    fields = letter_fields(eta)
+    assert excedance_kernel(w, fields) == excedance_stats(w, eta.trivial_word), w
+    weak, strict, u, u_inv = excedance_parts(w, fields)
+    assert weak == imv(exceeding_subword(w, eta)), w
+    assert strict == inv(nonexceeding_subword(w, eta)), w
+    cuts, cuts_inv = cut_counts(block_lookup(eta), word_to_admissible(eta, w))
+    assert u == sum(c << s for c, s in zip(cuts, fields.ge)), w
+    assert u_inv == sum(c << s for c, s in zip(cuts_inv, fields.ge)), w
+
+
+@st.composite
+def words_up_to_16(draw):
+    """A word over a composition with r <= 10 parts and n <= 16 letters."""
+    r = draw(st.integers(1, 10))
+    n = draw(st.integers(r, 16))
+    cuts = sorted(draw(st.permutations(range(1, n)))[: r - 1])
+    eta = Composition(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
+    return draw(st.permutations(eta.trivial_word)), eta
+
+
+class TestPackedCountsAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_word(self, n):
+        for eta in compositions_of(n):
+            for w in words(eta):
+                assert_packed_counts_match(w, eta)
+
+    @given(words_up_to_16())
+    @settings(max_examples=200, deadline=None)
+    def test_words_up_to_16_letters(self, case):
+        w, eta = case
+        assert_packed_counts_match(tuple(w), eta)
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    def test_field_width_edges(self, n):
+        # width = n.bit_length() is 3, 4, 4, 5: field 1 of crossings counts
+        # all n letters, which fills its field at n = 7 and 15 and sets its
+        # top bit alone at n = 8 and 16.
+        for parts in [(n,), (1,) * n, (n - 1, 1), (1, n - 1), (2, n - 3, 1)]:
+            eta = Composition(parts)
+            fields = letter_fields(eta)
+            assert fields.mask == (1 << n.bit_length()) - 1
+            assert fields.crossings >> fields.ge[1] & fields.mask == n
+            triv = eta.trivial_word
+            for w in [triv, triv[::-1], triv[1:] + triv[:1], triv[-1:] + triv[:-1]]:
+                assert_packed_counts_match(w, eta)
+
+
+class TestSingleWordsStayOnBisect:
+    @pytest.mark.parametrize("n", [20000, 50000])
+    def test_denh_of_a_long_word(self, n):
+        # The packed kernel costs O(r log n) bits per letter: on a 2-vCPU
+        # host it took 0.47 s at n = 20000 and 3.9 s at n = 50000, where the
+        # bisect form of denh took 0.05 s and 0.19 s.
+        eta = Composition((1,) * n)
+        w = list(range(1, n + 1))
+        random.Random(0).shuffle(w)
+        w = tuple(w)
+        start = time.perf_counter()
+        value = denh(w, eta)
+        assert time.perf_counter() - start < 1.0
+        assert value == excedance_stats(w, eta.trivial_word)[1]
 
 
 class TestStandardize:

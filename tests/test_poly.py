@@ -127,6 +127,31 @@ class TestUniPoly:
         assert (f * g).div_exact(g) == f
 
 
+@pytest.mark.parametrize("cls", [UniPoly, BiPoly])
+class TestIntOperands:
+    """An int is a constant on both polynomial classes: in +, - and ==
+    from either side, and a constant hashes as its int."""
+
+    def test_equality_and_hash(self, cls):
+        for c in (0, 1, -3, True):
+            constant = cls.one() * c
+            assert constant == c and c == constant
+            assert hash(constant) == hash(c)
+            assert len({c, constant}) == 1
+        assert cls.one() != 2 and cls.zero() != 1
+
+    def test_add_and_subtract_from_either_side(self, cls):
+        one = cls.one()
+        assert one + 1 == 1 + one == 2
+        assert one - 1 == 1 - one == 0
+        assert 5 - one == 4 and one - 5 == -4
+        p = UniPoly((1, 2)) if cls is UniPoly else BiPoly({(0, 0): 1, (1, 1): 2})
+        three = one * 3
+        assert p + 3 == 3 + p == p + three and p + True == p + one
+        assert p - 3 == p - three and 3 - p == three - p and p - False == p
+        assert p != 1 and len({p, p + 0, 0, 1}) == 3
+
+
 class TestCyclotomic:
     @pytest.mark.parametrize("d", [0, -1])
     def test_rejects_index_below_one(self, d):

@@ -1,6 +1,6 @@
 """The lemma checks and the Denert word kernel against the code they replaced:
-the collecting row scan with the O(h^2) m_sets count loop, and the subword
-form of excedance_stats."""
+the collecting row scan with the O(h^2) m_sets count loop, the subword form
+of excedance_stats, and per-cut counts by definition."""
 import pytest
 
 from mzeta import admissible as adm
@@ -34,6 +34,17 @@ def reference_lemma42(eta, budget=zeta.DEFAULT_BUDGET):
     return _by_eta("lemma42", eta, True, f"domain size {eta.word_count()}")
 
 
+def reference_word_cut_counts(word, triv, cuts):
+    """(u, u_inv) for l in range(cuts): u[l] counts the positions with
+    t < l <= a and u_inv[l] those with a < l <= t, a the letter of word and t
+    that of triv there.  On the projected inverse word of an admissible
+    permutation these are cut_counts; under a wrong block map they are what
+    the word side of lemma43 reads."""
+    u = [sum(t < l <= a for a, t in zip(word, triv)) for l in range(cuts)]
+    u_inv = [sum(a < l <= t for a, t in zip(word, triv)) for l in range(cuts)]
+    return u, u_inv
+
+
 def reference_lemma43(eta, budget=zeta.DEFAULT_BUDGET):
     """check_exceeding_weak_inversions as a loop over grid_rows, the m_sets
     count reference and the projected inverse of each permutation."""
@@ -55,7 +66,7 @@ def reference_lemma43(eta, budget=zeta.DEFAULT_BUDGET):
                 False,
                 f"sigma={perm}: |high cells|={high}, imv+minus+iexc={target}+{minus}+{exceed}",
             )
-        u, u_inv = adm.cut_counts(blocks, perm)
+        u, u_inv = reference_word_cut_counts(word, eta.trivial_word, eta.r + 2)
         row_total = 0
         for j0, meq, mgt in high_rows:
             cut = blocks[j0]
@@ -80,9 +91,12 @@ def reference_lemma43(eta, budget=zeta.DEFAULT_BUDGET):
 
 
 def reference_euler_mahonian_den(eta):
-    """check_euler_mahonian_den with the subword form of excedance_stats."""
+    """check_euler_mahonian_den with the subword form of excedance_stats in
+    place of the registry's words kernel."""
+    kernel = (lambda w, fields: reference_excedance_stats(w, fields.trivial_word), True)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wd, "excedance_stats", reference_excedance_stats)
+        for field, name in enumerate(("exc", "denh")):
+            patch.setitem(zeta.STATS["words"], name, (kernel, field))
         return verify.check_euler_mahonian_den(eta)
 
 
