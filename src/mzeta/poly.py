@@ -12,9 +12,13 @@ built from the rows when it is read; in the package only repr reads it.
 
 The public constructors (UniPoly(...), BiPoly(...), monomial,
 BiPoly.from_json_obj) refuse a non-int coefficient or exponent, and
-evaluate refuses a point that is not an int or a Fraction.  Arithmetic and
-the package's own builders go through each type's one canonicaliser,
-UniPoly._from_ints and BiPoly._from_rows, which check nothing.
+evaluate refuses a point that is not an int or a Fraction; shift, totient,
+cyclotomic and gaussian_binomial refuse an argument that is not an int.
+Arithmetic and the package's own builders go through the one canonicaliser,
+_DensePoly._canonical, which checks nothing.  _DensePoly holds the ring both
+classes share: the canonical form, +, -, *, ==, hash, the rule that an int
+operand is a constant, and exact long division.  Any other operand raises
+TypeError.
 
 >>> gaussian_binomial(2, 2)
 UniPoly((1, 1, 2, 1, 1))
@@ -28,10 +32,128 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat, starmap, zip_longest
 from operator import add, mul, neg, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Self
 
 
-class UniPoly:
+class _DensePoly:
+    """The dense-polynomial ring that UniPoly and BiPoly share: coeffs is
+    the tuple of coefficients, constant term first, with no trailing zero.
+    A subclass names its zero coefficient, _zero (the int 0 for UniPoly, the
+    zero UniPoly for BiPoly's y-rows), and how one coefficient divides
+    another exactly, _divide_coefficient.  An int (or a bool) operand of +,
+    -, * and == is the constant _zero + c, and a constant hashes as its int.
+    Any other operand, the other polynomial class included, gives
+    NotImplemented, so Python raises TypeError (== is False)."""
+
+    __slots__ = ("coeffs",)
+
+    @classmethod
+    def _canonical(cls, coeffs: Iterable) -> Self:
+        """The canonical form of coefficients of the subclass's type:
+        trailing zeros are trimmed, nothing is checked."""
+        p = object.__new__(cls)
+        c = tuple(coeffs)
+        end = len(c)
+        while end and not c[end - 1]:
+            end -= 1
+        p.coeffs = c if end == len(c) else c[:end]
+        return p
+
+    @classmethod
+    def zero(cls) -> Self:
+        return cls._canonical(())
+
+    @classmethod
+    def one(cls) -> Self:
+        return cls._canonical((cls._zero + 1,))
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def _operand(self, other: object) -> tuple | None:
+        """other's coefficients, an int (or a bool) as a constant; None for
+        an operand of any other type."""
+        if type(other) is type(self):
+            return other.coeffs
+        if isinstance(other, int):
+            return (self._zero + other,) if other else ()
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        c = self._operand(other)
+        return NotImplemented if c is None else self.coeffs == c
+
+    def __hash__(self) -> int:
+        # A constant equals its int, so it hashes as that int.
+        c = self.coeffs
+        return hash(c) if len(c) > 1 else hash(c[0] if c else 0)
+
+    def _zip(self, other: object, op) -> Self:
+        c = self._operand(other)
+        if c is None:
+            return NotImplemented
+        return self._canonical(starmap(op, zip_longest(self.coeffs, c, fillvalue=self._zero)))
+
+    def __add__(self, other: Self | int) -> Self:
+        return self._zip(other, add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Self | int) -> Self:
+        return self._zip(other, sub)
+
+    def __rsub__(self, other: int) -> Self:
+        return (-self)._zip(other, add)
+
+    def __neg__(self) -> Self:
+        return self._canonical(map(neg, self.coeffs))
+
+    def __mul__(self, other: Self | int) -> Self:
+        if isinstance(other, int):
+            return self._canonical(c * other for c in self.coeffs)
+        if type(other) is not type(self):
+            return NotImplemented
+        a = self.coeffs
+        b = [(j, d) for j, d in enumerate(other.coeffs) if d]
+        out = [self._zero] * (len(a) + len(other.coeffs) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in b:
+                    out[i + j] += c * d
+        return self._canonical(out)
+
+    __rmul__ = __mul__
+
+    def _div_exact(self, other: Self) -> Self | None:
+        """The quotient self/other over the integers, or None if not
+        divisible: long division from the top coefficient, each step one
+        exact coefficient division, so a None return certifies
+        indivisibility over Z."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot divide a {type(self).__name__} by {other!r}")
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        div = other.coeffs
+        dd = len(div) - 1
+        lead = div[dd]
+        nonzero = [(j, d) for j, d in enumerate(div) if d]
+        rem = list(self.coeffs)
+        out = [self._zero] * max(len(rem) - dd, 0)
+        for top in range(len(rem) - 1, dd - 1, -1):
+            if not rem[top]:
+                continue
+            q = self._divide_coefficient(rem[top], lead)
+            if q is None:
+                return None
+            out[top - dd] = q
+            for j, d in nonzero:
+                rem[top - dd + j] -= q * d
+        if any(rem[:dd]):
+            return None
+        return self._canonical(out)
+
+
+class UniPoly(_DensePoly):
     """Integer polynomial in one variable.  A coefficient that is not an int
     (a float, a bool, a Fraction) raises ValueError.
 
@@ -39,33 +161,15 @@ class UniPoly:
     UniPoly((-1, 0, 1))
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = 0
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         c = tuple(coeffs)
         if not {int}.issuperset(map(type, c)):
             bad = next(v for v in c if type(v) is not int)
             raise ValueError(f"coefficients must be ints, got {bad!r}")
-        self.coeffs = self._from_ints(c).coeffs
-
-    @classmethod
-    def _from_ints(cls, coeffs: Iterable[int]) -> UniPoly:
-        """The canonical form of int coefficients; nothing is checked."""
-        p = object.__new__(cls)
-        c = tuple(coeffs)
-        end = len(c)
-        while end and c[end - 1] == 0:
-            end -= 1
-        p.coeffs = c if end == len(c) else c[:end]
-        return p
-
-    @classmethod
-    def zero(cls) -> UniPoly:
-        return cls._from_ints(())
-
-    @classmethod
-    def one(cls) -> UniPoly:
-        return cls._from_ints((1,))
+        self.coeffs = self._canonical(c).coeffs
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> UniPoly:
@@ -77,79 +181,19 @@ class UniPoly:
         """Degree of the leading term; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    @staticmethod
+    def _divide_coefficient(c: int, lead: int) -> int | None:
+        q, r = divmod(c, lead)
+        return None if r else q
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.coeffs == ((other,) if other else ())
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        # A constant equals its int, so it hashes as that int.
-        c = self.coeffs
-        return hash(c) if len(c) > 1 else hash(c[0] if c else 0)
-
-    def __add__(self, other: UniPoly | int) -> UniPoly:
-        b = (int(other),) if isinstance(other, int) else other.coeffs  # a bool is a constant too
-        return UniPoly._from_ints(starmap(add, zip_longest(self.coeffs, b, fillvalue=0)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly._from_ints(map(neg, self.coeffs))
-
-    def __sub__(self, other: UniPoly | int) -> UniPoly:
-        return self + (-other)  # -other of an int (or a bool) is an int
-
-    def __rsub__(self, other: int) -> UniPoly:
-        return -self + other
-
-    def __mul__(self, other: UniPoly | int) -> UniPoly:
-        if isinstance(other, int):
-            return UniPoly._from_ints(c * other for c in self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return UniPoly._from_ints(out)
-
-    __rmul__ = __mul__
+    div_exact = _DensePoly._div_exact
 
     def shift(self, k: int) -> UniPoly:
-        """Multiply by x^k."""
-        return UniPoly._from_ints((0,) * k + self.coeffs)
-
-    def div_exact(self, other: UniPoly) -> UniPoly | None:
-        """The quotient self/other over the integers, or None if not divisible."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return UniPoly.zero()
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        if len(rem) - 1 < dd:
-            return None
-        out = [0] * (len(rem) - dd)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                return None
-            out[top - dd] = q
-            for j in range(dd + 1):
-                rem[top - dd + j] -= q * div[j]
-        if any(rem):
-            return None
-        return UniPoly._from_ints(out)
+        """Multiply by x^k.  A k that is not a nonnegative int raises
+        ValueError."""
+        if type(k) is not int or k < 0:
+            raise ValueError(f"shift needs a nonnegative int, got {k!r}")
+        return UniPoly._canonical((0,) * k + self.coeffs)
 
     def evaluate(self, x: Fraction | int) -> Fraction | int:
         """Exact value at x.  A point that is not an int or a Fraction (a
@@ -170,7 +214,11 @@ class UniPoly:
         return f"UniPoly({self.coeffs!r})"
 
 
-_ZERO = UniPoly.zero()
+def _check_ints(*values: object) -> None:
+    """ValueError unless every value is an int; a bool or a float is refused."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"arguments must be ints, got {v!r}")
 
 
 def _check_point(v: object) -> None:
@@ -208,9 +256,13 @@ def _one_minus_x_power(c: list[int], e: int, divide: bool) -> None:
         c[e:] = map(sub, c[e:], c[:len(c) - e])
 
 
+# An int argument is its own cache key and a bool or a float is keyed as a
+# one-tuple, so neither is served the entry of its equal int and the int check
+# runs (here and in cyclotomic); a typed cache would key every int as a tuple.
 @lru_cache(maxsize=4096)
 def totient(d: int) -> int:
     """Euler's totient by trial factorisation."""
+    _check_ints(d)
     if d < 1:
         raise ValueError("totient needs a positive argument")
     out = d
@@ -237,6 +289,7 @@ def cyclotomic(d: int) -> UniPoly:
     >>> cyclotomic(6)
     UniPoly((1, -1, 1))
     """
+    _check_ints(d)
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
     squarefree = [(1, False)]
@@ -245,7 +298,7 @@ def cyclotomic(d: int) -> UniPoly:
     c = [1] + [0] * totient(d)
     for s, odd in squarefree:
         _one_minus_x_power(c, d // s, odd)
-    return UniPoly._from_ints(c) if d > 1 else -UniPoly._from_ints(c)
+    return UniPoly._canonical(c) if d > 1 else -UniPoly._canonical(c)
 
 
 def gaussian_binomial(m: int, k: int) -> UniPoly:
@@ -266,6 +319,7 @@ def gaussian_binomial(m: int, k: int) -> UniPoly:
     >>> gaussian_binomial(1, 1)
     UniPoly((1, 1))
     """
+    _check_ints(m, k)
     if m < 0 or k < 0:
         raise ValueError("gaussian_binomial needs nonnegative arguments")
     m, k = max(m, k), min(m, k)
@@ -278,7 +332,7 @@ def gaussian_binomial(m: int, k: int) -> UniPoly:
         c.extend([0] * (size - len(c)))
         _one_minus_x_power(c, m + i, False)
         _one_minus_x_power(c, i, True)
-    return UniPoly._from_ints(c + c[:top - half][::-1])
+    return UniPoly._canonical(c + c[:top - half][::-1])
 
 
 def format_terms(terms: Iterable[tuple[int, int, int]]) -> str:
@@ -306,15 +360,18 @@ def format_terms(terms: Iterable[tuple[int, int, int]]) -> str:
     return " ".join(parts)
 
 
-class BiPoly:
-    """Integer polynomial in x and y, held as its y-rows: rows[b] is the
-    coefficient of y^b, a canonical UniPoly in x, and the tuple has no
-    trailing zero row.  terms is the same polynomial as a map from exponent
-    pairs (x-degree, y-degree) to nonzero coefficients, built on each read.
-    As for UniPoly, an int (or a bool) operand of +, -, * and == is a
-    constant, and a constant hashes as its int."""
+class BiPoly(_DensePoly):
+    """Integer polynomial in x and y, held as its y-rows: rows (the shared
+    ring's coeffs) is the tuple whose entry b is the coefficient of y^b, a
+    canonical UniPoly in x, with no trailing zero row.  terms is the same
+    polynomial as a map from exponent pairs (x-degree, y-degree) to nonzero
+    coefficients, built on each read.  As for UniPoly, an int (or a bool)
+    operand of +, -, * and == is a constant, and a constant hashes as its
+    int."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
+    _zero = UniPoly.zero()
+    rows = _DensePoly.coeffs
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()) -> None:
         data = dict(terms)
@@ -331,19 +388,6 @@ class BiPoly:
         self.rows = self._from_terms(data.items()).rows
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[UniPoly]) -> BiPoly:
-        """The canonical form of canonical UniPoly rows, rows[b] the
-        coefficient of y^b: trailing zero rows are trimmed, nothing is
-        checked."""
-        p = object.__new__(cls)
-        r = tuple(rows)
-        end = len(r)
-        while end and not r[end - 1]:
-            end -= 1
-        p.rows = r if end == len(r) else r[:end]
-        return p
-
-    @classmethod
     def _from_terms(cls, items: Iterable[tuple[tuple[int, int], int]]) -> BiPoly:
         """The polynomial of ((x, y), int) items with distinct nonnegative
         exponent pairs; zero coefficients are dropped, nothing is checked."""
@@ -355,15 +399,7 @@ class BiPoly:
             if a >= len(row):
                 row += [0] * (a + 1 - len(row))
             row[a] = c
-        return cls._from_rows(map(UniPoly._from_ints, grid))
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls._from_rows(())
-
-    @classmethod
-    def one(cls) -> BiPoly:
-        return cls._from_rows((UniPoly.one(),))
+        return cls._canonical(map(UniPoly._canonical, grid))
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff: int = 1) -> BiPoly:
@@ -375,48 +411,11 @@ class BiPoly:
         (y, x) order; a new dict on each read."""
         return {(a, b): c for b, row in enumerate(self.rows) for a, c in enumerate(row.coeffs) if c}
 
-    def __bool__(self) -> bool:
-        return bool(self.rows)
+    @staticmethod
+    def _divide_coefficient(c: UniPoly, lead: UniPoly) -> UniPoly | None:
+        return c.div_exact(lead)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.rows == ((UniPoly._from_ints((other,)),) if other else ())
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        r = self.rows
-        return hash(r) if len(r) > 1 else hash(r[0] if r else 0)
-
-    def __add__(self, other: BiPoly | int) -> BiPoly:
-        if isinstance(other, int):
-            other = BiPoly._from_rows((UniPoly._from_ints((int(other),)),))
-        return BiPoly._from_rows(starmap(add, zip_longest(self.rows, other.rows, fillvalue=_ZERO)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly._from_rows(map(neg, self.rows))
-
-    def __sub__(self, other: BiPoly | int) -> BiPoly:
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> BiPoly:
-        return -self + other
-
-    def __mul__(self, other: BiPoly | int) -> BiPoly:
-        if isinstance(other, int):
-            return BiPoly._from_rows(row * other for row in self.rows)
-        out = [_ZERO] * (len(self.rows) + len(other.rows) - 1)
-        for i, f in enumerate(self.rows):
-            if f:
-                for j, g in enumerate(other.rows):
-                    if g:
-                        out[i + j] += f * g
-        return BiPoly._from_rows(out)
-
-    __rmul__ = __mul__
+    divide_exact = _DensePoly._div_exact
 
     def degree_x(self) -> int:
         return max((len(row.coeffs) for row in self.rows), default=0) - 1
@@ -464,46 +463,19 @@ class BiPoly:
         for b in coeffs:
             if type(b) is not int or b < 0:
                 raise ValueError(f"y-degrees must be nonnegative ints, got {b!r}")
-        rows = [_ZERO] * (max(coeffs, default=-1) + 1)
+        rows = [cls._zero] * (max(coeffs, default=-1) + 1)
         for b, row in coeffs.items():
             rows[b] = row
-        return cls._from_rows(rows)
+        return cls._canonical(rows)
 
     def reversed_xy(self) -> BiPoly:
         """x^A y^B f(1/x, 1/y) where (A, B) is the bidegree of f: the rows in
         reverse, each reversed in x and raised to x-degree A."""
         top = self.degree_x() + 1
-        return BiPoly._from_rows(
-            UniPoly._from_ints((0,) * (top - len(row.coeffs)) + row.coeffs[::-1])
+        return BiPoly._canonical(
+            UniPoly._canonical((0,) * (top - len(row.coeffs)) + row.coeffs[::-1])
             for row in reversed(self.rows)
         )
-
-    def divide_exact(self, other: BiPoly) -> BiPoly | None:
-        """The quotient self/other over the integers, or None if not divisible.
-
-        Division happens in y-major order with exact one-variable divisions of
-        the rows, so a None return certifies indivisibility over Z.
-        """
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        den = other.rows
-        dy = len(den) - 1
-        lead = den[dy]
-        cur = list(self.rows)
-        quot = [_ZERO] * max(len(cur) - dy, 0)
-        for top in range(len(cur) - 1, dy - 1, -1):
-            if not cur[top]:
-                continue
-            q = cur[top].div_exact(lead)
-            if q is None:
-                return None
-            quot[top - dy] = q
-            for k, dpoly in enumerate(den):
-                if dpoly:
-                    cur[top - dy + k] -= dpoly * q
-        if any(cur[:dy]):
-            return None
-        return BiPoly._from_rows(quot)
 
     def to_json_obj(self) -> dict:
         """The interchange form: decimal-string coefficients, sorted by (y, x)."""

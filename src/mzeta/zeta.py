@@ -326,7 +326,7 @@ def _unpack_row(value: int, width: int) -> UniPoly:
     see _slot_bytes.  A top digit at slot t puts the bit length of value
     between width*t and width*(t + 1), so bit_length // width + 1 slots
     reach slot t and hold at most one zero slot above it."""
-    return UniPoly._from_ints(_unpack(value, width, value.bit_length() // width + 1))
+    return UniPoly._canonical(_unpack(value, width, value.bit_length() // width + 1))
 
 
 def _slot_width(bound: int) -> int:
@@ -424,7 +424,7 @@ def _maj_des_numerator(eta: Composition) -> BiPoly:
             f"numerator for eta={eta}: the y^{eta.n + 1} coefficient {rows[-1]} "
             f"of MacMahon's product does not vanish"
         )
-    return BiPoly._from_rows(rows[:-1])
+    return BiPoly._canonical(rows[:-1])
 
 
 def _denh_exc_numerator(eta: Composition) -> BiPoly:
@@ -486,7 +486,7 @@ def _denh_exc_numerator(eta: Composition) -> BiPoly:
         layer = nxt
     total = layer[0]  # the one state left: no unused copies
     digits = _unpack(total, w, total.bit_length() // w + 1)
-    return BiPoly._from_rows(UniPoly._from_ints(digits[b::stride]) for b in range(stride))
+    return BiPoly._canonical(UniPoly._canonical(digits[b::stride]) for b in range(stride))
 
 
 def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
@@ -546,12 +546,12 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
             f"type {kind} numerator for n={n}: "
             f"the y^{top} coefficient {series[top]} does not vanish"
         )
-    major = BiPoly._from_rows(series[:top])
+    major = BiPoly._canonical(series[:top])
     rows = list(_denh_exc_numerator(ones).rows)
     zero = UniPoly.zero()
     for k in powers:  # times 1 + x^k y
         rows = list(map(add, rows + [zero], [zero] + [row.shift(k) for row in rows]))
-    denert = BiPoly._from_rows(rows)
+    denert = BiPoly._canonical(rows)
     if major != denert:
         raise InvariantError(
             f"type {kind} numerator mismatch for n={n}: the major side by the product formula "
@@ -810,9 +810,12 @@ class ScanBounds(NamedTuple):
     max_d: int
 
     def check(self) -> None:
-        """ValueError unless max_a >= 0, max_b >= 0 and max_d >= 1: smaller
-        bounds leave a scan direction or every index out, and a scan that
-        looks at nothing would report nothing found."""
+        """ValueError unless the bounds are ints (a float or a bool is
+        refused) with max_a >= 0, max_b >= 0 and max_d >= 1: smaller bounds
+        leave a scan direction or every index out, and a scan that looks at
+        nothing would report nothing found."""
+        if any(type(v) is not int for v in self):
+            raise ValueError(f"scan bounds must be ints, got {self!r}")
         if self.max_a < 0 or self.max_b < 0 or self.max_d < 1:
             raise ValueError(
                 f"scan bounds need max_a >= 0, max_b >= 0 and max_d >= 1, got "

@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic: unit values frozen by hand, algebra checked by
 round trips, Gaussian binomials against an independent series oracle."""
+import contextlib
 import functools
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -150,6 +152,39 @@ class TestIntOperands:
         assert p + 3 == 3 + p == p + three and p + True == p + one
         assert p - 3 == p - three and 3 - p == three - p and p - False == p
         assert p != 1 and len({p, p + 0, 0, 1}) == 3
+
+
+def foreign_operands(cls):
+    """Operands that are neither an int nor a polynomial of class cls."""
+    return [1.5, Fraction(1, 2), "x", None, BiPoly.one() if cls is UniPoly else UniPoly.one()]
+
+
+@pytest.mark.parametrize("cls", [UniPoly, BiPoly])
+class TestForeignOperands:
+    """Only an int is a constant: a float, a Fraction, a str, None or the
+    other polynomial class makes +, -, * and exact division raise TypeError
+    from either side, and == False."""
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=lambda op: op.__name__)
+    def test_arithmetic_raises_type_error(self, cls, op):
+        p = cls.one() + cls.one()
+        for bad in foreign_operands(cls):
+            with pytest.raises(TypeError):
+                op(p, bad)
+            with pytest.raises(TypeError):
+                op(bad, p)
+
+    def test_equality_is_false(self, cls):
+        for p in (cls.zero(), cls.one()):
+            for bad in foreign_operands(cls):
+                assert not p == bad and not bad == p
+                assert p != bad and bad != p
+
+    def test_exact_division_raises_type_error(self, cls):
+        divide = UniPoly.div_exact if cls is UniPoly else BiPoly.divide_exact
+        for bad in foreign_operands(cls) + [1, 0]:
+            with pytest.raises(TypeError):
+                divide(cls.one(), bad)
 
 
 class TestCyclotomic:
@@ -569,6 +604,31 @@ class TestTotient:
             assert totient(d) == sum(math.gcd(k, d) == 1 for k in range(1, d + 1)), d
 
 
+class TestIntArguments:
+    """shift, totient, cyclotomic and gaussian_binomial take ints only, as the
+    constructors do: a float or a bool raises ValueError, also once the
+    equal int is in the cache."""
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.0, 2.5], ids=repr)
+    @pytest.mark.parametrize("cached", [totient, cyclotomic], ids=lambda f: f.__name__)
+    def test_cached_functions_refuse_non_ints(self, cached, bad):
+        with contextlib.suppress(ValueError):
+            cached(int(bad))
+        with pytest.raises(ValueError, match="^arguments must be ints, got "):
+            cached(bad)
+
+    @pytest.mark.parametrize("args", [(True, 1), (1, True), (2.0, 1), (1, 2.5), (0, False)], ids=repr)
+    def test_gaussian_binomial_refuses_non_ints(self, args):
+        with pytest.raises(ValueError, match="^arguments must be ints, got "):
+            gaussian_binomial(*args)
+
+    @pytest.mark.parametrize("bad", [-1, True, False, 1.0, None], ids=repr)
+    def test_shift_refuses_what_is_not_a_nonnegative_int(self, bad):
+        with pytest.raises(ValueError, match="^shift needs a nonnegative int, got "):
+            UniPoly((1, 2)).shift(bad)
+        assert UniPoly((1, 2)).shift(0) == UniPoly((1, 2))
+
+
 class DictBiPoly:
     """The reference: BiPoly as a sparse map {(x-degree, y-degree): nonzero
     coefficient}, with the dict-based arithmetic the row layout replaced."""
@@ -697,3 +757,66 @@ class TestAgainstDictReference:
         if g:
             assert same((f * g).divide_exact(g), (rf * rg).divide_exact(rg))
             assert same(f.divide_exact(g), rf.divide_exact(rg))
+
+
+def trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def list_add(a, b, sign=1):
+    size = max(len(a), len(b))
+    a, b = a + [0] * (size - len(a)), b + [0] * (size - len(b))
+    return trim(x + sign * y for x, y in zip(a, b))
+
+
+def list_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return trim(out)
+
+
+def list_div(a, b):
+    """The coefficients of a/b if b divides a in Z[x], else None: long
+    division over Q, then a zero remainder and an integral quotient."""
+    a, b = trim(a), trim(b)
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        q = rem[top] / b[-1]
+        quot[top - len(b) + 1] = q
+        for j, d in enumerate(b):
+            rem[top - len(b) + 1 + j] -= q * d
+    if any(rem) or any(q.denominator != 1 for q in quot):
+        return None
+    return trim(int(q) for q in quot)
+
+
+# Coefficient lists with trailing zeros, gaps and big coefficients of both signs.
+coeff_lists = st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**90), 2**90)), max_size=7)
+
+
+class TestAgainstListReference:
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(coeff_lists, coeff_lists)
+    @example([], [1])
+    @example([0, 0], [0, 2])
+    @example([2, 2], [0, 4])
+    def test_unipoly_matches_the_list_reference(self, a, b):
+        f, g = UniPoly(a), UniPoly(b)
+        for poly in (f, g, f + g, f - g, f * g):
+            assert_canonical_unipoly(poly)
+        assert list(f.coeffs) == trim(a)
+        assert list((f + g).coeffs) == list_add(a, b)
+        assert list((f - g).coeffs) == list_add(a, b, -1)
+        assert list((f * g).coeffs) == list_mul(a, b)
+        if g:
+            for num in (f, f * g, f * g + f.shift(1)):
+                got, want = num.div_exact(g), list_div(list(num.coeffs), b)
+                assert (got is None) == (want is None)
+                assert got is None or list(got.coeffs) == want

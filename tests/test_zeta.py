@@ -1018,6 +1018,15 @@ class TestUnitaryScan:
         with pytest.raises(ValueError, match="scan bounds need"):
             unitary_factor_scan(num, bounds)
 
+    @pytest.mark.parametrize(
+        "bounds", [ScanBounds(1.5, 8, 128), ScanBounds(True, 8, 128), ScanBounds(8, 8.0, 128),
+                   ScanBounds(8, 8, 128.0), ScanBounds(8, 8, "128")], ids=repr
+    )
+    def test_rejects_bounds_that_are_not_ints(self, bounds):
+        num = w_numerator(Composition((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match=r"^scan bounds must be ints, got ScanBounds\("):
+            unitary_factor_scan(num, bounds)
+
     def test_smallest_bounds_scan_the_pure_x_direction(self):
         # max_b = 0 leaves the pure-x direction (1, 0) and nothing else.
         num = w_numerator(Composition((1, 1))) * BiPoly({(0, 0): 1, (1, 0): 1})
