@@ -40,13 +40,19 @@ cells of each row, and take the per-cut counts from the word side,
 multiset.excedance_parts on the projected inverse word; cut_counts is their
 reference in the tests.
 
+admissible_perms enumerates a domain in lexicographic order, and reads the
+last two blocks from a per-call table of bounded size, or streams them when
+that table would pass its bound.
+
 Everything here is a pure function of (eta, sigma); cell sets are returned
 as frozensets of (row, column) pairs.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .multiset import (
@@ -125,14 +131,53 @@ def check_admissible(eta: Composition, perm: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
+# The indices, C(m, p) * m, that admissible_perms may hold in its table of the
+# splits of the last two blocks: 2^17 is about 1 MiB.  Above it those blocks
+# stream, the one path whose memory does not grow with the input.
+_TAIL_TABLE_INDICES = 1 << 17
+
+
+def _without(values: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
+    """The values not in chosen, in order, with one set lookup each."""
+    return tuple(itertools.filterfalse(frozenset(chosen).__contains__, values))
+
+
+def _heads(
+    parts: Sequence[int], values: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(head, left) for every way to fill blocks of the sizes parts from
+    values, in lexicographic order of head: head holds the blocks in order,
+    each ascending, and left the values they leave.  The walk keeps a stack
+    with one combinations iterator per block."""
+    if not parts:
+        yield (), values
+        return
+    levels = [(itertools.combinations(values, parts[0]), values, ())]
+    while levels:
+        choices, left, head = levels[-1]
+        chosen = next(choices, None)
+        if chosen is None:
+            levels.pop()
+            continue
+        rest = _without(left, chosen)
+        if len(levels) == len(parts):
+            yield head + chosen, rest
+        else:
+            levels.append((itertools.combinations(rest, parts[len(levels)]), rest, head + chosen))
+
+
 def admissible_perms(eta: Composition) -> Iterator[tuple[int, ...]]:
     """Yield the admissible permutations exactly once, in lexicographic order.
 
     A permutation is admissible iff it is obtained by distributing the values
     1..n over the position blocks and sorting each block ascending, so the
-    enumeration walks ordered set partitions with block sizes eta.  The walk
-    keeps a stack with one combinations iterator per block but the last,
-    whose values are the ones the other blocks leave.
+    enumeration walks ordered set partitions with block sizes eta: _heads
+    fills every block but the last two, and the last two, of sizes p and q,
+    split the m = p + q values the others leave.  While C(m, p) * m is at
+    most _TAIL_TABLE_INDICES, each split is one itemgetter of a table built
+    per call, so a permutation is head + getter(left); above it the splits
+    stream from combinations, each complement read through a frozenset.
+    Memory stays bounded by that constant, whatever the size of the domain.
     """
     n = eta.n
     values = tuple(range(1, n + 1))
@@ -143,25 +188,27 @@ def admissible_perms(eta: Composition) -> Iterator[tuple[int, ...]]:
     if eta.r == 1:
         yield values
         return
-    parts = eta.parts
-    deepest = eta.r - 2
-    # Each level: (its block's choices, the values left to choose from, the
-    # values of the earlier blocks in order).
-    levels = [(itertools.combinations(values, parts[0]), values, ())]
-    while levels:
-        choices, left, head = levels[-1]
-        if len(levels) - 1 == deepest:
-            # The last block takes the values this one leaves.
-            levels.pop()
-            for chosen in choices:
-                yield head + chosen + tuple(itertools.filterfalse(chosen.__contains__, left))
-            continue
-        chosen = next(choices, None)
-        if chosen is None:
-            levels.pop()
-            continue
-        rest = tuple(itertools.filterfalse(chosen.__contains__, left))
-        levels.append((itertools.combinations(rest, parts[len(levels)]), rest, head + chosen))
+    *upper, p, q = eta.parts
+    m = p + q
+    if math.comb(m, p) * m > _TAIL_TABLE_INDICES:
+        for head, left in _heads(upper, values):
+            for chosen in itertools.combinations(left, p):
+                yield head + chosen + _without(left, chosen)
+        return
+    # The complements of the p-subsets in lexicographic order are the
+    # q-subsets in reverse lexicographic order.  m >= 2, so each getter
+    # returns a tuple.
+    positions = range(m)
+    getters = [
+        itemgetter(*chosen, *rest)
+        for chosen, rest in zip(
+            itertools.combinations(positions, p),
+            reversed(list(itertools.combinations(positions, q))),
+        )
+    ]
+    for head, left in _heads(upper, values):
+        for get in getters:
+            yield head + get(left)
 
 
 def word_to_admissible(eta: Composition, w: Sequence[int]) -> tuple[int, ...]:

@@ -16,6 +16,9 @@ context, and excedance_kernel (the (exc, denh) kernel of the statistic
 registry in zeta) and excedance_parts (the word side of the lemma checks in
 verify) count with one shift and mask per letter, on ints of O(r log n) bits.
 
+words enumerates a domain in lexicographic order, and takes the last 4
+letters of each word from a per-call table of bounded size.
+
 >>> eta = Composition((3, 2, 2, 3))
 >>> w = (4, 2, 3, 2, 3, 1, 4, 1, 4, 1)
 >>> sorted(descent_set(w)), des(w), maj(w)
@@ -399,8 +402,48 @@ def standardize(w: Sequence[int], eta: Composition) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The letters of a word that words reads from its tail table, and the entries
+# that table holds.  A tail has at most 4! = 24 arrangements, but r letters
+# give C(r + 3, 4) sorted tails; emptying the table at _MAX_TAILS entries
+# keeps its memory bounded by a constant however many letters eta has.
+_TAIL = 4
+_MAX_TAILS = 1 << 10
+
+
+def _step(w: list[int], i: int) -> bool:
+    """Advance w in place to its next arrangement in lexicographic order
+    (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L); False when w is the last.  The
+    pivot is sought from index i down, so w[i + 1:] must not increase."""
+    while i >= 0 and w[i] >= w[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(w) - 1
+    while w[j] <= w[i]:
+        j -= 1
+    w[i], w[j] = w[j], w[i]
+    w[i + 1:] = reversed(w[i + 1:])
+    return True
+
+
+def _arrangements(tail: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every arrangement of the sorted tuple tail, in lexicographic order."""
+    w = list(tail)
+    out = [tail]
+    while _step(w, len(w) - 2):
+        out.append(tuple(w))
+    return out
+
+
 def words(eta: Composition) -> Iterator[tuple[int, ...]]:
     """Yield every word over eta exactly once, in lexicographic order.
+
+    The first n - 4 letters (the head) walk by the next-arrangement step;
+    for each head, the arrangements of the last 4 letters (the tail) come
+    from a per-call table keyed by the sorted tail, so a word costs one
+    tuple concatenation.  A tail of one repeated letter has one arrangement
+    and yields the word at once.  To advance the head, the tail is set to
+    its last arrangement and the word takes one step.
 
     >>> list(words(Composition((2, 1))))
     [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
@@ -410,19 +453,25 @@ def words(eta: Composition) -> Iterator[tuple[int, ...]]:
         yield from itertools.permutations(range(1, eta.n + 1))
         return
     w = list(eta.trivial_word)
-    n = len(w)
+    cut = max(len(w) - _TAIL, 0)
+    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # Each step leaves w[cut:] sorted.
     while True:
-        yield tuple(w)
-        i = n - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
+        if w[cut] == w[-1]:
+            yield tuple(w)
+        else:
+            tail = tuple(w[cut:])
+            arrangements = tails.get(tail)
+            if arrangements is None:
+                if len(tails) >= _MAX_TAILS:
+                    tails.clear()
+                arrangements = tails[tail] = _arrangements(tail)
+            head = tuple(w[:cut])
+            for arrangement in arrangements:
+                yield head + arrangement
+            w[cut:] = arrangements[-1]
+        if not _step(w, cut - 1):
             return
-        j = n - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1:] = reversed(w[i + 1:])
 
 
 def is_permutation(perm: Sequence[int]) -> bool:

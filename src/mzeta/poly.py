@@ -459,10 +459,12 @@ class BiPoly(_DensePoly):
     @classmethod
     def from_y_coefficients(cls, coeffs: Mapping[int, UniPoly]) -> BiPoly:
         """The polynomial sum of coeffs[b] y^b.  A degree b that is not a
-        nonnegative int raises ValueError."""
-        for b in coeffs:
+        nonnegative int, or a row that is not a UniPoly, raises ValueError."""
+        for b, row in coeffs.items():
             if type(b) is not int or b < 0:
                 raise ValueError(f"y-degrees must be nonnegative ints, got {b!r}")
+            if not isinstance(row, UniPoly):
+                raise ValueError(f"y-coefficients must be UniPolys, got {row!r} at y^{b}")
         rows = [cls._zero] * (max(coeffs, default=-1) + 1)
         for b, row in coeffs.items():
             rows[b] = row

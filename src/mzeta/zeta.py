@@ -388,15 +388,16 @@ def _packed_series(
     y^j coefficient of prod (1 - x^a y^b).  |every coefficient of D_j| is at
     most ways[j], the number of subsets of factors of y-degree j, and G_k has
     nonnegative coefficients summing to G_k(1) = prod C(p+k, k).  So
-    sum_j ways[j] * G_(k-j)(1) bounds the y^k coefficients, and w holds the
-    largest such bound as a balanced digit.
+    sum_j ways[j] * G_(k-j)(1) bounds the y^k coefficients.  G_k(1) does not
+    decrease in k and ways[j] >= 0, so neither does the bound, and w holds
+    its value at k = top as a balanced digit.
     """
     ways = [1] + [0] * top
     for a, b in factors:
         for j in range(top, b - 1, -1):
             ways[j] += ways[j - b]
     sizes = [math.prod(math.comb(p + k, k) for p in parts) for k in range(top + 1)]
-    w = _slot_width(max(sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in range(top + 1)))
+    w = _slot_width(sum(ways[j] * sizes[top - j] for j in range(top + 1)))
     rows = _shifted_rows(_gaussian_rows(parts, range(top + 1), w), w, factors)
     return [_unpack_row(r, w) for r in rows]
 

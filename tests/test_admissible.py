@@ -1,10 +1,17 @@
 """Grid statistics on admissible permutations, including the cell sets frozen
 from the worked 10-letter example."""
 import itertools
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mzeta.admissible as adm
 import mzeta.multiset as wd
 from mzeta.admissible import (
     admissible_perms,
@@ -461,6 +468,62 @@ class TestAgainstReference:
             blocks, masks = block_lookup(eta), column_masks(eta)
             for sigma in perms:
                 assert block_grid_counts(sigma, masks) == reference_grid_counts(sigma, blocks)
+
+    @pytest.mark.parametrize(
+        "parts, table",
+        [((1, 7, 7), True), ((1, 8, 8), False), ((2, 60), True), ((60, 2), True), ((3, 1, 2, 2), True)],
+        ids=str,
+    )
+    def test_walk_on_both_sides_of_the_table_bound(self, parts, table):
+        # The last two blocks come from the itemgetter table while
+        # C(m, p) * m stays within the bound, and stream above it.
+        eta = Composition(parts)
+        *_, p, q = parts
+        assert (math.comb(p + q, p) * (p + q) <= adm._TAIL_TABLE_INDICES) == table
+        assert list(admissible_perms(eta)) == list(reference_admissible_perms(eta))
+
+
+WALK_300_2 = """
+from mzeta import admissible, multiset
+walk = getattr({module}, "{name}")
+assert sum(1 for _ in walk(multiset.Composition((300, 2)))) == 45451
+"""
+
+
+class TestWalkCost:
+    @pytest.mark.parametrize("module, name", [("multiset", "words"), ("admissible", "admissible_perms")])
+    def test_300_2_walk_is_not_quadratic_in_the_block(self, module, name):
+        # Both walks over (300, 2) took about 0.5 s on a 2-vCPU host; the
+        # admissible walk took 20 s when it found each complement by a scan
+        # of the chosen block.  The subprocess lets the timeout stop it.
+        src = Path(adm.__file__).resolve().parents[1]
+        subprocess.run(
+            [sys.executable, "-c", WALK_300_2.format(module=module, name=name)],
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=10, check=True,
+        )
+
+    @pytest.mark.parametrize(
+        "walk, parts",
+        [(admissible_perms, (1, 10, 10)), (admissible_perms, (5, 400, 2)), (words, (2,) * 12)],
+        ids=["admissible-1,10,10", "admissible-5,400,2", "words-2^12"],
+    )
+    def test_walk_memory_does_not_grow_with_the_tail(self, walk, parts):
+        # A table for the last two blocks of (1, 10, 10) would hold 3.7
+        # million indices, and the 10^4 words of 2^12 take 2.6 MB; above the
+        # bound the blocks stream, so consuming 10^4 objects stays within a
+        # constant.  The warm-up pass keeps the interpreter's one-time
+        # allocations and its tuple free lists out of the peak.
+        eta = Composition(parts)
+        for _ in itertools.islice(walk(eta), 10**4):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(walk(eta), 10**4):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @st.composite

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzeta import multiset
 from mzeta.multiset import (
     Composition,
     denh,
@@ -369,6 +370,28 @@ class TestWords:
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen)
         assert all(is_word(w, eta) for w in seen)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_arrangement_in_lexicographic_order(self, n):
+        for eta in compositions_of(n):
+            assert list(words(eta)) == sorted(set(itertools.permutations(eta.trivial_word))), eta
+
+    @pytest.mark.parametrize("parts", [(2, 30), (30, 2)])
+    def test_two_letters_against_their_positions(self, parts):
+        # A word over two letters is the set of positions of the letter 1.
+        eta = Composition(parts)
+        expected = sorted(
+            tuple(1 if i in ones else 2 for i in range(eta.n))
+            for ones in itertools.combinations(range(eta.n), parts[0])
+        )
+        assert list(words(eta)) == expected
+
+    def test_a_full_tail_table_starts_over(self, monkeypatch):
+        # The tail table is emptied when it reaches its cap; the words do not
+        # change.
+        monkeypatch.setattr(multiset, "_MAX_TAILS", 1)
+        for eta in small_compositions(7) + [Composition((2, 2, 2, 1, 1))]:
+            assert list(words(eta)) == sorted(set(itertools.permutations(eta.trivial_word))), eta
 
     @given(compositions)
     @settings(max_examples=40, deadline=None)

@@ -1,8 +1,9 @@
-"""One untraced benchmark pass per workload that runs the numerator pipelines
-or the signed kernels, judged against the committed reference digests
-(perfbench/data/reference.json): every op of the numerator, algebra and
-signed workloads must reproduce its recorded output.  One traced pass shows
-that the tracer still finds every package name it patches."""
+"""One untraced benchmark pass per workload, judged against the committed
+reference digests (perfbench/data/reference.json): every op of the
+numerator, algebra, signed and sweep workloads must reproduce its recorded
+output.  sweep is the one workload that walks the words and the admissible
+permutations.  One traced pass shows that the tracer still finds every
+package name it patches."""
 import contextlib
 import json
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload", ["numerator", "algebra", "signed"])
+@pytest.mark.parametrize("workload", ["numerator", "algebra", "signed", "sweep"])
 def test_worker_pass_matches_reference(workload):
     # Untraced, the worker writes no file; its result is one JSON line.
     done = subprocess.run(

@@ -349,6 +349,15 @@ class TestBiPoly:
         with pytest.raises(ValueError, match="y-degrees must be nonnegative ints"):
             BiPoly.from_y_coefficients({degree: UniPoly((1,)), 2: UniPoly((0, 1))})
 
+    @pytest.mark.parametrize("row", [5, 2.5, True, None, (1, 2), BiPoly.one()], ids=repr)
+    def test_from_y_coefficients_refuses_rows_that_are_not_unipolys(self, row):
+        # A plain number as a row once built a BiPoly whose str raised
+        # AttributeError and whose + raised TypeError.
+        with pytest.raises(ValueError, match="y-coefficients must be UniPolys"):
+            BiPoly.from_y_coefficients({0: UniPoly((5,)), 1: row})
+        with pytest.raises(ValueError, match="y-coefficients must be UniPolys"):
+            BiPoly.from_y_coefficients({0: row})
+
     def test_reversed_xy(self):
         p = BiPoly({(0, 0): 1, (1, 1): 2, (2, 2): 1})
         assert p.reversed_xy() == BiPoly({(2, 2): 1, (1, 1): 2, (0, 0): 1})

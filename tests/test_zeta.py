@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzeta.admissible import admissible_perms, den, i_set, iexc, n_minus_set, n_plus_set
 from mzeta.multiset import Composition, denh, des, exc, imv, inv, maj, words
@@ -652,6 +653,30 @@ def test_packed_series_matches_schoolbook():
         factors = [(rng.randrange(5), rng.randrange(4)) for _ in range(rng.randrange(6))]
         expected = packed_series_oracle(parts, top, factors)
         assert zeta._packed_series(parts, top, factors) == expected, (parts, top, factors)
+
+
+@given(
+    st.lists(st.integers(1, 6), max_size=4),
+    st.integers(0, 10),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_packed_series_slot_bound_peaks_at_the_top_row(parts, top, factors):
+    # The bound sum_j ways[j] * G_(k-j)(1) never decreases in k, so its value
+    # at k = top, the one _packed_series sizes its slots by, is its maximum
+    # over every row.
+    ways = [1] + [0] * top
+    for a, b in factors:
+        for j in range(top, b - 1, -1):
+            ways[j] += ways[j - b]
+    sizes = [math.prod(math.comb(p + k, k) for p in parts) for k in range(top + 1)]
+    row_bounds = [sum(ways[j] * sizes[k - j] for j in range(k + 1)) for k in range(top + 1)]
+    bounds = []
+    slot_width = zeta._slot_width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta, "_slot_width", lambda bound: bounds.append(bound) or slot_width(bound))
+        zeta._packed_series(tuple(parts), top, factors)
+    assert bounds == [max(row_bounds)] == [row_bounds[-1]]
 
 
 SIGNED_PAIRS = {"B": [("nden", "excabs"), ("nmaj", "ndes"), ("fmaj", "fdes")], "D": [("dden", "dexc"), ("dmaj", "ddes")]}
