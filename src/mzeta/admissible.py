@@ -32,11 +32,12 @@ grid_rows collects them row by row (n_plus_set, n_minus_set, n_plus_split,
 n_minus_row and n_plus_high_row decode its masks into cells).  Both read the
 rows top down, keeping the mask of the values sigma(1..i-1) seen so far, so
 that sigma^{-1}(j) < i is bit j of that mask and no inverse is built, and
-both share one column-mask table per eta, column_masks, which gives each
-row the columns of the blocks at least and below its own.  cut_counts gives
-the sizes of the per-cut cell sets without building them.  The lemma checks
-of verify read column_masks directly, in scans of their own that count the
-cells of each row, and take the per-cut counts from the word side,
+both share one row table per eta, column_masks, which gives each row the
+record (ge, lt, block): the columns of the blocks at least and below its
+own, and its block.  cut_counts gives the sizes of the per-cut cell sets
+without building them.  The lemma checks of verify read column_masks
+directly, block included, in scans of their own that count the cells of
+each row, and take the per-cut counts from the word side,
 multiset.excedance_parts on the projected inverse word; cut_counts is their
 reference in the tests.
 
@@ -75,31 +76,32 @@ def block_lookup(eta: Composition) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def column_masks(eta: Composition) -> tuple[tuple[int, int], ...]:
-    """masks[i - 1] = (ge, lt) for the rows i = 1..n: the columns whose
-    block is at least block(i), and those whose block is below it, as bit
-    masks (bit j for column j).
+def column_masks(eta: Composition) -> tuple[tuple[int, int, int], ...]:
+    """masks[i - 1] = (ge, lt, block(i)) for the rows i = 1..n: the columns
+    whose block is at least block(i), and those whose block is below it, as
+    bit masks (bit j for column j), and the block of the row.
 
-    Built from block_lookup(eta), one pair of masks per block.  The cell
+    Built from block_lookup(eta), one shared record per block.  The cell
     (i, sigma(i)) is in i_set exactly when bit sigma(i) of lt is set.
 
     >>> column_masks(Composition((2, 1)))
-    ((14, 0), (14, 0), (8, 6))
+    ((14, 0, 1), (14, 0, 1), (8, 6, 2))
     """
     blocks = block_lookup(eta)
     columns = range(1, eta.n + 1)
     every = (2 << eta.n) - 2
-    pairs = {}
+    records = {}
     for b in set(blocks[1:]):
         ge = sum(1 << j for j in columns if blocks[j] >= b)
-        pairs[b] = (ge, every ^ ge)
-    return tuple(pairs[blocks[i]] for i in columns)
+        records[b] = (ge, every ^ ge, b)
+    return tuple(records[blocks[i]] for i in columns)
 
 
 def block_index(eta: Composition, i: int) -> int:
-    """The block of position i: the unique k with the prefix sums straddling i."""
-    if not 1 <= i <= eta.n:
-        raise ValueError(f"position {i} out of range 1..{eta.n}")
+    """The block of position i: the unique k with the prefix sums straddling
+    i.  ValueError unless i is an int (not a bool or a float) in 1..n."""
+    if type(i) is not int or not 1 <= i <= eta.n:
+        raise ValueError(f"position {i!r} out of range 1..{eta.n}")
     return block_lookup(eta)[i]
 
 
@@ -244,7 +246,7 @@ def iexc(eta: Composition, perm: Sequence[int]) -> int:
 
 
 def grid_rows(
-    masks: Sequence[tuple[int, int]], perm: Sequence[int]
+    masks: Sequence[tuple[int, int, int]], perm: Sequence[int]
 ) -> list[tuple[int, int]]:
     """For each row i = 1..n, the columns of its n_plus_set cells and of its
     n_minus_set cells as bit masks (rows[i - 1] = (plus mask, minus mask),
@@ -254,7 +256,7 @@ def grid_rows(
     cells (i, j) with sigma(i) < j; the cell-set functions decode it.  The
     rows are read top down with seen, the mask of sigma(1..i-1), so that
     sigma^{-1}(j) < i is bit j of seen; with above the columns j > sigma(i)
-    and (ge, lt) = masks[i - 1], plus = above & seen & ge and
+    and (ge, lt, _) = masks[i - 1], plus = above & seen & ge and
     minus = above & ~seen & lt.
 
     >>> eta = Composition((2, 1))
@@ -263,7 +265,7 @@ def grid_rows(
     """
     seen = 0
     rows = []
-    for v, (ge, lt) in zip(perm, masks):
+    for v, (ge, lt, _) in zip(perm, masks):
         above = -2 << v
         rows.append((above & seen & ge, above & ~seen & lt))
         seen |= 1 << v
@@ -429,7 +431,7 @@ def n_plus_high_row(eta: Composition, perm: Sequence[int], j0: int) -> frozenset
 
 
 def block_grid_counts(
-    perm: Sequence[int], masks: Sequence[tuple[int, int]]
+    perm: Sequence[int], masks: Sequence[tuple[int, int, int]]
 ) -> tuple[int, int, int, int, int]:
     """(den, sum of i_set columns, |i_set|, |n_plus_set|, |n_minus_set|).
 
@@ -441,7 +443,7 @@ def block_grid_counts(
     """
     seen = 0
     col_sum = exceed = plus = minus = 0
-    for v, (ge, lt) in zip(perm, masks):
+    for v, (ge, lt, _) in zip(perm, masks):
         above = -2 << v
         plus += (above & seen & ge).bit_count()
         minus += (above & ~seen & lt).bit_count()

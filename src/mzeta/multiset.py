@@ -108,9 +108,14 @@ class Composition:
 
 
 def is_word(w: Sequence[int], eta: Composition) -> bool:
-    """True iff w is a rearrangement of eta's trivial word.  The length is
-    compared first, so a huge eta builds no trivial word."""
-    return len(w) == eta.n and tuple(sorted(w)) == eta.trivial_word
+    """True iff every letter is an int (not a bool or a float) and w is a
+    rearrangement of eta's trivial word.  The length is compared first, so a
+    huge eta builds no trivial word."""
+    return (
+        len(w) == eta.n
+        and all(type(a) is int for a in w)
+        and tuple(sorted(w)) == eta.trivial_word
+    )
 
 
 def check_word(w: Sequence[int], eta: Composition) -> tuple[int, ...]:
@@ -426,24 +431,17 @@ def _step(w: list[int], i: int) -> bool:
     return True
 
 
-def _arrangements(tail: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every arrangement of the sorted tuple tail, in lexicographic order."""
-    w = list(tail)
-    out = [tail]
-    while _step(w, len(w) - 2):
-        out.append(tuple(w))
-    return out
-
-
 def words(eta: Composition) -> Iterator[tuple[int, ...]]:
     """Yield every word over eta exactly once, in lexicographic order.
 
     The first n - 4 letters (the head) walk by the next-arrangement step;
     for each head, the arrangements of the last 4 letters (the tail) come
     from a per-call table keyed by the sorted tail, so a word costs one
-    tuple concatenation.  A tail of one repeated letter has one arrangement
-    and yields the word at once.  To advance the head, the tail is set to
-    its last arrangement and the word takes one step.
+    tuple concatenation.  A new entry is the sorted distinct orderings of
+    its tail from itertools.permutations, at most 4! = 24 of them.  A tail
+    of one repeated letter has one arrangement and yields the word at once.
+    To advance the head, the tail is set to its last arrangement and the
+    word takes one step.
 
     >>> list(words(Composition((2, 1))))
     [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
@@ -465,7 +463,7 @@ def words(eta: Composition) -> Iterator[tuple[int, ...]]:
             if arrangements is None:
                 if len(tails) >= _MAX_TAILS:
                     tails.clear()
-                arrangements = tails[tail] = _arrangements(tail)
+                arrangements = tails[tail] = sorted(set(itertools.permutations(tail)))
             head = tuple(w[:cut])
             for arrangement in arrangements:
                 yield head + arrangement
@@ -475,9 +473,9 @@ def words(eta: Composition) -> Iterator[tuple[int, ...]]:
 
 
 def is_permutation(perm: Sequence[int]) -> bool:
-    """True iff perm is a bijection on [n] in one-line notation."""
-    n = len(perm)
-    return sorted(perm) == list(range(1, n + 1))
+    """True iff every entry is an int (not a bool or a float) and perm is a
+    bijection on [n] in one-line notation."""
+    return all(type(v) is int for v in perm) and sorted(perm) == list(range(1, len(perm) + 1))
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:

@@ -9,12 +9,14 @@ compares the observed functional equation against the rectangle prediction.
 On failure the first counterexample is captured in the detail string.
 
 The cell-count checks (Lemmas 4.2 and 4.3) run one function per admissible
-permutation, which returns the failure detail or None.  Each reads the grid
-rows top down with the column_masks table of admissible, as grid_rows does,
-and takes the cell side of its identity from bit counts of the row masks
-without collecting them or building any cell set; in the same pass it writes
-the projected inverse word.  The word side is one excedance_parts pass of
-multiset over that word, against letter_fields(eta): the inversions of its
+permutation, which returns the failure detail or None.  Each reads only the
+two per-eta contexts of the statistic registry: column_masks(eta) of
+admissible and letter_fields(eta) of multiset.  It reads the grid rows top
+down, as grid_rows does, each row a record (ge, lt, block(i)), and takes the
+cell side of its identity from bit counts of the row masks without
+collecting them or building any cell set; in the same pass it writes the
+projected inverse word from the row blocks.  The word side is one
+excedance_parts pass of multiset over that word: the inversions of its
 non-exceeding subword, the weak inversions of its exceeding subword, and the
 per-cut counts of Lemma 4.3 as packed crossing counts.  It reads only the
 word and the trivial word, so it is computed independently of the grid.  The
@@ -158,17 +160,14 @@ def check_euler_mahonian_den(eta: Composition, budget: int = zeta.DEFAULT_BUDGET
 
 
 def nonexceeding_inversions_failure(
-    blocks: Sequence[int],
-    masks: Sequence[tuple[int, int]],
-    fields: wd.LetterFields,
-    perm: Sequence[int],
+    masks: Sequence[tuple[int, int, int]], fields: wd.LetterFields, perm: Sequence[int]
 ) -> str | None:
     """Lemma 4.2 for one admissible permutation: the failure detail, or None
     when the low part of n_plus_split has exactly as many cells as the
     non-exceeding subword of the projected inverse has inversions.
 
-    blocks, masks and fields are block_lookup(eta), column_masks(eta) and
-    letter_fields(eta).  One top down pass reads the rows as grid_rows does,
+    masks and fields are column_masks(eta) and letter_fields(eta).  One top
+    down pass reads the row records (ge, lt, block(i)) as grid_rows does,
     adds the n_plus mask bit counts of the rows with
     block(i) <= block(sigma(i)), and writes the projected inverse word,
     word[sigma(i) - 1] = block(i).  The word side is the inversion count of
@@ -176,13 +175,11 @@ def nonexceeding_inversions_failure(
     """
     word = [0] * len(perm)
     seen = low = 0
-    i = 0
-    for v, (ge, lt) in zip(perm, masks):
-        i += 1
+    for v, (ge, lt, b) in zip(perm, masks):
         if not lt >> v & 1:
             low += (-2 << v & seen & ge).bit_count()
         seen |= 1 << v
-        word[v - 1] = blocks[i]
+        word[v - 1] = b
     expected = wd.excedance_parts(word, fields)[1]
     if low != expected:
         return f"sigma={perm}: |low cells|={low}, inversions={expected}"
@@ -190,41 +187,37 @@ def nonexceeding_inversions_failure(
 
 
 def exceeding_weak_inversions_failure(
-    blocks: Sequence[int],
-    masks: Sequence[tuple[int, int]],
-    fields: wd.LetterFields,
-    perm: Sequence[int],
+    masks: Sequence[tuple[int, int, int]], fields: wd.LetterFields, perm: Sequence[int]
 ) -> str | None:
     """Lemma 4.3 for one admissible permutation: the failure detail, or None
     when the high part of n_plus_split is accounted for by the weak
     inversions of the exceeding subword plus n_minus plus iexc, and the same
     identity holds row by row through the u-set counts.
 
-    blocks, masks and fields are block_lookup(eta), column_masks(eta) and
-    letter_fields(eta).  A high row is a row j0 of i_set.  One top down pass
-    reads the rows as grid_rows does, writes the projected inverse word, and
-    keeps by_block[b], the mask of the values of the high rows of block b
-    seen so far.  For each high row it takes the n_plus and n_minus mask bit
-    counts and |meq| of m_sets, the bits of by_block[block(j0)] below
-    sigma(j0).  One excedance_parts pass over the word, computed
-    independently of the grid, gives the weak inversions of the exceeding
-    subword and the per-cut counts |u_set| and |u_inv_set| as packed fields.
+    masks and fields are column_masks(eta) and letter_fields(eta).  A high
+    row is a row j0 of i_set.  One top down pass reads the row records
+    (ge, lt, block(i)) as grid_rows does, writes the projected inverse word,
+    and keeps by_block[b], the mask of the values of the high rows of block b
+    seen so far, for every letter b = 0..r + 1 that fields takes.  For each
+    high row it takes the n_plus and n_minus mask bit counts and |meq| of
+    m_sets, the bits of by_block[block(j0)] below sigma(j0).  One
+    excedance_parts pass over the word, computed independently of the grid,
+    gives the weak inversions of the exceeding subword and the per-cut
+    counts |u_set| and |u_inv_set| as packed fields.
     Once the whole-grid identity holds, and when some row is high, suffix ORs
     turn by_block[b] into the values of the high rows of the blocks after b,
     and |mgt| is its bits below sigma(j0).  The failures are reported in
     order: the whole grid, the first failing row, the row total.
     """
-    top = max(blocks)
-    by_block = [0] * (top + 1)
+    by_block = [0] * len(fields.ge)
     word = [0] * len(perm)
     # (j0, sigma(j0), block(j0), |meq|, n_minus bit count, n_plus bit count)
     # of each high row.
     high_rows = []
     seen = high = minus = 0
     i = 0
-    for v, (ge, lt) in zip(perm, masks):
+    for v, (ge, lt, b) in zip(perm, masks):
         i += 1
-        b = blocks[i]
         word[v - 1] = b
         above = -2 << v
         row_minus = (above & ~seen & lt).bit_count()
@@ -243,7 +236,7 @@ def exceeding_weak_inversions_failure(
     if not high_rows:
         return None  # then high = 0, so the counts target and minus are 0 too
     later = 0
-    for b in range(top, -1, -1):
+    for b in reversed(range(len(by_block))):
         by_block[b], later = later, later | by_block[b]
     shifts, mask = fields.ge, fields.mask
     row_total = 0
@@ -269,11 +262,10 @@ def _each_admissible(
     """Run a per-permutation check over the admissible permutations of eta;
     the first failure detail fails the check."""
     zeta._check_budget(eta.word_count(), budget)
-    blocks = adm.block_lookup(eta)
     masks = adm.column_masks(eta)
     fields = wd.letter_fields(eta)
     for perm in adm.admissible_perms(eta):
-        detail = failure(blocks, masks, fields, perm)
+        detail = failure(masks, fields, perm)
         if detail is not None:
             return _by_eta(check, eta, False, detail)
     return _by_eta(check, eta, True, f"domain size {eta.word_count()}")

@@ -648,8 +648,11 @@ class RationalW:
 
         The span * terms slots, which bound the slots of the kept rows, are
         charged against the budget before anything is packed; BudgetError if
-        they exceed it.
+        they exceed it.  ValueError unless terms is an int (a bool or a float
+        is refused).
         """
+        if type(terms) is not int:
+            raise ValueError(f"the number of series terms must be an int, got {terms!r}")
         if terms <= 0:
             return []
         top = terms - 1
@@ -687,7 +690,10 @@ class HadamardResult:
 def hadamard_series_coefficient(eta: Composition, k: int) -> UniPoly:
     """Coefficient of y^k on the termwise-product side, G_k: the product over
     the parts of the Gaussian binomials (part + k choose k)_x, as row k of
-    _gaussian_rows in slots sized by G_k(1) alone."""
+    _gaussian_rows in slots sized by G_k(1) alone.  ValueError unless k is an
+    int (a bool or a float is refused)."""
+    if type(k) is not int:
+        raise ValueError(f"the series index k must be an int, got {k!r}")
     w = _slot_width(math.prod(math.comb(p + k, k) for p in eta.parts))
     return _unpack_row(_gaussian_rows(eta.parts, range(k, k + 1), w)[0], w)
 

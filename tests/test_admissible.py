@@ -78,6 +78,15 @@ SIGMA_N_MINUS = frozenset({(4, 3), (6, 5), (8, 7)})
 SIGMA_N_PLUS_LOW = frozenset({(5, 6), (5, 8), (5, 10), (10, 10)})
 
 
+def row_record(blocks, i):
+    """(ge, lt, block(i)) of row i by definition: bit j of ge is set for the
+    columns j whose block is at least block(i), bit j of lt for the others."""
+    columns = range(1, len(blocks))
+    ge = sum(1 << j for j in columns if blocks[j] >= blocks[i])
+    lt = sum(1 << j for j in columns if blocks[j] < blocks[i])
+    return ge, lt, blocks[i]
+
+
 class TestBlockMap:
     def test_block_index(self):
         assert block_index(ETA, 4) == 2
@@ -91,6 +100,11 @@ class TestBlockMap:
         with pytest.raises(ValueError):
             block_index(ETA, 11)
 
+    @pytest.mark.parametrize("i", [True, 1.0, 2.0, "1", None])
+    def test_block_index_refuses_positions_that_are_not_ints(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            block_index(Composition((2, 1)), i)
+
     def test_lookup_weakly_increasing(self):
         blocks = block_lookup(ETA)
         assert list(blocks[1:]) == sorted(blocks[1:])
@@ -98,6 +112,15 @@ class TestBlockMap:
 
     def test_lookup_cache_is_bounded(self):
         assert block_lookup.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row_records_by_definition(self, n):
+        for eta in compositions_of(n):
+            blocks = block_lookup(eta)
+            masks = column_masks(eta)
+            assert masks == tuple(row_record(blocks, i) for i in range(1, n + 1))
+            # One shared record per block.
+            assert len({id(record) for record in masks}) == eta.r
 
     def test_project(self):
         assert project_perm(ETA, SIGMA) == (3, 4, 4, 1, 2, 1, 2, 1, 3, 4)
@@ -159,6 +182,13 @@ class TestBijection:
     def test_rejects_non_admissible(self):
         with pytest.raises(ValueError):
             admissible_to_word(ETA, TAU)
+
+    @pytest.mark.parametrize("perm", [(1.0, 2), (True, 2), (1, 2.0)])
+    def test_rejects_entries_that_are_not_ints(self, perm):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            admissible_to_word(Composition((1, 1)), perm)
+        with pytest.raises(ValueError, match="does not rearrange"):
+            word_to_admissible(Composition((1, 1)), perm)
 
     @pytest.mark.parametrize("eta", small_compositions(6))
     def test_round_trips(self, eta):
@@ -391,6 +421,11 @@ class TestDen:
         with pytest.raises(ValueError, match="^permutation length 2 != n=3$"):
             den(Composition((2, 1)), (1, 2))
 
+    @pytest.mark.parametrize("perm", [(True, 2), (1.0, 2), (1, 2.0)])
+    def test_rejects_entries_that_are_not_ints(self, perm):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            den(Composition((1, 1)), perm)
+
     def test_definition_from_cell_sets(self):
         col_sum = sum(j for _, j in i_set(ETA, SIGMA))
         value = (
@@ -595,8 +630,8 @@ class TestLargeRandom:
         # word side's imv one too high lemma43 fails the whole-grid identity
         # first.
         fields = wd.letter_fields(eta)
-        assert nonexceeding_inversions_failure(blocks, masks, fields, sigma) is None
-        assert exceeding_weak_inversions_failure(blocks, masks, fields, sigma) is None
+        assert nonexceeding_inversions_failure(masks, fields, sigma) is None
+        assert exceeding_weak_inversions_failure(masks, fields, sigma) is None
         parts = wd.excedance_parts
 
         def imv_one_high(w, fields):
@@ -605,7 +640,7 @@ class TestLargeRandom:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wd, "excedance_parts", imv_one_high)
-            detail = exceeding_weak_inversions_failure(blocks, masks, fields, sigma)
+            detail = exceeding_weak_inversions_failure(masks, fields, sigma)
         assert detail == (
             f"sigma={sigma}: |high cells|={len(high)}, "
             f"imv+minus+iexc={target + 1}+{len(minus)}+{len(exceeding)}"

@@ -21,6 +21,7 @@ from mzeta.multiset import (
     inv,
     inverse,
     is_permutation,
+    check_permutation,
     check_word,
     excedance_kernel,
     excedance_parts,
@@ -407,6 +408,19 @@ class TestPermutations:
     def test_inverse(self):
         assert inverse((3, 1, 2)) == (2, 3, 1)
         assert inverse((6, 8, 10, 2, 4, 3, 5, 1, 7, 9)) == (8, 4, 6, 5, 7, 1, 9, 2, 10, 3)
+
+    @pytest.mark.parametrize("perm", [(2.0, 1), (True, 2), (2, True), (1, 2.0), ("1",)])
+    def test_check_permutation_refuses_entries_that_are_not_ints(self, perm):
+        assert not is_permutation(perm)
+        with pytest.raises(ValueError, match="is not a permutation"):
+            check_permutation(perm)
+
+    @pytest.mark.parametrize("w", [(True, 2), (1.0, 2), (1, 2.0), (2, True)])
+    def test_check_word_refuses_letters_that_are_not_ints(self, w):
+        eta = Composition((1, 1))
+        assert not is_word(w, eta)
+        with pytest.raises(ValueError, match="does not rearrange"):
+            check_word(w, eta)
 
     @given(st.permutations(range(1, 8)))
     @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from mzeta import multiset as wd
 from mzeta import verify, zeta
 from mzeta.poly import BiPoly
 from mzeta.verify import _by_eta, compositions_of
-from test_admissible import reference_m_counts
+from test_admissible import reference_m_counts, row_record
 from test_multiset import reference_excedance_stats
 
 
@@ -176,6 +176,18 @@ def test_perturbed_block_maps_fail_as_reference(n, monkeypatch, fresh_column_mas
                     failed.add(name)
     # From n = 2 on, some perturbation makes each check report a failure.
     assert failed == ({name for name, _, _ in CHECKS} if n >= 2 else set())
+
+
+def test_row_records_carry_a_perturbed_block_map(monkeypatch, fresh_column_masks):
+    """column_masks rebuilds its records from the patched block_lookup, so the
+    lemma checks read the perturbed blocks from them."""
+    for eta in compositions_of(5):
+        for perturbed in perturbed_block_maps(eta):
+            monkeypatch.setattr(adm, "block_lookup", lambda _eta, blocks=perturbed: blocks)
+            adm.column_masks.cache_clear()
+            masks = adm.column_masks(eta)
+            assert [b for _, _, b in masks] == list(perturbed[1:])
+            assert masks == tuple(row_record(perturbed, i) for i in range(1, eta.n + 1))
 
 
 @pytest.mark.parametrize("parts", [(1,), (2, 1), (1, 2, 1), (2, 2, 1)])

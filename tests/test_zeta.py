@@ -853,6 +853,13 @@ class TestRationalW:
             rational.series(3, budget=8)
         assert rational.series(0, budget=0) == []
 
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "2", None])
+    def test_series_refuses_terms_that_are_not_ints(self, bad):
+        # A bool would count as 0 or 1 terms, a float reach range() or math.comb.
+        rational = RationalW(BiPoly.one(), (0, 1))
+        with pytest.raises(ValueError, match="number of series terms must be an int"):
+            rational.series(bad)
+
     @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (3,), (2, 2)])
     def test_series_against_oracle(self, parts):
         rational = RationalW.for_composition(Composition(parts))
@@ -905,6 +912,12 @@ class TestHadamard:
         eta = Composition((1, 1))
         assert hadamard_series_coefficient(eta, 0) == UniPoly.one()
         assert hadamard_series_coefficient(eta, 1) == UniPoly((1, 2, 1))  # (1+x)^2
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 1.5, "1", None])
+    def test_series_coefficient_refuses_an_index_that_is_not_an_int(self, bad):
+        # True would give G_1 and a float reach math.comb.
+        with pytest.raises(ValueError, match="series index k must be an int"):
+            hadamard_series_coefficient(Composition((1, 1)), bad)
 
     def test_series_coefficient_matches_schoolbook(self):
         compositions = small_compositions(8)
