@@ -42,8 +42,11 @@ suite compares w_numerator with it for every composition of n <= 8.
 
 signed_numerator does the same for the paper's signed Mahonian companions:
 the major side of B_n or D_n from the Adin-Brenti-Roichman or Biagioli
-product formula, and the Denert side from route B on 1^n times a product of
-binomials 1 + x^k y, each one shift-add of the rows; the two must agree.
+product formula, and the Denert side from A_n, the (maj, des) distribution
+over S_n by insertion (_euler_mahonian_rows), times binomials 1 + x^k y,
+each one shift-add of the packed rows; the two must agree.  So the Denert
+side rests on the theorem (denh, exc) ~ (maj, des) on S_n, which the tests
+check against route B on 1^n for n <= 12.
 NUMERATOR_ROUTES names every (domain, ordered pair) that a route serves, and
 distribution serves those from the route and every other pair by
 enumeration.
@@ -82,7 +85,7 @@ import math
 import struct
 from collections import Counter
 from fractions import Fraction
-from operator import add, itemgetter, neg, sub
+from operator import itemgetter, neg, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import admissible as adm
@@ -517,6 +520,25 @@ def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
     return num
 
 
+def _euler_mahonian_rows(n: int, w: int) -> list[int]:
+    """A_n, the (maj, des) distribution over S_n, as y-rows packed at x = 2^w,
+    by insertion (Garsia-Gessel 1979): the largest letter m, put into the m
+    gaps of a permutation of S_(m-1) with k descents, sends x^maj y^k to
+    x^maj ([k+1]_x y^k + x^(k+1) [m-1-k]_x y^(k+1)).  Each [j]_x is one
+    packed int, so row k of A_(m-1) costs two big-int multiplies."""
+    qint = [0]  # qint[j] = [j]_x = 1 + x + ... + x^(j-1)
+    for _ in range(n):
+        qint.append(qint[-1] << w | 1)
+    rows = [1]
+    for m in range(2, n + 1):
+        grown = [0] * m
+        for k, r in enumerate(rows):
+            grown[k] += r * qint[k + 1]
+            grown[k + 1] += r * qint[m - 1 - k] << w * (k + 1)
+        rows = grown
+    return rows
+
+
 def signed_numerator(kind: str, n: int) -> BiPoly:
     """The Mahonian numerator of type kind ("B" or "D") and rank n, without
     enumeration: the (nmaj, ndes) and (fmaj, fdes) distribution over B_n, or
@@ -527,12 +549,19 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
     (Adin-Brenti-Roichman 2001), and times
     (1 - y)(1 - x^n y) prod_{i=1..n-1} (1 - x^(2i) y^2) for D (Biagioli 2003),
     both from the packed product.  Its y-degree is 2n - 1 for B and 2n - 2
-    for D; the coefficient one degree above must vanish.  The Denert side,
-    the (nden, excabs) or (dden, dexc) distribution, is A_n prod_{k=1..n}
-    (1 + x^k y) for B and A_n prod_{k=2..n} (1 + x^(k-1) y) for D, where A_n
-    is route B's numerator for eta = 1^n; a binomial 1 + x^j y adds to every
-    row the row below it times x^j.  The two sides must coincide, otherwise
-    InvariantError is raised.  Nothing is charged against a budget.
+    for D; the coefficient one degree above must vanish.
+
+    The Denert side, the (nden, excabs) or (dden, dexc) distribution, is
+    A_n prod_{k=1..n} (1 + x^k y) for B and A_n prod_{k=2..n} (1 + x^(k-1) y)
+    for D, where A_n is the (denh, exc) distribution over S_n.  It is built
+    as the (maj, des) distribution (_euler_mahonian_rows), so this side rests
+    on the theorem (denh, exc) ~ (maj, des) on S_n, not on a Denert
+    computation.  A binomial 1 + x^j y adds to every packed row the row
+    below it shifted by j slots.  The coefficients are non-negative counts
+    summing to |B_n| or |D_n| <= 2^n n!, which sizes the slots; evaluation
+    at x = 2^w is a ring homomorphism, so only the final read needs that
+    bound.  The two sides must coincide, otherwise InvariantError is raised.
+    Nothing is charged against a budget.
     """
     if kind not in ("B", "D"):
         raise ValueError(f"unknown signed kind {kind!r}; expected 'B' or 'D'")
@@ -548,11 +577,11 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
             f"the y^{top} coefficient {series[top]} does not vanish"
         )
     major = BiPoly._canonical(series[:top])
-    rows = list(_denh_exc_numerator(ones).rows)
-    zero = UniPoly.zero()
+    w = _slot_width(2**n * math.factorial(n))
+    rows = _euler_mahonian_rows(n, w)
     for k in powers:  # times 1 + x^k y
-        rows = list(map(add, rows + [zero], [zero] + [row.shift(k) for row in rows]))
-    denert = BiPoly._canonical(rows)
+        rows = [r + (s << w * k) for r, s in zip(rows + [0], [0] + rows)]
+    denert = BiPoly._canonical(_unpack_row(r, w) for r in rows)
     if major != denert:
         raise InvariantError(
             f"type {kind} numerator mismatch for n={n}: the major side by the product formula "

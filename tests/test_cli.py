@@ -700,9 +700,7 @@ class TestFailureExitCodes:
         ],
     )
     def test_signed_numerator_mismatch_exit_four(self, capsys, monkeypatch, kind, argv):
-        from mzeta.poly import BiPoly
-
-        monkeypatch.setattr(zeta, "_denh_exc_numerator", lambda eta: BiPoly.one())
+        monkeypatch.setattr(zeta, "_euler_mahonian_rows", lambda n, w: [1])
         code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == ""

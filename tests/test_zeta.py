@@ -2,10 +2,14 @@
 independently computed oracle where one exists."""
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -762,8 +766,8 @@ class TestSignedNumerator:
     @pytest.mark.parametrize("kind", ["B", "D"])
     def test_rank_fourteen(self, kind):
         # The major side packs 80-bit slots here, so its y^2 factors shift
-        # slots wider than 64 bits; the Denert cross-check inside
-        # signed_numerator is the oracle.
+        # slots wider than 64 bits; the Denert side inside signed_numerator,
+        # A_14 by insertion times the binomials, is the oracle.
         n = 14
         num = signed_numerator(kind, n)
         assert num.evaluate(1, 1) == zeta.domain_size(kind, n=n)
@@ -777,7 +781,7 @@ class TestSignedNumerator:
 
     @pytest.mark.parametrize("kind", ["B", "D"])
     def test_denert_side_mismatch_raises(self, kind, monkeypatch):
-        monkeypatch.setattr(zeta, "_denh_exc_numerator", lambda eta: BiPoly.one())
+        monkeypatch.setattr(zeta, "_euler_mahonian_rows", lambda n, w: [1])
         with pytest.raises(InvariantError, match=f"type {kind} numerator mismatch"):
             signed_numerator(kind, 3)
 
@@ -786,6 +790,70 @@ class TestSignedNumerator:
         plant_top_row(monkeypatch)
         with pytest.raises(InvariantError, match="does not vanish"):
             signed_numerator(kind, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_insertion_rows_match_route_b_on_ones(n):
+    # The theorem (denh, exc) ~ (maj, des) on S_n, which the Denert side of
+    # signed_numerator rests on: route B computes (denh, exc) over the words
+    # of 1^n, and the insertion rows are (maj, des).
+    w = zeta._slot_width(math.factorial(n))
+    insertion = BiPoly._canonical(zeta._unpack_row(r, w) for r in zeta._euler_mahonian_rows(n, w))
+    assert insertion == zeta._denh_exc_numerator(Composition((1,) * n))
+
+
+def route_b_denert_side(kind, n):
+    """The Denert side as a Denert computation: route B on 1^n, times
+    1 + x^k y for k = 1..n (B) or k = 1..n-1 (D) on UniPoly rows."""
+    rows = list(zeta._denh_exc_numerator(Composition((1,) * n)).rows)
+    for k in range(1, n + 1 if kind == "B" else n):
+        rows = [a + b.shift(k) for a, b in zip(rows + [UniPoly()], [UniPoly()] + rows)]
+    return BiPoly._canonical(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_signed_numerator_matches_route_b_denert_side(kind, n):
+    assert signed_numerator(kind, n) == route_b_denert_side(kind, n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 20, 24])
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_signed_numerator_structure(kind, n):
+    # Self-reciprocal with zero shift, |B_n| or |D_n| terms, and within the
+    # default bounds the unitary factors are exactly the binomials
+    # Phi_2(x^k y) = 1 + x^k y that the Denert side multiplies A_n by.
+    num = signed_numerator(kind, n)
+    assert num.reversed_xy() == num
+    assert num.evaluate(1, 1) == zeta.domain_size(kind, n=n)
+    found = unitary_factor_scan(num, default_bounds(n))
+    ks = range(1, n + 1 if kind == "B" else n)
+    assert [(f.order, f.x_power, f.y_power) for f in found] == [(2, k, 1) for k in ks]
+    assert [f.poly for f in found] == [BiPoly({(0, 0): 1, (k, 1): 1}) for k in ks]
+
+
+SIGNED_24 = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mzeta.zeta import signed_numerator
+t0 = time.perf_counter()
+signed_numerator({kind!r}, 24)
+print(time.perf_counter() - t0)
+"""
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_signed_numerator_of_rank_24_takes_under_a_second(kind):
+    # About 0.1 s each on a 2-vCPU host; the Denert side by route B on 1^24
+    # would hold 2^24 states.  The subprocess lets the timeout stop it, and
+    # its 1 GiB address-space limit keeps such a run from filling memory.
+    src = Path(zeta.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", SIGNED_24.format(kind=kind)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=10, check=True,
+    )
+    assert float(done.stdout) < 1.0
 
 
 class TestDistribution:
