@@ -140,9 +140,9 @@ def descent_stats(w: Sequence[int]) -> tuple[int, int]:
     """(des, maj): the number of descents and the sum of their positions.
 
     The descent scan of words, and of signed windows through
-    signed.type_a_stats.  signed._scan reads des and maj of a window the same
-    way, in its one pass that also reads the signs and the excedances of
-    |sigma| for b_stats and d_stats.
+    signed.type_a_stats.  signed.b_kernel and signed.d_kernel read des and
+    maj of a window the same way, each in its one pass that also reads the
+    signs and the excedances of |sigma|.
 
     >>> descent_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1))
     (5, 25)
@@ -253,10 +253,10 @@ def excedance_stats(w: Sequence[int], triv: Sequence[int]) -> tuple[int, int]:
     non-exceeding letters read so far as two sorted lists, and a bisect into
     them counts the earlier exceeding letters >= a (the weak inversions a
     closes) or the earlier non-exceeding letters > a (the inversions).
-    signed._scan counts the same pair for |sigma| against 1..n on bit masks
-    in place of the lists, which it can as no letter of |sigma| repeats, and
-    excedance_kernel counts it on packed letter counts for the words of an
-    enumerated domain.
+    signed.b_kernel and signed.d_kernel count the same pair for |sigma|
+    against 1..n on bit masks in place of the lists, which they can as no
+    letter of |sigma| repeats, and excedance_kernel counts it on packed
+    letter counts for the words of an enumerated domain.
 
     >>> excedance_stats((4, 2, 3, 2, 3, 1, 4, 1, 4, 1), (1, 1, 1, 2, 2, 3, 3, 4, 4, 4))
     (5, 27)

@@ -13,15 +13,15 @@ the flag statistics (fdes, fmaj), and excedance/Denert companions (excabs,
 nden on all signed permutations; dneg, ddes, dmaj, dexc, nsp, dden on the
 even-signed ones).
 
-One loop, _scan, reads a window: its descents, its negative entries and the
-excedances of |sigma|, which it counts on two bit masks of the absolute
-values read so far.  b_stats (every statistic defined on all signed
-permutations) and d_stats are read from it; nsp, the independent second form
-of dden, is one pass of its own over a bit mask of the signed values.  The
-public functions check their window; b_kernel and d_kernel, the kernels of
-zeta.STATS, do not.  signed_perms and even_signed_perms take the sign
-vectors of 1..n in turn and yield the permutations of each set of signed
-values with itertools.permutations.
+b_kernel and d_kernel, the kernels of zeta.STATS, each read a window in one
+loop: its descents, its negative entries (for d_kernel, those below -1) and
+the excedances of |sigma|, which they count on two bit masks of the absolute
+values read so far.  Each returns its fields as a plain tuple and checks no
+window; b_stats and d_stats check the window and name the fields (BStats,
+DStats).  nsp, the independent second form of dden, is one pass of its own
+over a bit mask of the signed values.  signed_perms and even_signed_perms
+take the sign vectors of 1..n in turn and yield the permutations of each set
+of signed values with itertools.permutations.
 """
 from __future__ import annotations
 
@@ -79,44 +79,6 @@ def type_a_stats(window: Sequence[int]) -> tuple[int, int]:
     return descent_stats(window)
 
 
-def _scan(window: Sequence[int]) -> tuple[int, int, int, int, int, int, int, int]:
-    """One pass over a window: (des, maj, neg, the sum of the negative
-    entries, the count and the sum of the entries below -1, exc and denh of
-    |sigma| against 1..n).  The window is not checked.
-
-    The descents are read as in multiset.descent_stats.  exc and denh are
-    those of multiset.excedance_stats on |sigma|, counted on bit masks: the
-    absolute values read so far are two ints, `big` for the excedances and
-    `rest` for the others, with bit a set for the value a.  As |sigma| is a
-    permutation, the earlier values above a are the set bits of mask >> a.
-    """
-    d = m = k = neg_sum = low = low_sum = total = big = rest = 0
-    # i is the index of a until the step (a descent window[i - 1] > a sits at
-    # position i), and a's 1-based position after it.
-    i = 0
-    prev = window[0] if window else 0
-    for a in window:
-        if prev > a:
-            d += 1
-            m += i
-        prev = a
-        i += 1
-        if a < 0:
-            k += 1
-            neg_sum += a
-            if a < -1:
-                low += 1
-                low_sum += a
-            a = -a
-        if a > i:
-            total += i + (big >> a).bit_count()
-            big |= 1 << a
-        else:
-            total += (rest >> a).bit_count()
-            rest |= 1 << a
-    return d, m, k, neg_sum, low, low_sum, big.bit_count(), total
-
-
 class BStats(NamedTuple):
     des: int
     maj: int
@@ -129,17 +91,41 @@ class BStats(NamedTuple):
     nden: int
 
 
-# The named tuples are built from one positional tuple: their keyword
-# __new__ costs about four times as much per window.
-_new = tuple.__new__
+def b_kernel(window: Sequence[int]) -> tuple[int, ...]:
+    """The BStats fields of a window, in order, as a plain tuple: b_stats
+    without the window check and the named tuple, the kernel of the registry
+    (zeta.STATS), whose windows are signed windows by construction.
 
-
-def b_kernel(window: Sequence[int]) -> BStats:
-    """b_stats without the window check: the kernel of the registry
-    (zeta.STATS), whose windows are signed windows by construction."""
-    d, m, k, neg_sum, _, _, exc, total = _scan(window)
-    first = 1 if window and window[0] < 0 else 0
-    return _new(BStats, (d, m, k, d + k, m - neg_sum, 2 * d + first, 2 * m + k, exc + k, total - neg_sum))
+    One pass reads the descents as multiset.descent_stats does, the negative
+    entries, and exc and denh of |sigma| against 1..n as
+    multiset.excedance_stats does, counted on bit masks: the absolute values
+    read so far are two ints, `big` for the excedances and `rest` for the
+    others, with bit a set for the value a.  As |sigma| is a permutation, the
+    earlier values above a are the set bits of mask >> a.
+    """
+    d = m = k = neg_sum = total = big = rest = 0
+    # i is the index of a until the step (a descent window[i - 1] > a sits at
+    # position i), and a's 1-based position after it.
+    i = 0
+    prev = first = window[0] if window else 0
+    for a in window:
+        if prev > a:
+            d += 1
+            m += i
+        prev = a
+        i += 1
+        if a < 0:
+            k += 1
+            neg_sum += a
+            a = -a
+        if a > i:
+            total += i + (big >> a).bit_count()
+            big |= 1 << a
+        else:
+            total += (rest >> a).bit_count()
+            rest |= 1 << a
+    exc = big.bit_count()
+    return (d, m, k, d + k, m - neg_sum, 2 * d + (first < 0), 2 * m + k, exc + k, total - neg_sum)
 
 
 def b_stats(window: Sequence[int]) -> BStats:
@@ -158,7 +144,7 @@ def b_stats(window: Sequence[int]) -> BStats:
     >>> b_stats((2, -3, 1))
     BStats(des=1, maj=1, neg=1, ndes=2, nmaj=4, fdes=2, fmaj=3, excabs=3, nden=6)
     """
-    return b_kernel(check_window(window))
+    return BStats._make(b_kernel(check_window(window)))
 
 
 def excabs(window: Sequence[int]) -> int:
@@ -208,15 +194,42 @@ class DStats(NamedTuple):
     dden: int
 
 
-def d_kernel(window: Sequence[int]) -> DStats:
-    """d_stats without the window check: the kernel of the registry
-    (zeta.STATS), whose windows are signed windows by construction."""
-    d, m, k, _, dneg, low_sum, exc, base = _scan(window)
-    if k % 2:
+def d_kernel(window: Sequence[int]) -> tuple[int, ...]:
+    """The DStats fields of a window, in order, as a plain tuple: d_stats
+    without the window check and the named tuple, the kernel of the registry
+    (zeta.STATS), whose windows are signed windows by construction.
+
+    One pass as in b_kernel, which tracks the entries below -1 in place of
+    every negative entry: shift is the sum of |a| - 1 over them, so that
+    dmaj = maj + shift and the descent form of dden is denh(|sigma|) + shift.
+    The pair form reads nsp from _pairs, a pass of its own.
+    """
+    d = m = odd = dneg = shift = total = big = rest = 0
+    i = 0
+    prev = window[0] if window else 0
+    for a in window:
+        if prev > a:
+            d += 1
+            m += i
+        prev = a
+        i += 1
+        if a < 0:
+            odd ^= 1
+            if a < -1:
+                dneg += 1
+                shift -= a + 1
+            a = -a
+        if a > i:
+            total += i + (big >> a).bit_count()
+            big |= 1 << a
+        else:
+            total += (rest >> a).bit_count()
+            rest |= 1 << a
+    if odd:
         raise ValueError(f"{tuple(window)} has an odd number of negative entries")
     pairs = _pairs(window)
-    via_pairs = base + pairs
-    via_descents = base - low_sum - dneg
+    via_pairs = total + pairs
+    via_descents = total + shift
     if via_pairs != via_descents:
         from .zeta import InvariantError  # zeta imports this module
 
@@ -224,7 +237,7 @@ def d_kernel(window: Sequence[int]) -> DStats:
             f"dden mismatch on {tuple(window)}: "
             f"{via_pairs} (pair form) != {via_descents} (descent form)"
         )
-    return _new(DStats, (dneg, d + dneg, m - low_sum - dneg, exc + dneg, pairs, via_pairs))
+    return (dneg, d + dneg, m + shift, big.bit_count() + dneg, pairs, via_pairs)
 
 
 def d_stats(window: Sequence[int]) -> DStats:
@@ -236,7 +249,7 @@ def d_stats(window: Sequence[int]) -> DStats:
     denh(|sigma|) - (sum over entries below -1) - dneg; both are computed and
     must agree, otherwise something is deeply wrong and InvariantError is
     raised.  The descents, the sign parity, the entries below -1 and the
-    excedance scan of |sigma| come from _scan; nsp is its own pass.
+    excedance scan of |sigma| come from one pass; nsp is its own pass.
 
     Raises ValueError when the window is not a signed window, or has an odd
     number of negative entries.
@@ -248,7 +261,7 @@ def d_stats(window: Sequence[int]) -> DStats:
     ...
     ValueError: (-1, 2) has an odd number of negative entries
     """
-    return d_kernel(check_window(window))
+    return DStats._make(d_kernel(check_window(window)))
 
 
 def _windows(n: int, even: bool) -> Iterator[tuple[int, ...]]:

@@ -15,7 +15,9 @@ kernel functions themselves: descent_stats and excedance_kernel (the
 packed form of excedance_stats) on words, block_grid_counts on admissible
 permutations, b_kernel on signed windows, and b_kernel and d_kernel on
 even-signed ones (signed.b_stats and signed.d_stats without their window
-check); window_stats reads every statistic of one signed window from it.
+check and named tuple: each reads a window in one loop and returns its
+fields as a plain tuple); window_stats reads every statistic of one signed
+window from it.
 joint_distributions is the one counting path: it reads the objects in
 batches, runs each distinct kernel of all its pairs once per object into one
 column per kernel, and counts each pair from two columns.

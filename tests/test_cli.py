@@ -717,11 +717,22 @@ class TestFailureExitCodes:
             "d-equidistribution n=2: FAIL ((dden,dexc) != signed_numerator: coefficient of x^1*y^1: 2 vs 0)"
         )
 
-    def test_dden_forms_mismatch_exit_four(self, capsys, monkeypatch):
+    # One window, and the enumeration path through the registry's d_kernel,
+    # which must still compute nsp by its own pass.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("stats", "--signed=-2,-1", "--type", "D"),
+            ("verify", "--check", "d-equidistribution", "--n", "3"),
+            ("dist", "--domain", "D", "--n", "3", "--pair", "nsp,dden"),
+        ],
+        ids=["stats", "verify", "dist"],
+    )
+    def test_dden_forms_mismatch_exit_four(self, capsys, monkeypatch, args):
         import mzeta.signed as signed
 
         monkeypatch.setattr(signed, "_pairs", lambda window: -1)
-        code, out, err = run(capsys, "stats", "--signed=-2,-1", "--type", "D")
+        code, out, err = run(capsys, *args)
         assert code == 4
         assert out == ""
         assert err.startswith("error: dden mismatch")

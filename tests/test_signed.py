@@ -9,9 +9,11 @@ from mzeta.multiset import des, descent_stats, excedance_stats, maj
 from mzeta.signed import (
     BStats,
     DStats,
+    b_kernel,
     b_stats,
     check_rank,
     check_window,
+    d_kernel,
     d_stats,
     even_signed_perms,
     excabs,
@@ -285,6 +287,14 @@ def reference_d_stats(window):
     )
 
 
+def assert_kernel_value(value, reference):
+    """A registry kernel's value is a plain tuple of the named tuple's fields,
+    in order."""
+    assert type(value) is tuple
+    assert len(value) == len(reference._fields)
+    assert value == tuple(reference)
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize(
         "n,even", [(n, even) for n in range(1, 7) for even in (False, True)] + [(7, True)]
@@ -299,13 +309,17 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_b_kernels_on_every_window(self, n):
         for w in signed_perms(n):
-            assert b_stats(w) == reference_all_b_stats(w)
+            want = reference_all_b_stats(w)
+            assert b_stats(w) == want
+            assert_kernel_value(b_kernel(w), want)
             assert nsp(w) == reference_nsp(w)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_d_kernels_on_every_window(self, n):
         for w in even_signed_perms(n):
-            assert d_stats(w) == reference_d_stats(w)
+            want = reference_d_stats(w)
+            assert d_stats(w) == want
+            assert_kernel_value(d_kernel(w), want)
 
     # The extreme bits of the masks: the first entry -n or n, the values in
     # increasing and decreasing order, and a window of each parity at n = 14.
@@ -318,13 +332,19 @@ class TestAgainstReference:
     @example((14, *range(-13, 0)))
     @settings(max_examples=200, deadline=None)
     def test_kernels_on_wide_windows(self, window):
-        assert b_stats(window) == reference_all_b_stats(window)
+        want = reference_all_b_stats(window)
+        assert b_stats(window) == want
+        assert_kernel_value(b_kernel(window), want)
         assert nsp(window) == reference_nsp(window)
         if is_even_signed(window):
-            assert d_stats(window) == reference_d_stats(window)
+            want = reference_d_stats(window)
+            assert d_stats(window) == want
+            assert_kernel_value(d_kernel(window), want)
         else:
             with pytest.raises(ValueError):
                 d_stats(window)
+            with pytest.raises(ValueError):
+                d_kernel(window)
 
     def test_walk_is_lazy(self):
         # 2^12 12! windows: only a lazy walk returns the first one.
