@@ -317,16 +317,19 @@ def cmd_zeta(args: argparse.Namespace) -> int:
         raise ValueError("--q and --t go together")
     if value_mode == (args.series_terms is not None):
         raise ValueError("choose either --q/--t or --series-terms")
+    # Every flag is checked before W_eta is built, which can take seconds.
+    if value_mode:
+        point = parse_rational(args.q), parse_rational(args.t)
+    elif args.series_terms < 1:
+        raise ValueError("--series-terms must be positive")
     rational = zeta.RationalW.for_composition(eta, budget=args.budget)
     if value_mode:
-        value = rational.evaluate(parse_rational(args.q), parse_rational(args.t))
+        value = rational.evaluate(*point)
         if args.format == "json":
             _emit_json(args, {"eta": list(eta.parts), "q": args.q, "t": args.t, "value": str(value)})
         else:
             _emit(args, str(value))
         return 0
-    if args.series_terms < 1:
-        raise ValueError("--series-terms must be positive")
     series = rational.series(args.series_terms, budget=args.budget)
     if args.format == "json":
         _emit_json(

@@ -34,13 +34,15 @@ keyed by its mixed-radix index, and its copies are read from a table of all
 states that itertools.product lists once per call; route B reads its final
 packed value back only over the slots its bit length reaches, and its y^b
 row is every (n+1)-th digit from digit b.  w_numerator returns route A and
-always insists that route B agrees.  Route A's product is built once through
-y^(n+1) and memoised (_macmahon_rows): w_numerator takes rows 0..n as the
-BiPoly's rows and insists that row n+1 vanishes, and hadamard_check
-re-reads the same rows.  The (den, iexc) enumeration in joint_distribution
-stays the reference they are tested against: tests/test_zeta.py compares
-each route with it for every composition of n <= 6, and the acceptance
-suite compares w_numerator with it for every composition of n <= 8.
+always insists that route B agrees.  Route A is MacMahon's product through
+y^(n+1), built once per composition and memoised (_maj_des_numerator): in a
+correct build it is the numerator itself, so w_numerator insists that its
+y-degree is at most n, and hadamard_check compares the numerator with the
+same BiPoly in one pass over the rows.  The (den, iexc) enumeration in
+joint_distribution stays the reference they are tested against:
+tests/test_zeta.py compares each route with it for every composition of
+n <= 6, and the acceptance suite compares w_numerator with it for every
+composition of n <= 8.
 
 signed_numerator does the same for the paper's signed Mahonian companions:
 the major side of B_n or D_n from the Adin-Brenti-Roichman or Biagioli
@@ -62,12 +64,14 @@ the Hadamard product of packed maximal-order columns: p + 1 running sums
 turn the row 1 into prod_{j=0..p} 1/(1 - x^j y), whose y^k row is
 (p+k choose k)_x (_gaussian_rows).  hadamard_series_coefficient is G_k
 alone; _packed_series multiplies sum_k G_k y^k by a product of
-(1 - x^a y^b), for MacMahon's product (_macmahon_rows, one call per
-composition, shared by route A and hadamard_check) and both signed major
-sides ([r+1]_x^n is G_r of 1^n); RationalW.series divides a packed
-numerator.  _unpack_row reads a row back as bytes (_slot_bytes), over as
-many slots as its bit length needs.  A BiPoly is the tuple of its y-rows, so
-every route and check reads and writes rows; none converts to exponent pairs.
+(1 - x^a y^b) and returns the BiPoly of the kept rows, for MacMahon's
+product (_maj_des_numerator, one call per composition, shared by route A and
+hadamard_check) and both signed major sides ([r+1]_x^n is G_r of 1^n),
+each of which must have no row at its top degree; RationalW.series divides
+a packed numerator.  _unpack_row reads a row back as bytes (_slot_bytes),
+over as many slots as its bit length needs.  A BiPoly is the tuple of its
+y-rows, so every route and check reads and writes rows; none converts to
+exponent pairs.
 
 The checks in this module certify, at desk scale, that the y-series of the
 numerator over the extended denominator is the termwise product of Gaussian
@@ -383,10 +387,10 @@ def _gaussian_rows(parts: Sequence[int], ks: range, w: int) -> list[int]:
 
 def _packed_series(
     parts: Sequence[int], top: int, factors: Sequence[tuple[int, int]]
-) -> list[UniPoly]:
-    """The y^0..y^top coefficients of (sum_k G_k y^k) times the product over
-    (a, b) in factors of (1 - x^a y^b), G_k the product over the parts p of
-    (p+k choose k)_x.
+) -> BiPoly:
+    """The y-truncation through y^top of (sum_k G_k y^k) times the product
+    over (a, b) in factors of (1 - x^a y^b), G_k the product over the parts p
+    of (p+k choose k)_x: rows 0..top, trailing zero rows trimmed.
 
     The rows G_k (_gaussian_rows) and each factor's pass of _shifted_rows
     share one slot width.  The y^k coefficient is sum_j D_j G_(k-j), D_j the
@@ -404,33 +408,21 @@ def _packed_series(
     sizes = [math.prod(math.comb(p + k, k) for p in parts) for k in range(top + 1)]
     w = _slot_width(sum(ways[j] * sizes[top - j] for j in range(top + 1)))
     rows = _shifted_rows(_gaussian_rows(parts, range(top + 1), w), w, factors)
-    return [_unpack_row(r, w) for r in rows]
+    return BiPoly._canonical(_unpack_row(r, w) for r in rows)
 
 
 # Route A's product is read twice per composition: by w_numerator, then by
 # hadamard_check on the same composition.  A few entries serve that reuse;
 # the memo is not sized to hold a workload.
 @functools.lru_cache(maxsize=16)
-def _macmahon_rows(parts: tuple[int, ...]) -> tuple[UniPoly, ...]:
-    """The y^0..y^(n+1) coefficients of prod_{j=0..n} (1 - x^j y) times
-    sum_k G_k y^k, n = sum(parts): by MacMahon, rows 0..n are the numerator
-    of W_eta and row n+1 vanishes.  One _packed_series call, memoised by
-    parts; the rows are immutable, so every reader shares them."""
-    n = sum(parts)
-    return tuple(_packed_series(parts, n + 1, [(j, 1) for j in range(n + 1)]))
-
-
 def _maj_des_numerator(eta: Composition) -> BiPoly:
-    """Route A: the (maj, des) distribution over the words, by MacMahon, read
-    from rows 0..n of _macmahon_rows.  Row n+1 must vanish, otherwise
-    InvariantError is raised."""
-    rows = _macmahon_rows(eta.parts)
-    if rows[-1]:
-        raise InvariantError(
-            f"numerator for eta={eta}: the y^{eta.n + 1} coefficient {rows[-1]} "
-            f"of MacMahon's product does not vanish"
-        )
-    return BiPoly._canonical(rows[:-1])
+    """Route A: the (maj, des) distribution over the words, as the
+    y-truncation through y^(n+1) of prod_{j=0..n} (1 - x^j y) times
+    sum_k G_k y^k.  By MacMahon its y^(n+1) row vanishes, so in a correct
+    build this is the numerator of W_eta itself; w_numerator insists on it.
+    One _packed_series call, memoised by eta (a Composition compares by its
+    parts); a BiPoly is immutable, so every reader shares it."""
+    return _packed_series(eta.parts, eta.n + 1, [(j, 1) for j in range(eta.n + 1)])
 
 
 def _denh_exc_numerator(eta: Composition) -> BiPoly:
@@ -504,15 +496,21 @@ def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
     enumeration: route A computes (maj, des) from MacMahon's product formula
     and is returned; route B computes (denh, exc) by a DP over positions and
     must coincide, otherwise one of the two routes is broken and
-    InvariantError is raised.  Route A's product is built through y^(n+1)
-    (_macmahon_rows), and its y^(n+1) row must vanish, or InvariantError is
-    raised too; hadamard_check on the same composition re-reads that product.
+    InvariantError is raised.  Route A's product is built through y^(n+1),
+    and its y-degree must be at most n, or InvariantError is raised before
+    route B runs; hadamard_check on the same composition re-reads that
+    product from the memo.
 
     The budget still bounds the number of words, as for enumeration, and
     raises BudgetError beyond it.
     """
     _check_budget(eta.word_count(), budget)
     num = _maj_des_numerator(eta)
+    if num.degree_y() > eta.n:
+        raise InvariantError(
+            f"numerator for eta={eta}: the y^{eta.n + 1} coefficient {num.rows[-1]} "
+            f"of MacMahon's product does not vanish"
+        )
     alt = _denh_exc_numerator(eta)
     if num != alt:
         raise InvariantError(
@@ -571,14 +569,12 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
     powers = range(1, n + 1 if kind == "B" else n)
     factors = [(0, 1)] + [(2 * i, 2) for i in powers] + ([(n, 1)] if kind == "D" else [])
     top = 2 * n if kind == "B" else 2 * n - 1
-    ones = Composition((1,) * n)  # G_r of 1^n is [r+1]_x^n
-    series = _packed_series(ones.parts, top, factors)
-    if series[top]:
+    major = _packed_series((1,) * n, top, factors)  # G_r of 1^n is [r+1]_x^n
+    if major.degree_y() == top:
         raise InvariantError(
             f"type {kind} numerator for n={n}: "
-            f"the y^{top} coefficient {series[top]} does not vanish"
+            f"the y^{top} coefficient {major.rows[top]} does not vanish"
         )
-    major = BiPoly._canonical(series[:top])
     w = _slot_width(2**n * math.factorial(n))
     rows = _euler_mahonian_rows(n, w)
     for k in powers:  # times 1 + x^k y
@@ -722,9 +718,11 @@ def hadamard_series_coefficient(eta: Composition, k: int) -> UniPoly:
     """Coefficient of y^k on the termwise-product side, G_k: the product over
     the parts of the Gaussian binomials (part + k choose k)_x, as row k of
     _gaussian_rows in slots sized by G_k(1) alone.  ValueError unless k is an
-    int (a bool or a float is refused)."""
+    int (a bool or a float is refused) and non-negative."""
     if type(k) is not int:
         raise ValueError(f"the series index k must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError(f"the series index k must be non-negative, got {k}")
     w = _slot_width(math.prod(math.comb(p + k, k) for p in eta.parts))
     return _unpack_row(_gaussian_rows(eta.parts, range(k, k + 1), w)[0], w)
 
@@ -741,26 +739,23 @@ def hadamard_check(
     Both sides, cleared to the common denominator, are polynomials of y-degree
     at most n + 1, so agreement through y^(n+1) proves the identity of
     rational functions.  The product side is route A's packed product
-    through y^(n+1), _macmahon_rows, the very rows w_numerator reads: it
-    already insists that route A equals route B and that the y^(n+1) row
+    through y^(n+1), _maj_des_numerator, the very BiPoly w_numerator returns:
+    it already insists that route A equals route B and that the y^(n+1) row
     vanishes, so for the computed numerator this check re-reads that product
     from the memo and its cost is the comparison.  A given numerator is
     compared with route A alone (built here on a memo miss); route B never
-    runs.  A numerator row above y^(n+1) is a mismatch against the zero
+    runs.  One pass compares the two sides row by row, a missing row being
+    zero, so a numerator row above y^(n+1) is a mismatch against the zero
     product row.  On failure the first mismatching y-degree and both sides
     are reported.
     """
     trunc = eta.n + 1
     if numerator is None:
         numerator = w_numerator(eta, budget=budget)
-    lhs = numerator.rows
-    for k, product in enumerate(_macmahon_rows(eta.parts)):
-        expected = lhs[k] if k < len(lhs) else UniPoly()
-        if product != expected:
-            return HadamardResult(False, eta, trunc, k, expected, product)
-    if len(lhs) > trunc + 1:
-        above = next(k for k in range(trunc + 1, len(lhs)) if lhs[k])
-        return HadamardResult(False, eta, trunc, above, lhs[above], UniPoly())
+    pairs = itertools.zip_longest(numerator.rows, _maj_des_numerator(eta).rows, fillvalue=UniPoly())
+    for k, (lhs, product) in enumerate(pairs):
+        if lhs != product:
+            return HadamardResult(False, eta, trunc, k, lhs, product)
     return HadamardResult(True, eta, trunc)
 
 

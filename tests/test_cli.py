@@ -494,6 +494,23 @@ class TestZeta:
         assert (code, out) == (3, "")
         assert err.startswith("error: series of 1000000 terms packs ")
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--series-terms", "0"), "--series-terms must be positive"),
+            (("--q", "abc", "--t", "1"), "cannot parse rational 'abc'; expected e.g. 2 or 1/8"),
+        ],
+        ids=["series-terms", "q"],
+    )
+    def test_flags_are_checked_before_the_numerator(self, capsys, monkeypatch, flags, message):
+        # W_{120} takes seconds to build; a bad flag is refused first.
+        def no_numerator(eta, *, budget):
+            raise AssertionError("zeta built the numerator before checking its flags")
+
+        monkeypatch.setattr(zeta, "w_numerator", no_numerator)
+        code, out, err = run(capsys, "zeta", "--eta", "120", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_mode_required(self, capsys):
         code, _, _ = run(capsys, "zeta", "--eta", "2,1")
         assert code == 2

@@ -49,9 +49,9 @@ from test_multiset import small_compositions
 def cold_macmahon():
     """Route A's memo, empty before the test and again after it, so that no
     planted or spied product outlives the test."""
-    zeta._macmahon_rows.cache_clear()
+    zeta._maj_des_numerator.cache_clear()
     yield
-    zeta._macmahon_rows.cache_clear()
+    zeta._maj_des_numerator.cache_clear()
 
 
 # Every statistic of every domain through its public function.
@@ -427,12 +427,14 @@ class TestJointDistributions:
 
 
 def plant_top_row(monkeypatch) -> None:
-    """Make _packed_series add 1 to the top row it returns."""
+    """Make _packed_series add 1 to its top row, y^top."""
     packed = zeta._packed_series
 
-    def extra_top(*args):
-        series = packed(*args)
-        return series[:-1] + [series[-1] + UniPoly.one()]
+    def extra_top(parts, top, factors):
+        rows = list(packed(parts, top, factors).rows)
+        rows += [UniPoly()] * (top + 1 - len(rows))
+        rows[top] += UniPoly.one()
+        return BiPoly._canonical(rows)
 
     monkeypatch.setattr(zeta, "_packed_series", extra_top)
 
@@ -499,6 +501,28 @@ class TestNumerator:
         with pytest.raises(InvariantError, match=r"y\^4 coefficient 1 of MacMahon's product does not vanish"):
             w_numerator(Composition((2, 1)))
 
+    def test_verify_hadamard_stops_at_the_vanishing_check(self, monkeypatch, capsys, cold_macmahon):
+        # The check lives in w_numerator, which verify runs first: exit 4.
+        plant_top_row(monkeypatch)
+        assert cli.main(["verify", "--check", "hadamard", "--eta", "2,1"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: numerator for eta=2,1: the y^4 coefficient 1 "
+            "of MacMahon's product does not vanish\n"
+        )
+
+    def test_hadamard_check_reports_a_nonvanishing_top_row(self, monkeypatch, cold_macmahon):
+        # A given numerator skips w_numerator, so the planted y^(n+1) row is
+        # a mismatch that hadamard_check reports, not an error.
+        eta = Composition((2, 1))
+        num = w_numerator(eta)
+        zeta._maj_des_numerator.cache_clear()
+        plant_top_row(monkeypatch)
+        result = hadamard_check(eta, numerator=num)
+        assert (result.ok, result.mismatch_degree) == (False, eta.n + 1)
+        assert (result.numerator_side, result.product_side) == (0, 1)
+
 
 # Neither route enumerates; each must reproduce the (den, iexc) enumeration,
 # which is the numerator's definition.
@@ -516,7 +540,8 @@ def test_macmahon_series_matches_schoolbook(cold_macmahon):
     # y^(n+1), where the coefficients must vanish; every truncation is a
     # prefix of the one product.
     for eta in small_compositions(6):
-        rows = zeta._macmahon_rows(eta.parts)
+        rows = list(zeta._maj_des_numerator(eta).rows)
+        rows += [UniPoly()] * (eta.n + 2 - len(rows))
         assert len(rows) == eta.n + 2 and not rows[-1], eta
         for top in range(eta.n + 2):
             assert list(rows[: top + 1]) == macmahon_oracle(eta, top), (eta, top)
@@ -524,7 +549,7 @@ def test_macmahon_series_matches_schoolbook(cold_macmahon):
 
 def test_macmahon_memo_is_bounded():
     # Process-wide caches must not grow for the life of the process.
-    assert zeta._macmahon_rows.cache_info().maxsize is not None
+    assert zeta._maj_des_numerator.cache_info().maxsize is not None
 
 
 def count_packed_series(monkeypatch) -> list:
@@ -551,7 +576,7 @@ class TestOneProductPerComposition:
     def test_committed_numerator_never_runs_route_b(self, monkeypatch, cold_macmahon):
         eta = Composition((3, 1, 2))
         num = w_numerator(eta)
-        zeta._macmahon_rows.cache_clear()
+        zeta._maj_des_numerator.cache_clear()
         calls = count_packed_series(monkeypatch)
 
         def no_route_b(eta):
@@ -655,7 +680,7 @@ def test_packed_series_matches_schoolbook():
         top = rng.randrange(7)
         parts = tuple(rng.randrange(1, 7) for _ in range(rng.randrange(5)))
         factors = [(rng.randrange(5), rng.randrange(4)) for _ in range(rng.randrange(6))]
-        expected = packed_series_oracle(parts, top, factors)
+        expected = BiPoly._canonical(packed_series_oracle(parts, top, factors))
         assert zeta._packed_series(parts, top, factors) == expected, (parts, top, factors)
 
 
@@ -986,6 +1011,11 @@ class TestHadamard:
         # True would give G_1 and a float reach math.comb.
         with pytest.raises(ValueError, match="series index k must be an int"):
             hadamard_series_coefficient(Composition((1, 1)), bad)
+
+    def test_series_coefficient_refuses_a_negative_index(self):
+        # math.comb would refuse it with its own message.
+        with pytest.raises(ValueError, match="series index k must be non-negative, got -1"):
+            hadamard_series_coefficient(Composition((1, 1)), -1)
 
     def test_series_coefficient_matches_schoolbook(self):
         compositions = small_compositions(8)
