@@ -34,12 +34,11 @@ rows top down, keeping the mask of the values sigma(1..i-1) seen so far, so
 that sigma^{-1}(j) < i is bit j of that mask and no inverse is built, and
 both share one row table per eta, column_masks, which gives each row the
 record (ge, lt, block): the columns of the blocks at least and below its
-own, and its block.  cut_counts gives the sizes of the per-cut cell sets
-without building them.  The lemma checks of verify read column_masks
+own, and its block.  The lemma checks of verify read column_masks
 directly, block included, in scans of their own that count the cells of
 each row, and take the per-cut counts from the word side,
-multiset.excedance_parts on the projected inverse word; cut_counts is their
-reference in the tests.
+multiset.excedance_parts on the projected inverse word; the sizes of
+u_set and u_inv_set are their reference in the tests.
 
 admissible_perms enumerates a domain in lexicographic order, and reads the
 last two blocks from a per-call table of bounded size, or streams them when
@@ -346,33 +345,6 @@ def u_inv_set(eta: Composition, perm: Sequence[int], l: int) -> frozenset[Cell]:
     )
 
 
-def cut_counts(
-    blocks: Sequence[int], perm: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """(u, u_inv) with u[l] = |u_set(eta, perm, l)| and
-    u_inv[l] = |u_inv_set(eta, perm, l)| for every cut l = 2..r.
-
-    blocks is block_lookup(eta); both lists have r + 1 entries, and entries
-    0 and 1 are 0.  The cell (i, sigma(i)) lies in u_set for the cuts
-    block(sigma(i)) < l <= block(i) and in u_inv_set for
-    block(i) < l <= block(sigma(i)), so one difference-array pass over the
-    ones of the grid counts every cut.
-    """
-    r = blocks[-1]
-    du = [0] * (r + 2)
-    du_inv = [0] * (r + 2)
-    for i, v in enumerate(perm, start=1):
-        bi = blocks[i]
-        bv = blocks[v]
-        if bv < bi:
-            du[bv + 1] += 1
-            du[bi + 1] -= 1
-        elif bi < bv:
-            du_inv[bi + 1] += 1
-            du_inv[bv + 1] -= 1
-    return list(itertools.accumulate(du[: r + 1])), list(itertools.accumulate(du_inv[: r + 1]))
-
-
 def _check_row_in_high_region(
     eta: Composition, perm: Sequence[int], j0: int
 ) -> tuple[int, ...]:
@@ -452,11 +424,6 @@ def block_grid_counts(
             exceed += 1
         seen |= 1 << v
     return col_sum + plus - minus - exceed, col_sum, exceed, plus, minus
-
-
-def grid_counts(eta: Composition, perm: Sequence[int]) -> tuple[int, int, int, int]:
-    """(sum of i_set columns, |i_set|, |n_plus_set|, |n_minus_set|) for any perm."""
-    return block_grid_counts(perm, column_masks(eta))[1:]
 
 
 def den(eta: Composition, perm: Sequence[int]) -> int:

@@ -363,7 +363,8 @@ def excedance_parts(w: Sequence[int], fields: LetterFields) -> tuple[int, int, i
     (a the letter of w, t that of the trivial word) with t < l <= a, and
     field l of u_inv the positions with a < l <= t, read as
     u >> fields.ge[l] & fields.mask.  On the projected inverse word of an
-    admissible permutation these are admissible.cut_counts.  An excedance
+    admissible permutation field l of u is the size of admissible.u_set at
+    cut l, and field l of u_inv that of admissible.u_inv_set.  An excedance
     adds up[a] - up[t] to u, and a non-excedance up[t] - up[a] to u_inv, so
     u is the count of the exceeding letters less the up[t] of their
     positions, and u_inv is crossings less those and the count of the

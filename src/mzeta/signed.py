@@ -61,11 +61,6 @@ def check_rank(n: int) -> int:
     return n
 
 
-def is_even_signed(window: Sequence[int]) -> bool:
-    """True iff the number of negative entries is even."""
-    return neg(window) % 2 == 0
-
-
 def abs_window(window: Sequence[int]) -> tuple[int, ...]:
     return tuple(abs(v) for v in window)
 

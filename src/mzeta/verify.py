@@ -20,8 +20,8 @@ excedance_parts pass of multiset over that word: the inversions of its
 non-exceeding subword, the weak inversions of its exceeding subword, and the
 per-cut counts of Lemma 4.3 as packed crossing counts.  It reads only the
 word and the trivial word, so it is computed independently of the grid.  The
-cell-set functions, and inv, imv and cut_counts, stay the reference for
-these counts in the tests.
+cell-set functions, and inv and imv, stay the reference for these counts
+in the tests.
 """
 from __future__ import annotations
 

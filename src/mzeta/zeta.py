@@ -33,8 +33,11 @@ trivial word, whose state is the unused copies of each letter.  A state is
 keyed by its mixed-radix index, and its copies are read from a table of all
 states that itertools.product lists once per call; route B reads its final
 packed value back only over the slots its bit length reaches, and its y^b
-row is every (n+1)-th digit from digit b.  w_numerator returns route A and
-always insists that route B agrees.  Route A is MacMahon's product through
+row is every (n+1)-th digit from digit b.  On 1^n, whose words are S_n and
+where that DP holds 2^n states, w_numerator takes route B from Laguerre
+histories instead (_laguerre_rows), the (den, exc) distribution in O(n^2)
+big-int steps.  w_numerator returns route A and always insists that route B
+agrees.  Route A is MacMahon's product through
 y^(n+1), built once per composition and memoised (_maj_des_numerator): in a
 correct build it is the numerator itself, so w_numerator insists that its
 y-degree is at most n, and hadamard_check compares the numerator with the
@@ -46,11 +49,11 @@ composition of n <= 8.
 
 signed_numerator does the same for the paper's signed Mahonian companions:
 the major side of B_n or D_n from the Adin-Brenti-Roichman or Biagioli
-product formula, and the Denert side from A_n, the (maj, des) distribution
-over S_n by insertion (_euler_mahonian_rows), times binomials 1 + x^k y,
-each one shift-add of the packed rows; the two must agree.  So the Denert
-side rests on the theorem (denh, exc) ~ (maj, des) on S_n, which the tests
-check against route B on 1^n for n <= 12.
+product formula, and the Denert side from A_n, the (den, exc) distribution
+over S_n by Laguerre histories (_laguerre_rows), times binomials 1 + x^k y,
+each one shift-add of the packed rows; the two must agree.  So each side
+computes its own statistic, and the agreement certifies the signed
+equidistribution at every n asked for.
 NUMERATOR_ROUTES names every (domain, ordered pair) that a route serves, and
 distribution serves those from the route and every other pair by
 enumeration.
@@ -189,11 +192,6 @@ STATS: dict[str, dict[str, tuple[tuple, int | None]]] = {
     "B": _SIGNED_STATS,
     "D": {**_SIGNED_STATS, **_entries(_D, *signed.DStats._fields)},
 }
-
-
-def domain_stats(domain: str) -> tuple[str, ...]:
-    """The statistic names joint_distribution accepts for a domain."""
-    return tuple(STATS[domain])
 
 
 def window_stats(domain: str, window: tuple[int, ...]) -> dict[str, int]:
@@ -427,7 +425,9 @@ def _maj_des_numerator(eta: Composition) -> BiPoly:
 
 def _denh_exc_numerator(eta: Composition) -> BiPoly:
     """Route B: the (denh, exc) distribution over the words, by a
-    transfer-matrix DP over the positions of the trivial word.
+    transfer-matrix DP over the positions of the trivial word.  It serves
+    every composition; w_numerator takes _laguerre_rows on 1^n instead,
+    where this DP holds 2^n states.
 
     denh is the sum of the excedance positions plus imv of the exceeding
     subword E plus inv of the non-exceeding subword N.  Read a word left to
@@ -494,11 +494,12 @@ def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
     The paper's theorem makes it equal to the (maj, des) and to the
     (denh, exc) distribution over the words, and neither of those needs
     enumeration: route A computes (maj, des) from MacMahon's product formula
-    and is returned; route B computes (denh, exc) by a DP over positions and
-    must coincide, otherwise one of the two routes is broken and
-    InvariantError is raised.  Route A's product is built through y^(n+1),
-    and its y-degree must be at most n, or InvariantError is raised before
-    route B runs; hadamard_check on the same composition re-reads that
+    and is returned; route B computes (denh, exc) by a DP over positions, or
+    on 1^n, whose words are S_n and where denh is den, by Laguerre histories
+    (_laguerre_rows), and must coincide, otherwise one of the two routes is
+    broken and InvariantError is raised.  Route A's product is built through
+    y^(n+1), and its y-degree must be at most n, or InvariantError is raised
+    before route B runs; hadamard_check on the same composition re-reads that
     product from the memo.
 
     The budget still bounds the number of words, as for enumeration, and
@@ -511,7 +512,11 @@ def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
             f"numerator for eta={eta}: the y^{eta.n + 1} coefficient {num.rows[-1]} "
             f"of MacMahon's product does not vanish"
         )
-    alt = _denh_exc_numerator(eta)
+    if eta.r == eta.n:  # 1^n: the words are S_n, and denh is den
+        w = _slot_width(eta.word_count())
+        alt = BiPoly._canonical(_unpack_row(r, w) for r in _laguerre_rows(eta.n, w))
+    else:
+        alt = _denh_exc_numerator(eta)
     if num != alt:
         raise InvariantError(
             f"numerator mismatch for eta={eta}: (maj, des) by MacMahon's formula "
@@ -520,23 +525,53 @@ def w_numerator(eta: Composition, *, budget: int = DEFAULT_BUDGET) -> BiPoly:
     return num
 
 
-def _euler_mahonian_rows(n: int, w: int) -> list[int]:
-    """A_n, the (maj, des) distribution over S_n, as y-rows packed at x = 2^w,
-    by insertion (Garsia-Gessel 1979): the largest letter m, put into the m
-    gaps of a permutation of S_(m-1) with k descents, sends x^maj y^k to
-    x^maj ([k+1]_x y^k + x^(k+1) [m-1-k]_x y^(k+1)).  Each [j]_x is one
-    packed int, so row k of A_(m-1) costs two big-int multiplies."""
-    qint = [0]  # qint[j] = [j]_x = 1 + x + ... + x^(j-1)
+def _laguerre_rows(n: int, w: int) -> list[int]:
+    """A_n, the (den, exc) distribution over S_n, as y-rows packed at x = 2^w,
+    by Laguerre histories (Foata-Zeilberger 1990), where den is the sum of
+    the excedance positions plus inv of the exceeding and of the
+    non-exceeding subword.  Position i is a step of a path from height 0
+    back to 0, the height h before it being the number of open arcs
+    i' < i < sigma(i').  By the cycle type of i the step weighs: valley
+    y x^i (to h + 1), double rise y x^i [h]_x, double fall [h]_x, fixed
+    point x^h, peak [h]_x^2 (to h - 1).  A height above n - i after step i
+    cannot return to 0 and is dropped.
+
+    Each height holds one int, row k at bit w*span*k, x^d in slot d of the
+    row.  With P(i, h) = C(h, 2) - h*i, a step at i from height h to h' has
+    x-degree at most i - 1 + P(i - 1, h) - P(i, h') (equal for a double rise
+    and a peak), so a history from 0 back to 0 has x-degree at most C(n, 2)
+    by the weights alone, and a row needs span = C(n, 2) + 1 slots; exc is
+    at most n - 1.  Every digit is a non-negative count, so the rows are the
+    bytes of the final value cut every span slots.
+
+    >>> w = 8
+    >>> [_unpack_row(r, w) for r in _laguerre_rows(3, w)]
+    [UniPoly((1,)), UniPoly((0, 2, 2)), UniPoly((0, 0, 0, 1))]
+    """
+    span = n * (n - 1) // 2 + 1
+    y = w * span
+    qint = [0]  # qint[h] = [h]_x = 1 + x + ... + x^(h-1)
     for _ in range(n):
         qint.append(qint[-1] << w | 1)
-    rows = [1]
-    for m in range(2, n + 1):
-        grown = [0] * m
-        for k, r in enumerate(rows):
-            grown[k] += r * qint[k + 1]
-            grown[k + 1] += r * qint[m - 1 - k] << w * (k + 1)
-        rows = grown
-    return rows
+    layer = [1]  # layer[h]: the histories of height h so far
+    for i in range(1, n + 1):
+        up = w * i + y  # x^i y
+        top = min(len(layer), n - i)
+        nxt = [0] * (top + 1)
+        for h, v in enumerate(layer):
+            if h < top:
+                nxt[h + 1] += v << up
+            stay = v << w * h
+            if h:
+                arcs = v * qint[h]
+                stay += (arcs << up) + arcs
+                nxt[h - 1] += arcs * qint[h]
+            if h <= top:
+                nxt[h] += stay
+        layer = nxt
+    size = y // 8
+    data = layer[0].to_bytes(size * n, "little")
+    return [int.from_bytes(data[k:k + size], "little") for k in range(0, size * n, size)]
 
 
 def signed_numerator(kind: str, n: int) -> BiPoly:
@@ -553,14 +588,13 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
 
     The Denert side, the (nden, excabs) or (dden, dexc) distribution, is
     A_n prod_{k=1..n} (1 + x^k y) for B and A_n prod_{k=2..n} (1 + x^(k-1) y)
-    for D, where A_n is the (denh, exc) distribution over S_n.  It is built
-    as the (maj, des) distribution (_euler_mahonian_rows), so this side rests
-    on the theorem (denh, exc) ~ (maj, des) on S_n, not on a Denert
-    computation.  A binomial 1 + x^j y adds to every packed row the row
-    below it shifted by j slots.  The coefficients are non-negative counts
-    summing to |B_n| or |D_n| <= 2^n n!, which sizes the slots; evaluation
-    at x = 2^w is a ring homomorphism, so only the final read needs that
-    bound.  The two sides must coincide, otherwise InvariantError is raised.
+    for D, where A_n is the (den, exc) distribution over S_n, built by
+    Laguerre histories (_laguerre_rows): a Denert computation, which rests on
+    no equidistribution theorem.  A binomial 1 + x^j y adds to every packed
+    row the row below it shifted by j slots.  The coefficients are
+    non-negative counts summing to |B_n| or |D_n| <= 2^n n!, which sizes the
+    slots; evaluation at x = 2^w is a ring homomorphism, so only the final
+    read needs that bound.  The two sides must coincide, otherwise InvariantError is raised.
     Nothing is charged against a budget.
     """
     if kind not in ("B", "D"):
@@ -576,7 +610,7 @@ def signed_numerator(kind: str, n: int) -> BiPoly:
             f"the y^{top} coefficient {major.rows[top]} does not vanish"
         )
     w = _slot_width(2**n * math.factorial(n))
-    rows = _euler_mahonian_rows(n, w)
+    rows = _laguerre_rows(n, w)
     for k in powers:  # times 1 + x^k y
         rows = [r + (s << w * k) for r, s in zip(rows + [0], [0] + rows)]
     denert = BiPoly._canonical(_unpack_row(r, w) for r in rows)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzeta.admissible import den, grid_counts, is_admissible
+from mzeta.admissible import den, is_admissible
 from mzeta.multiset import (
     Composition,
     denh,
@@ -38,6 +38,7 @@ from mzeta.zeta import (
     unitary_factor_scan,
     w_numerator,
 )
+from test_admissible import grid_counts
 
 ETA = Composition((3, 2, 2, 3))
 WORD = (4, 2, 3, 2, 3, 1, 4, 1, 4, 1)

@@ -20,9 +20,7 @@ from mzeta.admissible import (
     block_index,
     block_lookup,
     column_masks,
-    cut_counts,
     den,
-    grid_counts,
     grid_rows,
     i_set,
     iexc,
@@ -56,7 +54,12 @@ from mzeta.verify import (
     exceeding_weak_inversions_failure,
     nonexceeding_inversions_failure,
 )
-from test_multiset import small_compositions
+from test_multiset import cut_counts, small_compositions
+
+
+def grid_counts(eta, perm):
+    """(sum of i_set columns, |i_set|, |n_plus_set|, |n_minus_set|) for any perm."""
+    return block_grid_counts(perm, column_masks(eta))[1:]
 
 ETA = Composition((3, 2, 2, 3))
 W = (4, 2, 3, 2, 3, 1, 4, 1, 4, 1)

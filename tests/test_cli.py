@@ -717,7 +717,7 @@ class TestFailureExitCodes:
         ],
     )
     def test_signed_numerator_mismatch_exit_four(self, capsys, monkeypatch, kind, argv):
-        monkeypatch.setattr(zeta, "_euler_mahonian_rows", lambda n, w: [1])
+        monkeypatch.setattr(zeta, "_laguerre_rows", lambda n, w: [1])
         code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == ""

@@ -32,7 +32,7 @@ from mzeta.multiset import (
     standardize,
     words,
 )
-from mzeta.admissible import block_lookup, cut_counts, word_to_admissible
+from mzeta.admissible import block_lookup, word_to_admissible
 from mzeta.signed import abs_window, signed_perms
 from mzeta.verify import compositions_of
 
@@ -42,6 +42,31 @@ W = (4, 2, 3, 2, 3, 1, 4, 1, 4, 1)
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
     lambda parts: Composition(tuple(parts))
 )
+
+
+def cut_counts(blocks, perm):
+    """(u, u_inv) with u[l] = |u_set(eta, perm, l)| and
+    u_inv[l] = |u_inv_set(eta, perm, l)| for every cut l = 2..r.
+
+    blocks is block_lookup(eta); both lists have r + 1 entries, and entries
+    0 and 1 are 0.  The cell (i, sigma(i)) lies in u_set for the cuts
+    block(sigma(i)) < l <= block(i) and in u_inv_set for
+    block(i) < l <= block(sigma(i)), so one difference-array pass over the
+    ones of the grid counts every cut.
+    """
+    r = blocks[-1]
+    du = [0] * (r + 2)
+    du_inv = [0] * (r + 2)
+    for i, v in enumerate(perm, start=1):
+        bi = blocks[i]
+        bv = blocks[v]
+        if bv < bi:
+            du[bv + 1] += 1
+            du[bi + 1] -= 1
+        elif bi < bv:
+            du_inv[bi + 1] += 1
+            du_inv[bv + 1] -= 1
+    return list(itertools.accumulate(du[: r + 1])), list(itertools.accumulate(du_inv[: r + 1]))
 
 
 def small_compositions(n_max):

@@ -1,5 +1,7 @@
-"""signed_numerator's Denert side never reaches route B: it is built by
-insertion, and route B on 1^n has 2^n states."""
+"""signed_numerator's Denert side never reaches route B's position DP: it is
+built by Laguerre histories, and route B's DP on 1^n has 2^n states.  The
+Laguerre DP reaches no packed-series code either, so it is independent of
+the major side."""
 import ast
 import pathlib
 
@@ -39,5 +41,12 @@ def test_guard_follows_calls_across_modules():
 def test_signed_numerator_never_reaches_route_b():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     reached = reached_names(sources, "signed_numerator")
-    assert "_euler_mahonian_rows" in reached
+    assert "_laguerre_rows" in reached
     assert "_denh_exc_numerator" not in reached
+
+
+def test_laguerre_rows_reach_no_other_route():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    reached = reached_names(sources, "_laguerre_rows")
+    for name in ("_packed_series", "_gaussian_rows", "_shifted_rows", "_denh_exc_numerator"):
+        assert name not in reached, name

@@ -17,14 +17,19 @@ from mzeta.signed import (
     d_stats,
     even_signed_perms,
     excabs,
-    is_even_signed,
     is_signed_window,
     nden,
+    neg,
     nsp,
     signed_perms,
     type_a_stats,
 )
 from mzeta.zeta import InvariantError
+
+
+def is_even_signed(window):
+    """True iff the number of negative entries is even."""
+    return neg(window) % 2 == 0
 
 
 def sign_class(window):

@@ -30,7 +30,6 @@ from mzeta.zeta import (
     default_bounds,
     distribution,
     domain_size,
-    domain_stats,
     expected_reciprocity,
     hadamard_check,
     hadamard_series_coefficient,
@@ -43,6 +42,11 @@ from mzeta.zeta import (
     zeta_eval,
 )
 from test_multiset import small_compositions
+
+
+def domain_stats(domain):
+    """The statistic names joint_distribution accepts for a domain."""
+    return tuple(zeta.STATS[domain])
 
 
 @pytest.fixture
@@ -792,7 +796,7 @@ class TestSignedNumerator:
     def test_rank_fourteen(self, kind):
         # The major side packs 80-bit slots here, so its y^2 factors shift
         # slots wider than 64 bits; the Denert side inside signed_numerator,
-        # A_14 by insertion times the binomials, is the oracle.
+        # A_14 by Laguerre histories times the binomials, is the oracle.
         n = 14
         num = signed_numerator(kind, n)
         assert num.evaluate(1, 1) == zeta.domain_size(kind, n=n)
@@ -806,7 +810,7 @@ class TestSignedNumerator:
 
     @pytest.mark.parametrize("kind", ["B", "D"])
     def test_denert_side_mismatch_raises(self, kind, monkeypatch):
-        monkeypatch.setattr(zeta, "_euler_mahonian_rows", lambda n, w: [1])
+        monkeypatch.setattr(zeta, "_laguerre_rows", lambda n, w: [1])
         with pytest.raises(InvariantError, match=f"type {kind} numerator mismatch"):
             signed_numerator(kind, 3)
 
@@ -817,14 +821,87 @@ class TestSignedNumerator:
             signed_numerator(kind, 3)
 
 
+def euler_mahonian_rows(n, w):
+    """A_n, the (maj, des) distribution over S_n, as y-rows packed at x = 2^w,
+    by insertion (Garsia-Gessel 1979): the largest letter m, put into the m
+    gaps of a permutation of S_(m-1) with k descents, sends x^maj y^k to
+    x^maj ([k+1]_x y^k + x^(k+1) [m-1-k]_x y^(k+1)).  Each [j]_x is one
+    packed int, so row k of A_(m-1) costs two big-int multiplies."""
+    qint = [0]  # qint[j] = [j]_x = 1 + x + ... + x^(j-1)
+    for _ in range(n):
+        qint.append(qint[-1] << w | 1)
+    rows = [1]
+    for m in range(2, n + 1):
+        grown = [0] * m
+        for k, r in enumerate(rows):
+            grown[k] += r * qint[k + 1]
+            grown[k + 1] += r * qint[m - 1 - k] << w * (k + 1)
+        rows = grown
+    return rows
+
+
+def read_rows(rows, w):
+    return BiPoly._canonical(zeta._unpack_row(r, w) for r in rows)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_insertion_rows_match_route_b_on_ones(n):
-    # The theorem (denh, exc) ~ (maj, des) on S_n, which the Denert side of
-    # signed_numerator rests on: route B computes (denh, exc) over the words
-    # of 1^n, and the insertion rows are (maj, des).
+    # The theorem (denh, exc) ~ (maj, des) on S_n: route B computes
+    # (denh, exc) over the words of 1^n, and the insertion rows are
+    # (maj, des).
     w = zeta._slot_width(math.factorial(n))
-    insertion = BiPoly._canonical(zeta._unpack_row(r, w) for r in zeta._euler_mahonian_rows(n, w))
+    insertion = read_rows(euler_mahonian_rows(n, w), w)
     assert insertion == zeta._denh_exc_numerator(Composition((1,) * n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_laguerre_rows_match_route_b_on_ones(n):
+    # Two Denert computations: Laguerre histories on S_n, and the position
+    # DP of route B over the words of 1^n, run directly.
+    w = zeta._slot_width(math.factorial(n))
+    laguerre = read_rows(zeta._laguerre_rows(n, w), w)
+    assert laguerre == zeta._denh_exc_numerator(Composition((1,) * n))
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 20, 24])
+def test_laguerre_rows_match_insertion(n):
+    # (den, exc) ~ (maj, des) on S_n, past where route B can go; packed rows
+    # of non-negative digits are equal exactly when their polynomials are,
+    # at the route-B slot width and at the wider one of signed_numerator.
+    for w in {zeta._slot_width(math.factorial(n)), zeta._slot_width(2**n * math.factorial(n))}:
+        assert zeta._laguerre_rows(n, w) == euler_mahonian_rows(n, w), w
+
+
+def test_laguerre_degree_bound_is_c_n_2():
+    # The greatest x-degree the step weights can reach, by the same steps in
+    # max-plus arithmetic, is C(n, 2): the potential bound of _laguerre_rows
+    # holds, and no smaller row span would.
+    for n in range(1, 41):
+        top = [0]  # top[h]: the greatest x-degree at height h
+        for i in range(1, n + 1):
+            nxt = [-1] * (min(len(top), n - i) + 1)
+            for h, d in enumerate(top):
+                if h + 1 < len(nxt):
+                    nxt[h + 1] = max(nxt[h + 1], d + i)  # valley
+                if h < len(nxt):
+                    nxt[h] = max(nxt[h], d + (i + h - 1 if h else 0))  # double rise or fixed point
+                if h:
+                    nxt[h - 1] = max(nxt[h - 1], d + 2 * h - 2)  # peak
+            top = nxt
+        assert top == [math.comb(n, 2)], n
+
+
+def test_w_numerator_takes_laguerre_histories_on_ones(monkeypatch):
+    def no_position_dp(eta):
+        raise AssertionError("route B ran its position DP on 1^n")
+
+    monkeypatch.setattr(zeta, "_denh_exc_numerator", no_position_dp)
+    for n in range(1, 10):
+        eta = Composition((1,) * n)
+        assert w_numerator(eta) == zeta._maj_des_numerator(eta)
+    monkeypatch.setattr(zeta, "_laguerre_rows", lambda n, w: [1])
+    with pytest.raises(InvariantError, match="numerator mismatch"):
+        w_numerator(Composition((1, 1, 1)))
 
 
 def route_b_denert_side(kind, n):
@@ -869,8 +946,8 @@ print(time.perf_counter() - t0)
 
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_signed_numerator_of_rank_24_takes_under_a_second(kind):
-    # About 0.1 s each on a 2-vCPU host; the Denert side by route B on 1^24
-    # would hold 2^24 states.  The subprocess lets the timeout stop it, and
+    # About 0.1-0.2 s each on a 2-vCPU host; the Denert side by route B on
+    # 1^24 would hold 2^24 states.  The subprocess lets the timeout stop it, and
     # its 1 GiB address-space limit keeps such a run from filling memory.
     src = Path(zeta.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -879,6 +956,30 @@ def test_signed_numerator_of_rank_24_takes_under_a_second(kind):
         capture_output=True, text=True, timeout=10, check=True,
     )
     assert float(done.stdout) < 1.0
+
+
+ONES_16 = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mzeta.multiset import Composition
+from mzeta.zeta import w_numerator
+t0 = time.perf_counter()
+w_numerator(Composition((1,) * 16), budget=10**14)
+print(time.perf_counter() - t0)
+"""
+
+
+def test_w_numerator_of_ones_16_takes_under_half_a_second():
+    # About 4-6 ms on a 2-vCPU host, route A included: route B on 1^n is
+    # Laguerre histories, where the position DP took 2.1-2.6 s over 2^16
+    # states.
+    src = Path(zeta.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", ONES_16],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=10, check=True,
+    )
+    assert float(done.stdout) < 0.5
 
 
 class TestDistribution:
